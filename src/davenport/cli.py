@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 from typing import Optional
 
 from .gfpoly import Poly, factor as factor_poly
 from .parsing import ParseError, parse_poly_expr, parse_sequence
 from .semigroup import (
+    TABLE_CAP,
     FiniteSemigroup,
     HypothesisViolation,
     build_abelian_group,
-    build_cyclic_with_zero,
-    build_product,
+    build_adjoined_zero_product,
     build_quotient_semigroup,
     invariant_factors_from_cyclic_orders,
     units_of,
@@ -88,10 +89,7 @@ def _nlist_arg(text: str) -> list[int]:
 
 def _semigroup_from_args(args) -> FiniteSemigroup:
     if getattr(args, "nlist", None):
-        ns = _nlist_arg(args.nlist)
-        if len(ns) == 1:
-            return build_cyclic_with_zero(ns[0])
-        return build_product([build_cyclic_with_zero(n) for n in ns])
+        return build_adjoined_zero_product(_nlist_arg(args.nlist))
     if args.prime is None or args.poly is None:
         raise ParseError("need either -p/-f or -n to pick a semigroup", 0)
     return build_quotient_semigroup(args.prime, _poly_arg(args))
@@ -123,10 +121,8 @@ def _cmd_units(args) -> int:
     _maybe_dump(args, S)
     U = units_of(S)
     names = [S.format_element(i) for i in U.elements]
-    invariants = list(U.invariant_factors) if U.invariant_factors else None
-    structure = (
-        " x ".join(f"C_{d}" for d in invariants) if invariants else "structure unknown"
-    )
+    invariants = list(U.invariant_factors)
+    structure = " x ".join(f"C_{d}" for d in invariants) or "trivial"
     _emit(
         args,
         {
@@ -155,11 +151,8 @@ def _cmd_davenport_group(args) -> int:
         raise ParseError("cyclic orders must be positive", 0)
     chain = invariant_factors_from_cyclic_orders(ns)
     formula = davenport_group_formula(chain)
-    size = 1
-    for n in ns:
-        size *= n
     search = None
-    if size <= 256:
+    if prod(ns) <= TABLE_CAP:
         search = davenport_exact(build_abelian_group(ns), args.budget_ms)
         if formula is not None and search.complete and search.value != formula:
             raise AssertionError(

@@ -10,10 +10,11 @@ Four kinds are built here, all sharing one representation:
   exponent vectors;
 * ``product`` — componentwise products of any of the above.
 
-A semigroup owns a deterministic, indexed universe; the operation is
-memoized into a full Cayley table when the universe has at most 256
-elements and computed on the fly above that. Instances are immutable
-after construction, so they can be shared freely.
+A semigroup owns a deterministic, indexed universe of at most
+``TABLE_CAP`` elements, and every product is read from its full Cayley
+table. Each builder rejects a larger universe with ``ValueError`` before
+enumerating it. Instances are immutable after construction, so they can
+be shared freely.
 
 The semigroup operation is written multiplicatively throughout (``mul``),
 matching ring multiplication in the quotient case; for the adjoined-zero
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Optional, Sequence as Seq
 
 from .gfpoly import (
@@ -37,11 +39,16 @@ from .gfpoly import (
 TABLE_CAP = 256
 ASSOC_EXHAUSTIVE_CAP = 64
 ASSOC_SPOT_SAMPLES = 10_000
-CENSUS_CAP = 10_000
 
 
 class HypothesisViolation(ValueError):
     """An operation was asked to assume structure the input does not have."""
+
+
+def _check_universe_size(size: int) -> None:
+    """Reject a universe too large for a Cayley table, before it is built."""
+    if size > TABLE_CAP:
+        raise ValueError(f"universe of {size} elements exceeds the cap of {TABLE_CAP}")
 
 
 class _Infinity:
@@ -87,9 +94,8 @@ class FiniteSemigroup:
         self.zero = self.index_of[zero_value] if zero_value is not None else None
         self.params = dict(params or {})
         self.factors = factors
-        self.table: Optional[list[list[int]]] = None
-        if len(self.values) <= TABLE_CAP:
-            self._build_table()
+        _check_universe_size(len(self.values))
+        self.table = self._build_table()
         if validate:
             self._validate_axioms()
         self._unit_cache: Optional[UnitGroup] = None
@@ -106,9 +112,7 @@ class FiniteSemigroup:
 
     def op(self, i: int, j: int) -> int:
         """Product of elements by index."""
-        if self.table is not None:
-            return self.table[i][j]
-        return self.index_of[self._mul_value(self.values[i], self.values[j])]
+        return self.table[i][j]
 
     def mul(self, a, b):
         """Product of elements by value."""
@@ -132,38 +136,26 @@ class FiniteSemigroup:
                 base = self.op(base, base)
         return acc
 
-    def _build_table(self):
+    def _build_table(self) -> list[list[int]]:
         n = len(self.values)
         vals = self.values
         idx = self.index_of
         mul = self._mul_value
-        table = []
+        # fill the lower triangle and mirror it; commutativity makes this exact
+        table = [[0] * n for _ in range(n)]
         for i in range(n):
-            row = []
+            row = table[i]
             for j in range(i + 1):
                 v = mul(vals[i], vals[j])
                 k = idx.get(v)
                 if k is None:
                     raise ValueError(f"operation escapes the universe: {v!r}")
-                row.append(k)
-            table.append(row)
-        # mirror to full square form; commutativity makes this exact
-        full = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                full[i][j] = table[i][j]
-                full[j][i] = table[i][j]
-        self.table = full
+                row[j] = table[j][i] = k
+        return table
 
     def _validate_axioms(self):
         n = len(self.values)
-        rng = random.Random(0)
-        if self.table is None:
-            for _ in range(ASSOC_SPOT_SAMPLES // 10):
-                i, j = rng.randrange(n), rng.randrange(n)
-                if self.op(i, j) != self.op(j, i):
-                    raise ValueError("operation is not commutative")
-        if n <= ASSOC_EXHAUSTIVE_CAP and self.table is not None:
+        if n <= ASSOC_EXHAUSTIVE_CAP:
             t = self.table
             rng_n = range(n)
             for i in rng_n:
@@ -175,6 +167,7 @@ class FiniteSemigroup:
                         if tij[k] != ti[tj[k]]:
                             raise ValueError("operation is not associative")
         else:
+            rng = random.Random(0)
             for _ in range(ASSOC_SPOT_SAMPLES):
                 i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
                 if self.op(self.op(i, j), k) != self.op(i, self.op(j, k)):
@@ -241,6 +234,7 @@ def build_quotient_semigroup(p: int, f: Poly) -> FiniteSemigroup:
     d = f.degree
     if d < 1:
         raise ValueError("quotient modulus must have degree >= 1")
+    _check_universe_size(p**d)
     values = []
     for idx in range(p**d):
         coeffs = []
@@ -270,6 +264,7 @@ def build_cyclic_with_zero(n: int) -> FiniteSemigroup:
     """Cyclic group of order n with one absorbing element adjoined."""
     if n < 2:
         raise ValueError("cyclic part must have order >= 2")
+    _check_universe_size(n + 1)
     values = list(range(n)) + [INF]
 
     def mul_cyclic(a, b):
@@ -293,6 +288,7 @@ def build_cyclic_group(n: int) -> FiniteSemigroup:
     """Cyclic group of order n on exponents 0..n-1."""
     if n < 1:
         raise ValueError("group order must be >= 1")
+    _check_universe_size(n)
 
     def mul_exp(a, b):
         return (a + b) % n
@@ -317,6 +313,7 @@ def build_abelian_group(orders: Seq[int]) -> FiniteSemigroup:
         raise ValueError("cyclic orders must be >= 1")
     if len(orders) == 1:
         return build_cyclic_group(orders[0])
+    _check_universe_size(prod(orders))
 
     values = [()]
     for n in orders:
@@ -344,6 +341,7 @@ def build_product(factors: Seq[FiniteSemigroup]) -> FiniteSemigroup:
     for f in factors:
         if f.identity is None:
             raise ValueError("every product factor needs an identity")
+    _check_universe_size(prod(f.size for f in factors))
 
     values = [()]
     for f in factors:
@@ -370,6 +368,13 @@ def build_product(factors: Seq[FiniteSemigroup]) -> FiniteSemigroup:
     )
 
 
+def build_adjoined_zero_product(orders: Seq[int]) -> FiniteSemigroup:
+    """C_n ∪ {inf} for a single order, else the product of one per order."""
+    if len(orders) == 1:
+        return build_cyclic_with_zero(orders[0])
+    return build_product([build_cyclic_with_zero(n) for n in orders])
+
+
 # -- unit groups -----------------------------------------------------------
 
 
@@ -380,7 +385,7 @@ class UnitGroup:
     parent: FiniteSemigroup
     elements: tuple[int, ...]
     inverses: dict
-    invariant_factors: Optional[tuple[int, ...]]
+    invariant_factors: tuple[int, ...]
     group: FiniteSemigroup
 
     @property
@@ -398,20 +403,12 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
     if S._unit_cache is not None:
         return S._unit_cache
     e = S.identity
-    n = S.size
     inverses = {}
-    if S.table is not None:
-        for i, row in enumerate(S.table):
-            for j, v in enumerate(row):
-                if v == e:
-                    inverses[i] = j
-                    break
-    else:
-        for i in range(n):
-            for j in range(n):
-                if S.op(i, j) == e:
-                    inverses[i] = j
-                    break
+    for i, row in enumerate(S.table):
+        for j, v in enumerate(row):
+            if v == e:
+                inverses[i] = j
+                break
     elements = tuple(sorted(inverses))
 
     unit_values = [S.values[i] for i in elements]
@@ -424,23 +421,20 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
         validate=False,
     )
 
-    invariants = _closed_form_invariants(S, len(elements))
-    census = None
-    if len(elements) <= CENSUS_CAP:
-        census = _invariants_by_census(group)
-    if invariants is not None and census is not None and invariants != census:
+    invariants = _invariants_by_census(group)
+    closed_form = _closed_form_invariants(S)
+    if closed_form is not None and closed_form != invariants:
         raise AssertionError(
-            f"closed-form unit structure {invariants} disagrees with census {census}"
+            f"closed-form unit structure {closed_form} disagrees with "
+            f"census {invariants}"
         )
-    if invariants is None:
-        invariants = census
 
     ug = UnitGroup(S, elements, inverses, invariants, group)
     S._unit_cache = ug
     return ug
 
 
-def _closed_form_invariants(S: FiniteSemigroup, n_units: int):
+def _closed_form_invariants(S: FiniteSemigroup):
     """Unit-group structure pinned down by the quotient modulus, when it is."""
     if S.kind != "quotient":
         return None
@@ -465,8 +459,6 @@ def _invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
     rank by rank into the divisibility chain d_1 | d_2 | ... | d_r.
     """
     n = group.size
-    if n == 1:
-        return ()
     orders = [_element_order(group, i, n) for i in range(n)]
     per_prime: dict[int, list[int]] = {}
     for q in prime_factors(n):
@@ -495,16 +487,8 @@ def _invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
             prev = nj
             j += 1
         exps = [sum(1 for a in parts if a >= i) for i in range(1, max(parts) + 1)]
-        per_prime[q] = sorted((q**e for e in exps), reverse=True)
-    rank = max(len(v) for v in per_prime.values())
-    chain = []
-    for r in range(rank):
-        d = 1
-        for q, powers in per_prime.items():
-            if r < len(powers):
-                d *= powers[r]
-        chain.append(d)
-    return tuple(sorted(chain))
+        per_prime[q] = [q**e for e in exps]
+    return _merge_prime_powers(per_prime)
 
 
 def _element_order(group: FiniteSemigroup, i: int, group_order: int) -> int:
@@ -520,18 +504,19 @@ def invariant_factors_from_cyclic_orders(orders: Seq[int]) -> tuple[int, ...]:
     per_prime: dict[int, list[int]] = {}
     for n in orders:
         for q, e in prime_factors(n).items():
-            per_prime.setdefault(q, []).append(e)
-    if not per_prime:
-        return ()
-    for q in per_prime:
-        per_prime[q].sort(reverse=True)
-    rank = max(len(v) for v in per_prime.values())
+            per_prime.setdefault(q, []).append(q**e)
+    return _merge_prime_powers(per_prime)
+
+
+def _merge_prime_powers(per_prime: dict[int, list[int]]) -> tuple[int, ...]:
+    """Merge per-prime power lists rank by rank into d_1 | d_2 | ... | d_r."""
+    ranked = [sorted(powers, reverse=True) for powers in per_prime.values()]
     chain = []
-    for r in range(rank):
+    for r in range(max((len(powers) for powers in ranked), default=0)):
         d = 1
-        for q, exps in per_prime.items():
-            if r < len(exps):
-                d *= q ** exps[r]
+        for powers in ranked:
+            if r < len(powers):
+                d *= powers[r]
         chain.append(d)
     return tuple(sorted(chain))
 
@@ -591,24 +576,32 @@ def crt_decompose(p: int, f: Poly) -> CrtDecomposition:
 
 
 def _resolve(S: FiniteSemigroup, a):
+    i = S.index_of.get(a)
+    if i is not None:
+        return i, a
+    # bare ints are ambiguous for group kinds whose values are ints;
+    # treat as index only when the value itself is not in the universe
     if isinstance(a, int) and not isinstance(a, bool) and a in range(S.size):
-        # bare ints are ambiguous for group kinds whose values are ints;
-        # treat as index only when the value itself is not in the universe
-        if a in S.index_of:
-            return S.index_of[a], a
         return a, S.values[a]
-    if a in S.index_of:
-        return S.index_of[a], a
     raise ValueError(f"element {a!r} not in the universe")
+
+
+def _coordinates(S: FiniteSemigroup, a) -> tuple[Seq[FiniteSemigroup], tuple]:
+    """Factors of S and the components of a; a lone C_n ∪ {inf} has one."""
+    if S.kind == "product" and S.factors is not None:
+        return S.factors, _resolve(S, a)[1]
+    if S.kind == "cyclic_with_zero":
+        return (S,), (_resolve(S, a)[1],)
+    raise TypeError(
+        "coordinate maps are defined on product semigroups and on C_n ∪ {inf}"
+    )
 
 
 def j_set(S: FiniteSemigroup, a) -> frozenset:
     """1-based coordinates of a product element equal to the factor zero."""
-    if S.kind != "product" or S.factors is None:
-        raise TypeError("coordinate zero-sets are defined on product semigroups")
-    _, value = _resolve(S, a)
+    factors, components = _coordinates(S, a)
     out = []
-    for pos, (component, f) in enumerate(zip(value, S.factors), start=1):
+    for pos, (component, f) in enumerate(zip(components, factors), start=1):
         if f.zero is not None and component == f.values[f.zero]:
             out.append(pos)
     return frozenset(out)
@@ -618,20 +611,19 @@ def psi_projection(S: FiniteSemigroup, I, a):
     """Replace the (1-based) coordinates in I with the factor identity.
 
     The map is a homomorphism of the product onto the sub-semigroup
-    supported on the remaining coordinates.
+    supported on the remaining coordinates. On a lone C_n ∪ {inf} the
+    result is an element value, not a 1-tuple.
     """
-    if S.kind != "product" or S.factors is None:
-        raise TypeError("coordinate projections are defined on product semigroups")
-    k = len(S.factors)
-    I = set(I)
+    factors, components = _coordinates(S, a)
+    k = len(factors)
+    I = frozenset(I)
     for i in I:
         if not 1 <= i <= k:
             raise ValueError(f"coordinate {i} out of range [1, {k}]")
-    _, value = _resolve(S, a)
     out = []
-    for pos, (component, f) in enumerate(zip(value, S.factors), start=1):
+    for pos, (component, f) in enumerate(zip(components, factors), start=1):
         out.append(f.values[f.identity] if pos in I else component)
-    return tuple(out)
+    return tuple(out) if S.kind == "product" else out[0]
 
 
 def is_group(S: FiniteSemigroup) -> bool:

@@ -28,10 +28,11 @@ from .semigroup import (
     FiniteSemigroup,
     HypothesisViolation,
     UnitGroup,
-    build_cyclic_with_zero,
-    build_product,
+    build_adjoined_zero_product,
     build_quotient_semigroup,
     crt_decompose,
+    j_set,
+    psi_projection,
     units_of,
 )
 from .zerosum import (
@@ -143,38 +144,6 @@ def assert_valid_reduction(T: Sequence, T_prime: Sequence) -> None:
 # -- lemma_product: products of adjoined-zero cyclic semigroups --------------
 
 
-def _coordinate_zero_indices(S: FiniteSemigroup):
-    """Per-coordinate zero values; treats a bare adjoined-zero cyclic as k=1."""
-    if S.kind == "product" and S.factors is not None:
-        if any(f.zero is None for f in S.factors):
-            raise TypeError("every product coordinate needs a zero element")
-        return [f.values[f.zero] for f in S.factors], S.factors
-    if S.kind == "cyclic_with_zero":
-        return [S.values[S.zero]], None
-    raise TypeError(
-        "constructive reduction expects a product of adjoined-zero cyclic "
-        "semigroups (or a single one)"
-    )
-
-
-def _term_zero_coords(value, zeros, is_product: bool) -> frozenset:
-    if is_product:
-        return frozenset(
-            pos for pos, (c, z) in enumerate(zip(value, zeros), start=1) if c == z
-        )
-    return frozenset([1] if value == zeros[0] else [])
-
-
-def _project_value(value, coords, factors, is_product: bool):
-    """Replace the given (1-based) coordinates by the local identity."""
-    if not is_product:
-        return 0 if 1 in coords else value  # exponent 0 is the cyclic identity
-    return tuple(
-        f.values[f.identity] if pos in coords else c
-        for pos, (c, f) in enumerate(zip(value, factors), start=1)
-    )
-
-
 def constructive_reduction(
     S: FiniteSemigroup, T: Sequence, d_units: Optional[int] = None
 ) -> Sequence:
@@ -187,8 +156,12 @@ def constructive_reduction(
     in T minus V whose projection away from those coordinates has identity
     product, and drop W. Requires |T| >= D(U(S)).
     """
-    zeros, factors = _coordinate_zero_indices(S)
-    is_product = factors is not None
+    # a product has a zero exactly when every coordinate has one
+    if S.kind not in ("product", "cyclic_with_zero") or S.zero is None:
+        raise TypeError(
+            "constructive reduction expects a product of adjoined-zero cyclic "
+            "semigroups (or a single one)"
+        )
     if T.parent is not S:
         raise ValueError("sequence does not live in the given semigroup")
     if d_units is None:
@@ -198,8 +171,7 @@ def constructive_reduction(
             f"hypothesis |T| >= D(U(S)) not met: {len(T)} < {d_units}"
         )
     e = S.identity
-    sig = sigma_index(T)
-    j_sigma = _term_zero_coords(S.values[sig], zeros, is_product)
+    j_sigma = j_set(S, S.values[sigma_index(T)])
 
     if not j_sigma:
         # every term is invertible: remove a nonempty identity-product V
@@ -216,13 +188,14 @@ def constructive_reduction(
     # for each absorbing coordinate, pick the first term (canonical order)
     # absorbing there; coordinates the pick also covers are crossed off, so
     # V has at most |j_sigma| distinct terms
+    zero_coords = {i: j_set(S, S.values[i]) for i, _ in T.pairs}
     covered: set[int] = set()
     v_indices: list[int] = []
     for coord in sorted(j_sigma):
         if coord in covered:
             continue
         for i, _ in T.pairs:
-            coords = _term_zero_coords(S.values[i], zeros, is_product)
+            coords = zero_coords[i]
             if coord in coords:
                 if i not in v_indices:
                     v_indices.append(i)
@@ -234,10 +207,9 @@ def constructive_reduction(
     TV = T.remove(V)
 
     # project the rest away from the absorbing coordinates; terms become units
-    proj_of: dict[int, int] = {}
-    for i, _ in TV.pairs:
-        pv = _project_value(S.values[i], j_sigma, factors, is_product)
-        proj_of[i] = S.index_of[pv]
+    proj_of = {
+        i: S.index_of[psi_projection(S, j_sigma, S.values[i])] for i, _ in TV.pairs
+    }
     proj_pairs: dict[int, int] = {}
     for i, c in TV.pairs:
         proj_pairs[proj_of[i]] = proj_pairs.get(proj_of[i], 0) + c
@@ -283,17 +255,14 @@ def verify_lemma_product(
     if not n_list or any(n < 2 for n in n_list):
         raise ValueError("need cyclic orders n_i >= 2")
     budget = _Budget(budget_ms)
-    if len(n_list) == 1:
-        S = build_cyclic_with_zero(n_list[0])
-    else:
-        S = build_product([build_cyclic_with_zero(n) for n in n_list])
+    S = build_adjoined_zero_product(n_list)
     U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())
     rhs = davenport_exact(U.as_semigroup(), budget.remaining_ms())
 
     artifacts = {
         "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors or ()),
+        "unit_invariants": list(U.invariant_factors),
         "units_bound_k_plus_1": rhs.value >= len(n_list) + 1,
     }
     stress_done = 0
@@ -347,11 +316,7 @@ def verify_theorem1(
 
     orders = crt.cyclic_orders
     if all(n >= 2 for n in orders):
-        model = (
-            build_cyclic_with_zero(orders[0])
-            if len(orders) == 1
-            else build_product([build_cyclic_with_zero(n) for n in orders])
-        )
+        model = build_adjoined_zero_product(orders)
         model_note = f"adjoined-zero cyclic orders {list(orders)}"
     else:
         model = crt.product if len(crt.factors) > 1 else crt.factors[0]
@@ -366,7 +331,7 @@ def verify_theorem1(
     artifacts = {
         "factorization": str(fac),
         "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors or ()),
+        "unit_invariants": list(U.invariant_factors),
         "crt_route_value": route.value if route.complete else None,
         "crt_route_model": model_note,
         "units_le_semigroup": rhs.value <= lhs.value,
@@ -526,7 +491,7 @@ def verify_proposition(
 
     artifacts: dict = {
         "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors or ()),
+        "unit_invariants": list(U.invariant_factors),
     }
     # structural lower bound: a generator of the cyclic unit group repeated
     # d-1 times is irreducible, so D(S) >= D(U) always holds explicitly
@@ -603,7 +568,7 @@ def conjecture_probe(
     artifacts = {
         "factorization": str(factor(f)),
         "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors or ()),
+        "unit_invariants": list(U.invariant_factors),
         "interpretation": "conjecture evidence only, nothing is asserted",
         "sides_equal": (
             lhs.value == rhs.value if lhs.complete and rhs.complete else None

@@ -273,7 +273,7 @@ def is_reducible(T: Sequence) -> bool:
     if len(T) < 1:
         raise ValueError("reducibility needs a nonempty sequence")
     S = T.parent
-    if S.table is None or S.identity is None:
+    if S.identity is None:
         return find_reduction(T) is not None
     ctx = _search_context(S)
     return _reducible_incremental(ctx, T.indices())
@@ -309,16 +309,12 @@ class _SearchContext:
     """Per-semigroup tables for mask-based reducibility and search.
 
     translate[x] maps a product-set bitmask R to {r*x : r in R} chunkwise:
-    one precomputed 256-entry table per byte of the mask.
+    one precomputed table per byte of the mask, indexed by the byte.
     """
 
     __slots__ = ("n", "rows", "identity", "translate")
 
     def __init__(self, S: FiniteSemigroup):
-        if S.table is None:
-            raise ValueError(
-                f"universe of size {S.size} exceeds the exact-search table cap"
-            )
         if S.identity is None:
             raise ValueError("search needs an identity element")
         self.n = S.size
@@ -331,8 +327,8 @@ class _SearchContext:
             chunks = []
             for ci in range(n_chunks):
                 base = ci * 8
-                tab = [0] * 256
-                for b in range(1, 256):
+                tab = [0] * (1 << 8)
+                for b in range(1, 1 << 8):
                     low = b & (-b)
                     i = base + low.bit_length() - 1
                     rest = tab[b ^ low]
@@ -418,8 +414,10 @@ def davenport_exact(
     Sequences are generated with non-decreasing element indices; only
     irreducible prefixes are extended, and search states that coincide in
     (product, proper-product set, minimum next index) are merged through a
-    memo table. On budget exhaustion the result downgrades to an explicit
-    lower bound with ``complete=False``.
+    memo table. The memo key packs the product and the minimum next index
+    into 8 bits each, which relies on the universe-size cap
+    ``semigroup.TABLE_CAP``. On budget exhaustion the result downgrades to
+    an explicit lower bound with ``complete=False``.
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
@@ -504,7 +502,10 @@ def davenport_exact(
         new_sig = rows[sig][first]
         rp = rp | (1 << sig) | _translate_mask(ctx, rp, first)
         sig, min_elem = new_sig, first
-    assert len(chain) == total
+    if len(chain) != total:
+        raise AssertionError(
+            f"witness replay found {len(chain)} terms, the search {total}"
+        )
     witness = Sequence.from_indices(S, chain)
     _check_witness(witness)
     millis = int((time.monotonic() - start) * 1000)

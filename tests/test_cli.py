@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, deterministic records."""
 
 import json
+import time
 
 import pytest
 
@@ -93,6 +94,15 @@ class TestFactorUnitsDump:
         assert "|U| = 6" in out
         assert "C_6" in out
 
+    def test_units_trivial_group(self, capsys):
+        code, out, _ = run(capsys, "units", "-p", "2", "-f", "x", "--format", "record")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["order"] == 1 and rec["invariant_factors"] == []
+        code, out, _ = run(capsys, "units", "-p", "2", "-f", "x")
+        assert code == 0
+        assert "structure: trivial" in out
+
     def test_dump_record(self, capsys):
         code, out, _ = run(
             capsys, "davenport", "-p", "3", "-f", "x", "--dump", "--format", "record"
@@ -152,6 +162,25 @@ class TestUsageErrors:
         code, _, err = run(capsys, "factor", "-p", "9", "-f", "x")
         assert code == 2
         assert "prime" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("units", "-p", "3", "-f", "x^6"),
+            ("units", "-p", "3", "-f", "x^20"),
+            ("davenport", "-n", "20,20"),
+            ("verify", "lemma", "-n", "16,16"),
+            ("reduce", "-n", "17,17", "--seq", "(g, g)"),
+        ],
+    )
+    def test_universe_above_cap_exits_2_fast(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds the cap of 256" in err
 
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -142,6 +142,26 @@ class TestGroups:
         assert not is_group(quotient_p3_sq)
 
 
+class TestTableCap:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_quotient_semigroup(2, poly(2, *[0] * 40, 1)),
+            lambda: build_cyclic_with_zero(256),
+            lambda: build_cyclic_group(10**12),
+            lambda: build_abelian_group([10**6, 10**6]),
+            lambda: build_product([build_cyclic_with_zero(16)] * 2),
+        ],
+        ids=["quotient", "cyclic_with_zero", "cyclic_group", "abelian_group", "product"],
+    )
+    def test_builders_reject_before_enumerating(self, build):
+        with pytest.raises(ValueError, match="exceeds the cap of 256"):
+            build()
+
+    def test_largest_tabled_universe(self):
+        assert build_cyclic_group(256).size == 256
+
+
 class TestUnits:
     def test_units_of_square_modulus(self, quotient_p3_sq):
         U = units_of(quotient_p3_sq)
@@ -304,10 +324,18 @@ class TestCoordinateMaps:
         for i, v in enumerate(P.values):
             assert (not j_set(P, v)) == (i in unit_set)
 
-    def test_j_set_requires_product(self):
+    def test_lone_adjoined_zero_cyclic_is_one_factor(self):
         C = build_cyclic_with_zero(3)
+        assert j_set(C, INF) == {1}
+        assert j_set(C, 2) == frozenset()
+        assert psi_projection(C, {1}, INF) == 0
+        assert psi_projection(C, set(), INF) is INF
+
+    def test_quotient_has_no_coordinates(self, quotient_p3_sq):
         with pytest.raises(TypeError):
-            j_set(C, INF)
+            j_set(quotient_p3_sq, quotient_p3_sq.values[0])
+        with pytest.raises(TypeError):
+            psi_projection(quotient_p3_sq, {1}, quotient_p3_sq.values[0])
 
     def test_psi_examples(self, c2z_squared):
         P = c2z_squared
