@@ -2,9 +2,10 @@
 
 Verbs: factor, units, davenport, davenport-group, verify, probe, reduce.
 Exit codes: 0 verified / computed, 1 refuted, 2 usage or hypothesis
-error, 3 incomplete or outside-hypothesis. ``--format record`` emits
-line-delimited JSON with sorted keys and no wall-clock fields, so
-identical invocations produce byte-identical output.
+error, 3 incomplete or outside-hypothesis, 4 internal check failed.
+``--budget-ms`` counts from the start of the verb, setup included.
+``--format record`` emits line-delimited JSON with sorted keys and no
+wall-clock fields, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from .verify import (
     verify_proposition,
     verify_theorem1,
 )
-from .zerosum import davenport_exact, davenport_group_formula
+from .zerosum import Budget, davenport_exact, davenport_group_formula
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
+EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {
     STATUS_VERIFIED: EXIT_OK,
@@ -138,14 +140,16 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_davenport(args) -> int:
+    budget = Budget(args.budget_ms)
     S = _semigroup_from_args(args)
     _maybe_dump(args, S)
-    result = davenport_exact(S, args.budget_ms)
+    result = davenport_exact(S, budget.remaining_ms())
     _emit(args, result.to_record(), result.summary())
     return EXIT_OK if result.complete else EXIT_INCOMPLETE
 
 
 def _cmd_davenport_group(args) -> int:
+    budget = Budget(args.budget_ms)
     ns = _nlist_arg(args.orders)
     if any(n < 1 for n in ns):
         raise ParseError("cyclic orders must be positive", 0)
@@ -153,7 +157,8 @@ def _cmd_davenport_group(args) -> int:
     formula = davenport_group_formula(chain)
     search = None
     if prod(ns) <= TABLE_CAP:
-        search = davenport_exact(build_abelian_group(ns), args.budget_ms)
+        group = build_abelian_group(ns)
+        search = davenport_exact(group, budget.remaining_ms())
         if formula is not None and search.complete and search.value != formula:
             raise AssertionError(
                 f"formula {formula} disagrees with search {search.value}"
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "exit codes: 0 verified/computed, 1 refuted, 2 usage error, "
-            "3 incomplete or outside-hypothesis"
+            "3 incomplete or outside-hypothesis, 4 internal check failed"
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "probe", help="conjecture evidence for an arbitrary modulus (no assertion)"
     )
-    _add_common(s, prime=True, poly=True, seed=True)
+    _add_common(s, prime=True, poly=True)
     s.set_defaults(func=_cmd_probe, nlist=None)
 
     s = sub.add_parser(
@@ -381,6 +386,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

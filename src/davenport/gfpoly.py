@@ -11,7 +11,6 @@ all monic polynomials of increasing degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -381,7 +380,3 @@ def primitive_root(p: int) -> int:
         if multiplicative_order(g, p) == p - 1:
             return g
     raise AssertionError("unreachable: every prime has a primitive root")
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)

@@ -129,7 +129,11 @@ def parse_poly_expr(text: str, p: int) -> Poly:
             raise ParseError("coeffs: form needs comma-separated integers",
                              text.find(":") + 1) from None
         return Poly(p, coeffs)
-    return _PolyParser(text, p).parse()
+    parser = _PolyParser(text, p)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None
 
 
 def _parse_cyclic_literal(text: str, n: int, allow_inf: bool):

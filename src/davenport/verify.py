@@ -19,8 +19,8 @@ a verifier never turns "did not finish" into an answer.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence as Seq
 
 from .gfpoly import Poly, factor, primitive_root
@@ -36,6 +36,7 @@ from .semigroup import (
     units_of,
 )
 from .zerosum import (
+    Budget,
     DavenportResult,
     Sequence,
     _dp_select,
@@ -56,22 +57,6 @@ CLAIM_THEOREM1 = "theorem1"
 CLAIM_LEMMA_PRODUCT = "lemma_product"
 CLAIM_PROPOSITION = "proposition"
 CLAIM_CONJECTURE = "conjecture_probe"
-
-
-class _Budget:
-    """Wall-clock deadline shared across the searches of one verification."""
-
-    def __init__(self, budget_ms: Optional[int]):
-        self.start = time.monotonic()
-        self.deadline = None if budget_ms is None else self.start + budget_ms / 1000.0
-
-    def remaining_ms(self) -> Optional[int]:
-        if self.deadline is None:
-            return None
-        return max(0, int((self.deadline - time.monotonic()) * 1000))
-
-    def elapsed_ms(self) -> int:
-        return int((time.monotonic() - self.start) * 1000)
 
 
 @dataclass
@@ -141,6 +126,35 @@ def assert_valid_reduction(T: Sequence, T_prime: Sequence) -> None:
         raise AssertionError("reduction output changed the product")
 
 
+def _remove_subproduct(T: Sequence, source: Sequence, target: int) -> Sequence:
+    """T minus the canonical nonempty sub-multiset of ``source`` with product
+    ``target``, where ``source`` is part of T.
+
+    Raises AssertionError when there is none: on threshold-length input
+    that would falsify the claim.
+    """
+    S = T.parent
+    counts = _dp_select(S, source.pairs, target, proper=False)
+    if counts is None:
+        raise AssertionError(
+            f"no nonempty subsequence multiplies to {S.format_element(target)}; "
+            "this would falsify the claim"
+        )
+    return T.remove(Sequence(S, counts.items()))
+
+
+def _stress(S: FiniteSemigroup, length: int, reduce, stress: int, seed: int) -> dict:
+    """Run ``reduce`` on ``stress`` seeded random sequences of ``length``.
+
+    Each reduction validates its own output, so finishing the loop means
+    every one passed.
+    """
+    rng = random.Random(seed)
+    for _ in range(stress):
+        reduce(random_sequence(S, length, rng))
+    return {"stress_sequences": stress, "stress_passed": stress}
+
+
 # -- lemma_product: products of adjoined-zero cyclic semigroups --------------
 
 
@@ -175,13 +189,7 @@ def constructive_reduction(
 
     if not j_sigma:
         # every term is invertible: remove a nonempty identity-product V
-        counts = _dp_select(S, T.pairs, e, require_proper=False, require_nonempty=True)
-        if counts is None:
-            raise AssertionError(
-                "no identity-product subsequence in a unit sequence of "
-                "threshold length; this would falsify the claim"
-            )
-        T_prime = T.remove(Sequence(S, counts.items()))
+        T_prime = _remove_subproduct(T, T, e)
         assert_valid_reduction(T, T_prime)
         return T_prime
 
@@ -213,9 +221,7 @@ def constructive_reduction(
     proj_pairs: dict[int, int] = {}
     for i, c in TV.pairs:
         proj_pairs[proj_of[i]] = proj_pairs.get(proj_of[i], 0) + c
-    counts = _dp_select(
-        S, sorted(proj_pairs.items()), e, require_proper=False, require_nonempty=True
-    )
+    counts = _dp_select(S, sorted(proj_pairs.items()), e, proper=False)
     if counts is None:
         raise AssertionError(
             "no projected identity-product subsequence of the required "
@@ -254,7 +260,7 @@ def verify_lemma_product(
     n_list = [int(n) for n in n_list]
     if not n_list or any(n < 2 for n in n_list):
         raise ValueError("need cyclic orders n_i >= 2")
-    budget = _Budget(budget_ms)
+    budget = Budget(budget_ms)
     S = build_adjoined_zero_product(n_list)
     U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())
@@ -265,17 +271,10 @@ def verify_lemma_product(
         "unit_invariants": list(U.invariant_factors),
         "units_bound_k_plus_1": rhs.value >= len(n_list) + 1,
     }
-    stress_done = 0
     if stress > 0 and rhs.complete:
-        rng = random.Random(seed)
-        for _ in range(stress):
-            T = random_sequence(S, rhs.value, rng)
-            T_prime = constructive_reduction(S, T, d_units=rhs.value)
-            assert_valid_reduction(T, T_prime)
-            stress_done += 1
-        artifacts["stress_sequences"] = stress_done
-        artifacts["stress_passed"] = stress_done
-    report = VerificationReport(
+        reduce = partial(constructive_reduction, S, d_units=rhs.value)
+        artifacts.update(_stress(S, rhs.value, reduce, stress, seed))
+    return VerificationReport(
         claim=CLAIM_LEMMA_PRODUCT,
         params={"n_list": n_list},
         lhs=lhs,
@@ -284,7 +283,6 @@ def verify_lemma_product(
         artifacts=artifacts,
         millis=budget.elapsed_ms(),
     )
-    return report
 
 
 # -- theorem1: squarefree quotient moduli ------------------------------------
@@ -307,7 +305,7 @@ def verify_theorem1(
             f"{f} = {fac} has a repeated factor; this claim needs a squarefree "
             "modulus (use the conjecture probe instead)"
         )
-    budget = _Budget(budget_ms)
+    budget = Budget(budget_ms)
     S = build_quotient_semigroup(p, f)
     U = units_of(S)
     crt = crt_decompose(p, f)
@@ -378,10 +376,6 @@ def build_witness_V(p: int) -> Sequence:
     return V
 
 
-def _is_unit_index(U: UnitGroup, i: int) -> bool:
-    return i in U.inverses
-
-
 def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
     """Reduce a threshold-length sequence over F_p[x]/<(x+1)^2>, p > 2.
 
@@ -405,19 +399,11 @@ def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
             f"hypothesis |T| >= D(U(S)) = {d_units} not met: |T| = {len(T)}"
         )
 
-    nonunit_pairs = [(i, c) for i, c in T.pairs if not _is_unit_index(U, i)]
+    nonunit_pairs = [(i, c) for i, c in T.pairs if i not in U.inverses]
     n_nonunits = sum(c for _, c in nonunit_pairs)
 
     if n_nonunits == 0:
-        counts = _dp_select(
-            S, T.pairs, S.identity, require_proper=False, require_nonempty=True
-        )
-        if counts is None:
-            raise AssertionError(
-                "unit sequence of threshold length has no identity-product "
-                "subsequence; this would falsify the claim"
-            )
-        T_prime = T.remove(Sequence(S, counts.items()))
+        T_prime = _remove_subproduct(T, T, S.identity)
     elif n_nonunits >= 2:
         # the product of any two non-units lands on the absorbing element
         first_two = []
@@ -436,16 +422,8 @@ def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
         if unit_reduction is not None:
             T_prime = unit_reduction.add(Sequence.from_indices(S, [a1]))
         else:
-            target = S.index_of[Poly(p, [2, 1])]  # x+2 fixes every m(x+1)
-            counts = _dp_select(
-                S, Tu.pairs, target, require_proper=False, require_nonempty=True
-            )
-            if counts is None:
-                raise AssertionError(
-                    "no subsequence of the unit part multiplies to x+2; "
-                    "this would falsify the claim"
-                )
-            T_prime = T.remove(Sequence(S, counts.items()))
+            # x+2 fixes every m(x+1)
+            T_prime = _remove_subproduct(T, Tu, S.index_of[Poly(p, [2, 1])])
     assert_valid_reduction(T, T_prime)
     return T_prime
 
@@ -467,7 +445,7 @@ def verify_proposition(
     """
     if p <= 2:
         raise ValueError("the claim needs p > 2")
-    budget = _Budget(budget_ms)
+    budget = Budget(budget_ms)
     S = proposition_semigroup(p)
     U = units_of(S)
     d_formula = p * (p - 1)
@@ -511,15 +489,8 @@ def verify_proposition(
         artifacts["montecarlo"] = mc.to_record()
         refuted_by_sample = not mc.all_reducible
 
-    stress_done = 0
-    rng = random.Random(seed)
-    for _ in range(stress):
-        T = random_sequence(S, d_formula, rng)
-        T_prime = reduce_quadratic_case(p, T)
-        assert_valid_reduction(T, T_prime)
-        stress_done += 1
-    artifacts["stress_sequences"] = stress_done
-    artifacts["stress_passed"] = stress_done
+    reduce = partial(reduce_quadratic_case, p)
+    artifacts.update(_stress(S, d_formula, reduce, stress, seed))
 
     status = _status_for(p, lhs, rhs)
     if refuted_by_sample:
@@ -560,7 +531,7 @@ def conjecture_probe(
     """
     if f.degree < 1:
         raise ValueError("modulus must have degree >= 1")
-    budget = _Budget(budget_ms)
+    budget = Budget(budget_ms)
     S = build_quotient_semigroup(p, f)
     U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())

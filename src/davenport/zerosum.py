@@ -165,46 +165,45 @@ _EMPTY = -1
 
 def _dp_layers(S: FiniteSemigroup, pairs):
     start_sum = S.identity if S.identity is not None else _EMPTY
+    rows = S.table
     layers = [{(start_sum, True, False): None}]
     for x, c in pairs:
-        prev = layers[-1]
+        powers = [S.power(x, take) for take in range(1, c + 1)]
         nxt: dict = {}
-        for (s, all_used, any_used), _ in prev.items():
+        for state in layers[-1]:
+            s, all_used, any_used = state
             for take in range(c + 1):
                 if take == 0:
                     t = s
                 else:
-                    px = S.power(x, take)
-                    t = px if s == _EMPTY else S.op(s, px)
-                state = (t, all_used and take == c, any_used or take > 0)
-                old = nxt.get(state)
+                    px = powers[take - 1]
+                    t = px if s == _EMPTY else rows[s][px]
+                key = (t, all_used and take == c, any_used or take > 0)
+                old = nxt.get(key)
                 if old is None or take < old[1]:
-                    nxt[state] = ((s, all_used, any_used), take)
+                    nxt[key] = (state, take)
         layers.append(nxt)
     return layers
 
 
-def _dp_collect(S, pairs, *, include_empty: bool, exclude_full: bool) -> set[int]:
-    out = set()
-    for (s, all_used, any_used), _ in _dp_layers(S, pairs)[-1].items():
-        if exclude_full and all_used and any_used:
-            continue
-        if not any_used:
-            if include_empty and s != _EMPTY:
-                out.add(s)
-            continue
-        out.add(s)
-    return out
+def _dp_final_states(layers, proper: bool):
+    """Last-layer states of the selections a query admits.
+
+    ``proper``: proper sub-multisets, the empty one included when there is
+    an identity to be its product; otherwise nonempty sub-multisets, the
+    full one included.
+    """
+    for state in layers[-1]:
+        s, all_used, any_used = state
+        if s != _EMPTY and (not (all_used and any_used) if proper else any_used):
+            yield state
 
 
-def _dp_select(
-    S,
-    pairs,
-    target: int,
-    *,
-    require_proper: bool,
-    require_nonempty: bool,
-) -> Optional[dict[int, int]]:
+def _dp_collect(S, pairs, *, proper: bool) -> set[int]:
+    return {s for s, _, _ in _dp_final_states(_dp_layers(S, pairs), proper)}
+
+
+def _dp_select(S, pairs, target: int, *, proper: bool) -> Optional[dict[int, int]]:
     """Deterministic sub-multiset with the target product, or None.
 
     Among admissible selections the reconstruction prefers the empty one,
@@ -213,17 +212,10 @@ def _dp_select(
     """
     layers = _dp_layers(S, pairs)
     best = None
-    for state in layers[-1]:
+    for state in _dp_final_states(layers, proper):
         s, all_used, any_used = state
-        if require_nonempty and not any_used:
+        if s != target:
             continue
-        if require_proper and all_used and any_used:
-            continue
-        if any_used:
-            if s != target:
-                continue
-        elif s == _EMPTY or s != target:
-            continue  # empty selection has the identity product, or none
         rank = (any_used, all_used)
         if best is None or rank < best[0]:
             best = (rank, state)
@@ -244,14 +236,14 @@ def proper_subsums(T: Sequence) -> set:
     if len(T) < 1:
         raise ValueError("proper sub-multisets need a nonempty sequence")
     S = T.parent
-    idx = _dp_collect(S, T.pairs, include_empty=True, exclude_full=True)
+    idx = _dp_collect(S, T.pairs, proper=True)
     return {S.values[i] for i in idx}
 
 
 def sumset(T: Sequence) -> set:
     """Products of all nonempty sub-multisets of T (as element values)."""
     S = T.parent
-    idx = _dp_collect(S, T.pairs, include_empty=False, exclude_full=False)
+    idx = _dp_collect(S, T.pairs, proper=False)
     return {S.values[i] for i in idx}
 
 
@@ -260,9 +252,7 @@ def find_reduction(T: Sequence) -> Optional[Sequence]:
     if len(T) < 1:
         return None
     S = T.parent
-    counts = _dp_select(
-        S, T.pairs, sigma_index(T), require_proper=True, require_nonempty=False
-    )
+    counts = _dp_select(S, T.pairs, sigma_index(T), proper=True)
     if counts is None:
         return None
     return Sequence(S, counts.items())
@@ -296,10 +286,7 @@ def is_zero_sum_free(T: Sequence) -> bool:
             )
     if len(T) == 0:
         return True
-    counts = _dp_select(
-        S, T.pairs, S.identity, require_proper=False, require_nonempty=True
-    )
-    return counts is None
+    return _dp_select(S, T.pairs, S.identity, proper=False) is None
 
 
 # -- incremental reducibility (bitmask route) --------------------------------
@@ -378,7 +365,7 @@ class DavenportResult:
 
     value: int
     witness: Optional[Sequence]
-    method: str  # exact_dfs | formula | montecarlo_bound
+    method: str  # exact_dfs | formula
     nodes: int
     millis: int
     complete: bool
@@ -402,7 +389,27 @@ class DavenportResult:
         )
 
 
-class _BudgetExhausted(Exception):
+class Budget:
+    """Wall-clock deadline (None: unbounded) shared by every phase of one
+    computation; it counts from its creation, so setup counts against it."""
+
+    def __init__(self, budget_ms: Optional[int]):
+        self.start = time.monotonic()
+        self.deadline = None if budget_ms is None else self.start + budget_ms / 1000.0
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
+
+    def remaining_ms(self) -> Optional[int]:
+        if self.deadline is None:
+            return None
+        return max(0, int((self.deadline - time.monotonic()) * 1000))
+
+    def elapsed_ms(self) -> int:
+        return int((time.monotonic() - self.start) * 1000)
+
+
+class _OutOfBudget(Exception):
     pass
 
 
@@ -416,24 +423,24 @@ def davenport_exact(
     (product, proper-product set, minimum next index) are merged through a
     memo table. The memo key packs the product and the minimum next index
     into 8 bits each, which relies on the universe-size cap
-    ``semigroup.TABLE_CAP``. On budget exhaustion the result downgrades to
-    an explicit lower bound with ``complete=False``.
+    ``semigroup.TABLE_CAP``. The budget covers building the search tables
+    too; the clock is read on the first node and then every 1024 nodes, so
+    ``budget_ms=0`` explores exactly one node. On budget exhaustion the
+    result downgrades to an explicit lower bound with ``complete=False``.
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
+    budget = Budget(budget_ms)
     ctx = _search_context(S)
     n = ctx.n
     rows = ctx.rows
     translate = ctx.translate
-    start = time.monotonic()
-    deadline = None if budget_ms is None else start + budget_ms / 1000.0
 
     memo: dict[int, tuple[int, int]] = {}  # packed state -> (extra, first+1)
     nodes = 0
     best_depth = 0
     best_path: tuple[int, ...] = ()
     path: list[int] = []
-    check_mask = 0x3FF  # look at the clock every 1024 nodes
 
     def explore(sig: int, rp: int, min_elem: int, depth: int) -> int:
         nonlocal nodes, best_depth, best_path
@@ -442,12 +449,8 @@ def davenport_exact(
         if hit is not None:
             return hit[0]
         nodes += 1
-        if (
-            deadline is not None
-            and nodes & check_mask == 0
-            and time.monotonic() > deadline
-        ):
-            raise _BudgetExhausted
+        if nodes & 0x3FF == 1 and budget.expired():
+            raise _OutOfBudget
         best_extra = 0
         best_first = -1
         r_all = rp | (1 << sig)
@@ -478,44 +481,33 @@ def davenport_exact(
 
     try:
         total = explore(ctx.identity, 0, 0, 0)
-    except _BudgetExhausted:
-        millis = int((time.monotonic() - start) * 1000)
-        witness = Sequence.from_indices(S, best_path)
-        _check_witness(witness)
-        return DavenportResult(
-            value=1 + best_depth,
-            witness=witness,
-            method="exact_dfs",
-            nodes=nodes,
-            millis=millis,
-            complete=False,
-        )
-
-    # replay the memoized first-choice chain for the canonical witness
-    sig, rp, min_elem = ctx.identity, 0, 0
-    chain: list[int] = []
-    while True:
-        _, first = memo[(rp << 16) | (sig << 8) | min_elem]
-        if first < 0:
-            break
-        chain.append(first)
-        new_sig = rows[sig][first]
-        rp = rp | (1 << sig) | _translate_mask(ctx, rp, first)
-        sig, min_elem = new_sig, first
-    if len(chain) != total:
-        raise AssertionError(
-            f"witness replay found {len(chain)} terms, the search {total}"
-        )
-    witness = Sequence.from_indices(S, chain)
+    except _OutOfBudget:
+        terms, complete = best_path, False
+    else:
+        # replay the memoized first-choice chain for the canonical witness
+        sig, rp, min_elem = ctx.identity, 0, 0
+        terms, complete = [], True
+        while True:
+            _, first = memo[(rp << 16) | (sig << 8) | min_elem]
+            if first < 0:
+                break
+            terms.append(first)
+            new_sig = rows[sig][first]
+            rp = rp | (1 << sig) | _translate_mask(ctx, rp, first)
+            sig, min_elem = new_sig, first
+        if len(terms) != total:
+            raise AssertionError(
+                f"witness replay found {len(terms)} terms, the search {total}"
+            )
+    witness = Sequence.from_indices(S, terms)
     _check_witness(witness)
-    millis = int((time.monotonic() - start) * 1000)
     return DavenportResult(
-        value=1 + total,
+        value=1 + len(terms),
         witness=witness,
         method="exact_dfs",
         nodes=nodes,
-        millis=millis,
-        complete=True,
+        millis=budget.elapsed_ms(),
+        complete=complete,
     )
 
 

@@ -182,10 +182,95 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds the cap of 256" in err
 
+    def test_deeply_nested_poly_exits_2(self, capsys):
+        nested = "(" * 3000 + "x" + ")" * 3000
+        code, out, err = run(capsys, "factor", "-p", "3", "-f", nested)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
+    def test_internal_check_failure_exits_4(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("search produced a reducible witness")
+
+        monkeypatch.setattr("davenport.cli.davenport_exact", broken)
+        code, out, err = run(capsys, "davenport", "-n", "2,4")
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal: search produced a reducible witness\n"
+
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# Exact records of complete runs; they pin the layered DP's tie-breaking
+# among equal-product selections, which self-consistency checks do not.
+GOLDEN_RECORDS = [
+    (
+        ("davenport", "-p", "3", "-f", "(x+1)^2"),
+        '{"complete": true, "method": "exact_dfs", "millis": null, '
+        '"nodes": 43, "value": 6, "witness": "x*5"}'
+    ),
+    (
+        ("davenport", "-n", "2,4"),
+        '{"complete": true, "method": "exact_dfs", "millis": null, '
+        '"nodes": 222, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+    ),
+    (
+        ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),
+        '{"artifacts": {"stress_passed": 10, "stress_sequences": 10, '
+        '"unit_invariants": [2, 2], "unit_order": 4, '
+        '"units_bound_k_plus_1": true}, "claim": "lemma_product", "lhs": '
+        '{"complete": true, "method": "exact_dfs", "millis": null, '
+        '"nodes": 26, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
+        '"params": {"n_list": [2, 2]}, "rhs": {"complete": true, '
+        '"method": "exact_dfs", "millis": null, "nodes": 7, "value": 3, '
+        '"witness": "(g^0, g);(g, g^0)"}, "status": "verified"}'
+    ),
+    (
+        ("verify", "proposition", "-p", "3", "--stress", "50", "--seed", "9"),
+        '{"artifacts": {"exhibit_V": "2;x", "exhibit_V_bound": 3, '
+        '"lower_bound": 6, "lower_bound_witness": "x*5", "stress_passed": '
+        '50, "stress_sequences": 50, "unit_invariants": [6], '
+        '"unit_order": 6}, "claim": "proposition", "lhs": {"complete": '
+        'true, "method": "exact_dfs", "millis": null, "nodes": 43, '
+        '"value": 6, "witness": "x*5"}, "params": {"f": "x^2+2*x+1", "p": '
+        '3}, "rhs": {"complete": true, "method": "exact_dfs", "millis": '
+        'null, "nodes": 31, "value": 6, "witness": "x*5"}, "status": '
+        '"verified"}'
+    ),
+    (
+        ("reduce", "-p", "3", "--seq", "x*5;2*x+2"),
+        '{"input": "x*5;2*x+2", "input_length": 6, "output": "x*3;2*x+2", '
+        '"output_length": 4}'
+    ),
+    (
+        ("reduce", "-p", "3", "--seq", "x+1;2*x+2;2*4"),
+        '{"input": "2*4;x+1;2*x+2", "input_length": 6, "output": '
+        '"x+1;2*x+2", "output_length": 2}'
+    ),
+    (
+        ("reduce", "-n", "5", "--seq", "inf;g*4"),
+        '{"input": "g*4;inf", "input_length": 5, "output": "g*3;inf", '
+        '"output_length": 4}'
+    ),
+    (
+        ("reduce", "-n", "2,4", "--seq", "(g, g);(g, g^2);(inf, g);(g, g^3)*2"),
+        '{"input": "(g, g);(g, g^2);(g, g^3)*2;(inf, g)", "input_length": '
+        '5, "output": "(g, g^2);(g, g^3);(inf, g)", "output_length": 3}'
+    ),
+]
+
+
+class TestGoldenRecords:
+    @pytest.mark.parametrize("argv, record", GOLDEN_RECORDS)
+    def test_record_unchanged(self, capsys, argv, record):
+        code, out, _ = run(capsys, *argv, "--format", "record")
+        assert code == 0
+        assert out == record + "\n"
 
 
 class TestDeterminism:
@@ -198,6 +283,8 @@ class TestDeterminism:
             ("davenport", "-p", "3", "-f", "(x+1)^2", "--format", "record"),
             ("davenport-group", "3,6", "--format", "record"),
             ("probe", "-p", "3", "-f", "x^2", "--format", "record"),
+            # budget-capped: the clock is first read on node 1, where it stops
+            ("davenport", "-n", "20", "--budget-ms", "0", "--format", "record"),
         ],
     )
     def test_identical_invocations_byte_identical(self, capsys, argv):
