@@ -144,6 +144,7 @@ def _cmd_davenport(args) -> int:
     S = _semigroup_from_args(args)
     _maybe_dump(args, S)
     result = davenport_exact(S, budget.remaining_ms())
+    result.millis = budget.elapsed_ms()  # the whole verb, on the --budget-ms clock
     _emit(args, result.to_record(), result.summary())
     return EXIT_OK if result.complete else EXIT_INCOMPLETE
 
@@ -159,6 +160,7 @@ def _cmd_davenport_group(args) -> int:
     if prod(ns) <= TABLE_CAP:
         group = build_abelian_group(ns)
         search = davenport_exact(group, budget.remaining_ms())
+        search.millis = budget.elapsed_ms()
         if formula is not None and search.complete and search.value != formula:
             raise AssertionError(
                 f"formula {formula} disagrees with search {search.value}"

@@ -12,9 +12,12 @@ Four kinds are built here, all sharing one representation:
 
 A semigroup owns a deterministic, indexed universe of at most
 ``TABLE_CAP`` elements, and every product is read from its full Cayley
-table. Each builder rejects a larger universe with ``ValueError`` before
-enumerating it. Instances are immutable after construction, so they can
-be shared freely.
+table. Value-level multiplication (``Poly`` products mod f, exponent
+addition) runs once, to fill that table; derived semigroups (unit groups,
+products) multiply through their parents' tables, and every semigroup
+validates its own table. Each builder rejects a larger universe with
+``ValueError`` before enumerating it. Instances are immutable after
+construction, so they can be shared freely.
 
 The semigroup operation is written multiplicatively throughout (``mul``),
 matching ring multiplication in the quotient case; for the adjoined-zero
@@ -69,7 +72,12 @@ INF = _Infinity()
 
 
 class FiniteSemigroup:
-    """Indexed finite commutative semigroup with optional identity/zero."""
+    """Indexed finite commutative semigroup with optional identity/zero.
+
+    ``mul_value`` multiplies element values; the constructor calls it once
+    per unordered pair to fill the Cayley table, checks the axioms on that
+    table, and does not keep it.
+    """
 
     def __init__(
         self,
@@ -80,14 +88,12 @@ class FiniteSemigroup:
         zero_value=None,
         params: Optional[dict] = None,
         factors: Optional[list["FiniteSemigroup"]] = None,
-        validate: bool = True,
     ):
         self.kind = kind
         self.values = list(values)
         self.index_of = {v: i for i, v in enumerate(self.values)}
         if len(self.index_of) != len(self.values):
             raise ValueError("universe contains duplicate elements")
-        self._mul_value = mul_value
         self.identity = (
             self.index_of[identity_value] if identity_value is not None else None
         )
@@ -95,11 +101,10 @@ class FiniteSemigroup:
         self.params = dict(params or {})
         self.factors = factors
         _check_universe_size(len(self.values))
-        self.table = self._build_table()
-        if validate:
-            self._validate_axioms()
+        self.table = self._build_table(mul_value)
+        self._validate_axioms()
         self._unit_cache: Optional[UnitGroup] = None
-        self._search_cache = None  # lazily built by davenport search code
+        self._search_cache = None  # translate tables, built by zerosum on demand
 
     # -- core ------------------------------------------------------------
 
@@ -136,11 +141,10 @@ class FiniteSemigroup:
                 base = self.op(base, base)
         return acc
 
-    def _build_table(self) -> list[list[int]]:
+    def _build_table(self, mul: Callable) -> list[list[int]]:
         n = len(self.values)
         vals = self.values
         idx = self.index_of
-        mul = self._mul_value
         # fill the lower triangle and mirror it; commutativity makes this exact
         table = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -155,8 +159,8 @@ class FiniteSemigroup:
 
     def _validate_axioms(self):
         n = len(self.values)
+        t = self.table
         if n <= ASSOC_EXHAUSTIVE_CAP:
-            t = self.table
             rng_n = range(n)
             for i in rng_n:
                 ti = t[i]
@@ -170,18 +174,12 @@ class FiniteSemigroup:
             rng = random.Random(0)
             for _ in range(ASSOC_SPOT_SAMPLES):
                 i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if self.op(self.op(i, j), k) != self.op(i, self.op(j, k)):
+                if t[t[i][j]][k] != t[i][t[j][k]]:
                     raise ValueError("operation is not associative")
-        if self.identity is not None:
-            e = self.identity
-            for i in range(n):
-                if self.op(e, i) != i:
-                    raise ValueError("claimed identity is not neutral")
-        if self.zero is not None:
-            z = self.zero
-            for i in range(n):
-                if self.op(z, i) != z:
-                    raise ValueError("claimed zero is not absorbing")
+        if self.identity is not None and t[self.identity] != list(range(n)):
+            raise ValueError("claimed identity is not neutral")
+        if self.zero is not None and t[self.zero] != [self.zero] * n:
+            raise ValueError("claimed zero is not absorbing")
 
     # -- presentation ------------------------------------------------------
 
@@ -347,7 +345,7 @@ def build_product(factors: Seq[FiniteSemigroup]) -> FiniteSemigroup:
     for f in factors:
         values = [v + (w,) for v in values for w in f.values]
 
-    muls = [f._mul_value for f in factors]
+    muls = [f.mul for f in factors]
 
     def mul_tuple(a, b):
         return tuple(m(x, y) for m, x, y in zip(muls, a, b))
@@ -403,22 +401,17 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
     if S._unit_cache is not None:
         return S._unit_cache
     e = S.identity
-    inverses = {}
-    for i, row in enumerate(S.table):
-        for j, v in enumerate(row):
-            if v == e:
-                inverses[i] = j
-                break
+    # an inverse is unique in a commutative monoid: the first e in the row
+    inverses = {i: row.index(e) for i, row in enumerate(S.table) if e in row}
     elements = tuple(sorted(inverses))
 
     unit_values = [S.values[i] for i in elements]
     group = FiniteSemigroup(
         "abelian_group",
         unit_values,
-        S._mul_value,
+        S.mul,
         identity_value=S.values[e],
         params={"units_of": S.kind},
-        validate=False,
     )
 
     invariants = _invariants_by_census(group)

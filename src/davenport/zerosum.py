@@ -265,8 +265,7 @@ def is_reducible(T: Sequence) -> bool:
     S = T.parent
     if S.identity is None:
         return find_reduction(T) is not None
-    ctx = _search_context(S)
-    return _reducible_incremental(ctx, T.indices())
+    return _reducible_incremental(S, T.indices())
 
 
 def is_zero_sum_free(T: Sequence) -> bool:
@@ -278,9 +277,9 @@ def is_zero_sum_free(T: Sequence) -> bool:
     S = T.parent
     if S.identity is None:
         raise ValueError("zero-sum freeness needs an identity")
-    unit_set = set(units_of(S).elements)
+    inverses = units_of(S).inverses
     for i, _ in T.pairs:
-        if i not in unit_set:
+        if i not in inverses:
             raise ValueError(
                 f"term {S.format_element(i)} is outside the unit group"
             )
@@ -292,49 +291,33 @@ def is_zero_sum_free(T: Sequence) -> bool:
 # -- incremental reducibility (bitmask route) --------------------------------
 
 
-class _SearchContext:
-    """Per-semigroup tables for mask-based reducibility and search.
+def _translate_tables(S: FiniteSemigroup) -> list[list[list[int]]]:
+    """Per-element tables for mask-based reducibility and search.
 
-    translate[x] maps a product-set bitmask R to {r*x : r in R} chunkwise:
-    one precomputed table per byte of the mask, indexed by the byte.
+    tables[x] maps a product-set bitmask R to {r*x : r in R} chunkwise: one
+    table per 8-element chunk of the universe, indexed by that chunk's bits
+    of R. Row x of the Cayley table is column x too (the table is filled
+    symmetrically), and each chunk is built by doubling, so a chunk of w
+    elements has 2^w entries.
     """
-
-    __slots__ = ("n", "rows", "identity", "translate")
-
-    def __init__(self, S: FiniteSemigroup):
-        if S.identity is None:
-            raise ValueError("search needs an identity element")
-        self.n = S.size
-        self.rows = S.table
-        self.identity = S.identity
-        n_chunks = (self.n + 7) // 8
-        self.translate = []
-        for x in range(self.n):
-            col = [S.table[i][x] for i in range(self.n)]
+    tables = S._search_cache
+    if tables is None:
+        tables = []
+        for row in S.table:
+            bits = [1 << t for t in row]
             chunks = []
-            for ci in range(n_chunks):
-                base = ci * 8
-                tab = [0] * (1 << 8)
-                for b in range(1, 1 << 8):
-                    low = b & (-b)
-                    i = base + low.bit_length() - 1
-                    rest = tab[b ^ low]
-                    tab[b] = rest | (1 << col[i]) if i < self.n else rest
+            for base in range(0, S.size, 8):
+                tab = [0]
+                for b in bits[base:base + 8]:
+                    tab += [t | b for t in tab]
                 chunks.append(tab)
-            self.translate.append(chunks)
+            tables.append(chunks)
+        S._search_cache = tables
+    return tables
 
 
-def _search_context(S: FiniteSemigroup) -> _SearchContext:
-    ctx = S._search_cache
-    if ctx is None:
-        ctx = _SearchContext(S)
-        S._search_cache = ctx
-    return ctx
-
-
-def _translate_mask(ctx: _SearchContext, mask: int, x: int) -> int:
+def _translate_mask(chunks: list[list[int]], mask: int) -> int:
     acc = 0
-    chunks = ctx.translate[x]
     ci = 0
     while mask:
         acc |= chunks[ci][mask & 255]
@@ -343,13 +326,14 @@ def _translate_mask(ctx: _SearchContext, mask: int, x: int) -> int:
     return acc
 
 
-def _reducible_incremental(ctx: _SearchContext, indices) -> bool:
-    sig = ctx.identity
+def _reducible_incremental(S: FiniteSemigroup, indices) -> bool:
+    translate = _translate_tables(S)
+    sig = S.identity
     rp = 0
-    rows = ctx.rows
+    rows = S.table
     for x in indices:
         new_sig = rows[sig][x]
-        rp = rp | (1 << sig) | _translate_mask(ctx, rp, x)
+        rp = rp | (1 << sig) | _translate_mask(translate[x], rp)
         if (rp >> new_sig) & 1:
             return True
         sig = new_sig
@@ -431,10 +415,9 @@ def davenport_exact(
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
     budget = Budget(budget_ms)
-    ctx = _search_context(S)
-    n = ctx.n
-    rows = ctx.rows
-    translate = ctx.translate
+    translate = _translate_tables(S)
+    n = S.size
+    rows = S.table
 
     memo: dict[int, tuple[int, int]] = {}  # packed state -> (extra, first+1)
     nodes = 0
@@ -480,12 +463,12 @@ def davenport_exact(
         return best_extra
 
     try:
-        total = explore(ctx.identity, 0, 0, 0)
+        total = explore(S.identity, 0, 0, 0)
     except _OutOfBudget:
         terms, complete = best_path, False
     else:
         # replay the memoized first-choice chain for the canonical witness
-        sig, rp, min_elem = ctx.identity, 0, 0
+        sig, rp, min_elem = S.identity, 0, 0
         terms, complete = [], True
         while True:
             _, first = memo[(rp << 16) | (sig << 8) | min_elem]
@@ -493,7 +476,7 @@ def davenport_exact(
                 break
             terms.append(first)
             new_sig = rows[sig][first]
-            rp = rp | (1 << sig) | _translate_mask(ctx, rp, first)
+            rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
             sig, min_elem = new_sig, first
         if len(terms) != total:
             raise AssertionError(

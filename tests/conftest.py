@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from davenport import Sequence
+from davenport import INF, Sequence
 from davenport.zerosum import sigma_index
 
 
@@ -46,6 +46,23 @@ def brute_sumset(T: Sequence) -> set:
         expanded = [e for e, t in zip(elems, takes) for _ in range(t)]
         out.add(brute_sigma(S, expanded))
     return out
+
+
+def value_product(S, a, b):
+    """Product of two element values by value-level arithmetic, bypassing
+    the Cayley table: residues mod f, exponent addition with an absorbing
+    ``inf``, componentwise over product factors."""
+    if S.kind == "quotient":
+        return (a * b) % S.modulus
+    if S.kind == "cyclic_with_zero":
+        return INF if a is INF or b is INF else (a + b) % S.n
+    if S.kind == "abelian_group":
+        if len(S.orders) == 1:
+            return (a + b) % S.orders[0]
+        return tuple((x + y) % n for x, y, n in zip(a, b, S.orders))
+    if S.kind == "product":
+        return tuple(value_product(f, x, y) for f, x, y in zip(S.factors, a, b))
+    raise TypeError(f"no value-level product for kind {S.kind!r}")
 
 
 def all_multisets(n_elements, length):

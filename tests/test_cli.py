@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from davenport.semigroup import build_adjoined_zero_product
 from davenport.cli import main
 
 
@@ -78,6 +79,18 @@ class TestDavenportVerbs:
         )
         assert code == 3
         assert json.loads(out)["complete"] is False
+
+    def test_text_millis_counts_setup(self, capsys, monkeypatch):
+        def slow_build(orders):
+            time.sleep(0.05)
+            return build_adjoined_zero_product(orders)
+
+        monkeypatch.setattr("davenport.cli.build_adjoined_zero_product", slow_build)
+        code, out, _ = run(capsys, "davenport", "-n", "2,4")
+        assert code == 0
+        assert int(out.split("millis=")[1].split()[0]) >= 50
+        code, out, _ = run(capsys, "davenport", "-n", "2,4", "--format", "record")
+        assert json.loads(out)["millis"] is None
 
 
 class TestFactorUnitsDump:

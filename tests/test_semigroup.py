@@ -25,6 +25,8 @@ from davenport import (
 from davenport.gfpoly import Poly, factor
 from davenport.semigroup import invariant_factors_from_cyclic_orders
 
+from conftest import value_product
+
 
 def exhaustive_axioms(S):
     n = S.size
@@ -140,6 +142,35 @@ class TestGroups:
 
     def test_quotient_is_not_a_group(self, quotient_p3_sq):
         assert not is_group(quotient_p3_sq)
+
+
+class TestTableOracle:
+    """Every Cayley table, and its unit group's, against value arithmetic."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_quotient_semigroup(3, poly(3, 1, 2, 1)),
+            lambda: build_quotient_semigroup(2, poly(2, 1, 1, 0, 1)),
+            lambda: build_quotient_semigroup(5, poly(5, 0, 0, 1)),
+            lambda: build_cyclic_with_zero(6),
+            lambda: build_cyclic_group(7),
+            lambda: build_abelian_group([2, 4]),
+            lambda: build_product(
+                [build_quotient_semigroup(2, poly(2, 0, 0, 1)), build_cyclic_group(3)]
+            ),
+            lambda: crt_decompose(3, poly(3, 0, 1) * poly(3, 1, 0, 1)).product,
+        ],
+        ids=["quotient", "quotient-field", "quotient-x2", "adjoined-zero",
+             "cyclic", "abelian", "product", "crt"],
+    )
+    def test_table_matches_value_products(self, build):
+        S = build()
+        G = units_of(S).group
+        for T in (S, G):
+            for i, a in enumerate(T.values):
+                for j, b in enumerate(T.values):
+                    assert T.table[i][j] == T.index_of[value_product(S, a, b)]
 
 
 class TestTableCap:

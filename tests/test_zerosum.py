@@ -26,7 +26,13 @@ from davenport import (
     sumset,
     units_of,
 )
-from davenport.zerosum import _multiset_count, _unrank_multiset, sigma_index
+from davenport.zerosum import (
+    _multiset_count,
+    _translate_mask,
+    _translate_tables,
+    _unrank_multiset,
+    sigma_index,
+)
 
 from conftest import (
     all_multisets,
@@ -131,6 +137,40 @@ class TestReducibility:
                     for x in range(S.size):
                         extended = T.add(Sequence.from_indices(S, [x]))
                         assert is_reducible(extended)
+
+
+class TestTranslateTables:
+    """Chunked translate tables against the table product, mask by mask."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_cyclic_group(1),
+            lambda: build_cyclic_with_zero(2),
+            lambda: build_abelian_group([2, 4]),
+            lambda: build_quotient_semigroup(3, poly(3, 1, 2, 1)),
+            lambda: build_cyclic_with_zero(16),
+            lambda: build_cyclic_with_zero(242),
+        ],
+        ids=["n1", "n3", "n8", "n9", "n17", "n243"],
+    )
+    def test_masks_match_products(self, build):
+        S = build()
+        n = S.size
+        tables = _translate_tables(S)
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
+        for x in range(n):
+            chunks = tables[x]
+            assert [len(c) for c in chunks] == [
+                1 << min(8, n - base) for base in range(0, n, 8)
+            ]
+            for R in masks:
+                expected = 0
+                for r in range(n):
+                    if (R >> r) & 1:
+                        expected |= 1 << S.op(r, x)
+                assert _translate_mask(chunks, R) == expected
 
 
 class TestZeroSumFree:
