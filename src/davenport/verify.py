@@ -143,16 +143,21 @@ def _remove_subproduct(T: Sequence, source: Sequence, target: int) -> Sequence:
     return T.remove(Sequence(S, counts.items()))
 
 
-def _stress(S: FiniteSemigroup, length: int, reduce, stress: int, seed: int) -> dict:
+def _stress(
+    S: FiniteSemigroup, length: int, reduce, stress: int, seed: int, budget: Budget
+) -> dict:
     """Run ``reduce`` on ``stress`` seeded random sequences of ``length``.
 
-    Each reduction validates its own output, so finishing the loop means
-    every one passed.
+    Each reduction validates its own output, so every sequence run passed.
+    The loop stops once ``budget`` has run out, so ``stress_passed`` (the
+    sequences run) may fall short of ``stress_sequences`` (those asked for).
     """
     rng = random.Random(seed)
-    for _ in range(stress):
+    ran = 0
+    while ran < stress and not budget.expired():
         reduce(random_sequence(S, length, rng))
-    return {"stress_sequences": stress, "stress_passed": stress}
+        ran += 1
+    return {"stress_sequences": stress, "stress_passed": ran}
 
 
 # -- lemma_product: products of adjoined-zero cyclic semigroups --------------
@@ -255,7 +260,7 @@ def verify_lemma_product(
 
     Both constants are computed by exact search; the constructive
     reduction is then exercised on ``stress`` random sequences of the
-    threshold length D(U(S)).
+    threshold length D(U(S)), within what is left of the budget.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or any(n < 2 for n in n_list):
@@ -273,13 +278,15 @@ def verify_lemma_product(
     }
     if stress > 0 and rhs.complete:
         reduce = partial(constructive_reduction, S, d_units=rhs.value)
-        artifacts.update(_stress(S, rhs.value, reduce, stress, seed))
+        artifacts.update(_stress(S, rhs.value, reduce, stress, seed, budget))
     return VerificationReport(
         claim=CLAIM_LEMMA_PRODUCT,
         params={"n_list": n_list},
         lhs=lhs,
         rhs=rhs,
-        status=_status_for(None, lhs, rhs),
+        status=_status_for(
+            None, lhs, rhs, artifacts.get("stress_passed", stress) == stress
+        ),
         artifacts=artifacts,
         millis=budget.elapsed_ms(),
     )
@@ -441,7 +448,9 @@ def verify_proposition(
     exactly within the budget. A timed-out side degrades to the structural
     value (units) or to a Monte-Carlo reducibility sample plus the
     exhibited length-(p(p-1)-1) irreducible witness (semigroup side),
-    and the report turns ``incomplete``.
+    and the report turns ``incomplete``. The sampling and the stress loop
+    draw on the same budget; cut short, they report how many sequences
+    they ran, and the report turns ``incomplete`` too.
     """
     if p <= 2:
         raise ValueError("the claim needs p > 2")
@@ -485,14 +494,16 @@ def verify_proposition(
 
     refuted_by_sample = False
     if not lhs.complete:
-        mc = davenport_montecarlo_upper(S, d_formula, samples=samples, seed=seed)
+        mc = davenport_montecarlo_upper(
+            S, d_formula, samples=samples, seed=seed, budget=budget
+        )
         artifacts["montecarlo"] = mc.to_record()
         refuted_by_sample = not mc.all_reducible
 
     reduce = partial(reduce_quadratic_case, p)
-    artifacts.update(_stress(S, d_formula, reduce, stress, seed))
+    artifacts.update(_stress(S, d_formula, reduce, stress, seed, budget))
 
-    status = _status_for(p, lhs, rhs)
+    status = _status_for(p, lhs, rhs, artifacts["stress_passed"] == stress)
     if refuted_by_sample:
         status = STATUS_REFUTED
     return VerificationReport(

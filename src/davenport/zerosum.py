@@ -400,7 +400,7 @@ class _OutOfBudget(Exception):
 def davenport_exact(
     S: FiniteSemigroup, budget_ms: Optional[int] = None
 ) -> DavenportResult:
-    """Exact D(S) by pruned depth-first search over canonical multisets.
+    """Exact D(S) by branch-and-bound over canonical multisets.
 
     Sequences are generated with non-decreasing element indices; only
     irreducible prefixes are extended, and search states that coincide in
@@ -410,7 +410,32 @@ def davenport_exact(
     ``semigroup.TABLE_CAP``. The budget covers building the search tables
     too; the clock is read on the first node and then every 1024 nodes, so
     ``budget_ms=0`` explores exactly one node. On budget exhaustion the
-    result downgrades to an explicit lower bound with ``complete=False``.
+    result downgrades to the longest sequence found so far, an explicit
+    lower bound with ``complete=False``.
+
+    ``best_len`` is the length of the longest irreducible sequence found
+    so far (the incumbent). A state's memo value is ``(ub, exact, first)``:
+    ``ub`` bounds the number of terms any irreducible extension of the
+    state can add, and equals that maximum when ``exact`` is set; ``first``
+    is the least next term attaining ``ub`` (-1 when no term extends the
+    state). A state is exact when that first child is: every other child's
+    bound is at most its own, and every earlier one's is smaller. A hit is
+    used when exact, or when ``depth + ub <= best_len`` (nothing longer
+    than the incumbent lies below); otherwise the state is explored again.
+
+    Ideal bound. Let T have product s and proper-sub-multiset products rp
+    (the empty product included), and let T y_1 ... y_k be irreducible.
+    Irreducible sequences are downward closed, so every T y_1 ... y_i is
+    irreducible. Hence the products s y_1 ... y_i (1 <= i <= k) are pairwise
+    distinct, differ from s and avoid rp: an equality would give a prefix
+    a proper sub-multiset with its own product. They all lie in the
+    principal ideal s S^1, so k <= |s S^1 minus (rp and s)|. A state whose
+    bound cannot lift ``depth`` past ``best_len`` is stored inexact and
+    not expanded. Every cut branch is thus no longer than the incumbent,
+    so after a complete run ``best_len = D(S) - 1``. The run visits the
+    multisets in lexicographic order and only a strictly longer sequence
+    replaces the incumbent, so the witness is the lexicographically first
+    longest irreducible sequence.
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
@@ -418,25 +443,49 @@ def davenport_exact(
     translate = _translate_tables(S)
     n = S.size
     rows = S.table
+    # ideal[s]: the principal ideal s S^1 as a bitmask
+    ideal = [_translate_mask(translate[s], (1 << n) - 1) | (1 << s) for s in range(n)]
 
-    memo: dict[int, tuple[int, int]] = {}  # packed state -> (extra, first+1)
+    memo: dict[int, tuple[int, bool, int]] = {}  # packed state -> (ub, exact, first)
     nodes = 0
-    best_depth = 0
+    best_len = 0
     best_path: tuple[int, ...] = ()
     path: list[int] = []
 
-    def explore(sig: int, rp: int, min_elem: int, depth: int) -> int:
-        nonlocal nodes, best_depth, best_path
+    def replay(sig: int, rp: int, min_elem: int) -> list[int]:
+        # follow the first-choice chain of an exact state
+        terms = []
+        while True:
+            first = memo[(rp << 16) | (sig << 8) | min_elem][2]
+            if first < 0:
+                return terms
+            terms.append(first)
+            rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
+            sig, min_elem = rows[sig][first], first
+
+    def explore(sig: int, rp: int, min_elem: int, depth: int) -> tuple[int, bool, int]:
+        nonlocal nodes, best_len, best_path
         key = (rp << 16) | (sig << 8) | min_elem
         hit = memo.get(key)
         if hit is not None:
-            return hit[0]
+            if hit[1]:
+                if depth + hit[0] > best_len:
+                    best_len = depth + hit[0]
+                    best_path = tuple(path) + tuple(replay(sig, rp, min_elem))
+                return hit
+            if depth + hit[0] <= best_len:
+                return hit
         nodes += 1
         if nodes & 0x3FF == 1 and budget.expired():
             raise _OutOfBudget
-        best_extra = 0
-        best_first = -1
         r_all = rp | (1 << sig)
+        bound = (ideal[sig] & ~r_all).bit_count()
+        if depth + bound <= best_len:
+            entry = memo[key] = (bound, False, -1)
+            return entry
+        best_ub = 0
+        best_first = -1
+        exact = True
         for x in range(min_elem, n):
             new_sig = rows[sig][x]
             acc = 0
@@ -450,42 +499,33 @@ def davenport_exact(
             new_rp = r_all | acc
             if (new_rp >> new_sig) & 1:
                 continue
-            if depth + 1 > best_depth:
-                best_depth = depth + 1
+            if depth + 1 > best_len:
+                best_len = depth + 1
                 best_path = tuple(path) + (x,)
             path.append(x)
-            extra = explore(new_sig, new_rp, x, depth + 1)
+            ub, sub_exact, _ = explore(new_sig, new_rp, x, depth + 1)
             path.pop()
-            if 1 + extra > best_extra:
-                best_extra = 1 + extra
-                best_first = x
-        memo[key] = (best_extra, best_first)
-        return best_extra
+            if 1 + ub > best_ub:
+                best_ub, best_first, exact = 1 + ub, x, sub_exact
+        entry = memo[key] = (best_ub, exact, best_first)
+        return entry
 
+    complete = True
     try:
-        total = explore(S.identity, 0, 0, 0)
+        explore(S.identity, 0, 0, 0)
     except _OutOfBudget:
-        terms, complete = best_path, False
-    else:
-        # replay the memoized first-choice chain for the canonical witness
-        sig, rp, min_elem = S.identity, 0, 0
-        terms, complete = [], True
-        while True:
-            _, first = memo[(rp << 16) | (sig << 8) | min_elem]
-            if first < 0:
-                break
-            terms.append(first)
-            new_sig = rows[sig][first]
-            rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
-            sig, min_elem = new_sig, first
-        if len(terms) != total:
-            raise AssertionError(
-                f"witness replay found {len(terms)} terms, the search {total}"
-            )
-    witness = Sequence.from_indices(S, terms)
+        complete = False
+    if len(best_path) != best_len:
+        raise AssertionError(
+            f"witness replay found {len(best_path)} terms, the search {best_len}"
+        )
+    # explore's closure refers to itself, so only the cyclic collector
+    # would free the memo; drop it now
+    memo.clear()
+    witness = Sequence.from_indices(S, best_path)
     _check_witness(witness)
     return DavenportResult(
-        value=1 + len(terms),
+        value=1 + best_len,
         witness=witness,
         method="exact_dfs",
         nodes=nodes,
@@ -585,19 +625,30 @@ class MonteCarloReport:
 
 
 def davenport_montecarlo_upper(
-    S: FiniteSemigroup, d: int, samples: int = 10_000, seed: int = 0
+    S: FiniteSemigroup,
+    d: int,
+    samples: int = 10_000,
+    seed: int = 0,
+    *,
+    budget: Optional[Budget] = None,
 ) -> MonteCarloReport:
     """Sample length-d sequences; any irreducible one disproves D(S) <= d.
 
     Sampling is uniform over multisets via stars-and-bars unranking with a
-    seeded generator, so reports are reproducible.
+    seeded generator, so reports are reproducible. The clock of ``budget``
+    (default: none) is read before each sample; once it has run out the
+    report stops with ``checked < samples``.
     """
     if d < 1:
         raise ValueError("sequence length must be >= 1")
+    if budget is None:
+        budget = Budget(None)
     rng = random.Random(seed)
     reducible = 0
     checked = 0
     for _ in range(samples):
+        if budget.expired():
+            break
         T = random_sequence(S, d, rng)
         checked += 1
         if is_reducible(T):

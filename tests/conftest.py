@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from davenport import INF, Sequence
-from davenport.zerosum import sigma_index
+from davenport.zerosum import _translate_mask, _translate_tables, sigma_index
 
 
 def brute_sigma(S, indices):
@@ -63,6 +63,50 @@ def value_product(S, a, b):
     if S.kind == "product":
         return tuple(value_product(f, x, y) for f, x, y in zip(S.factors, a, b))
     raise TypeError(f"no value-level product for kind {S.kind!r}")
+
+
+def unpruned_davenport(S):
+    """(D(S), witness indices) by the plain maximise-depth search.
+
+    The search ``davenport_exact`` used before its ideal-bound pruning:
+    depth-first over non-decreasing index sequences, extending only
+    irreducible prefixes, with a memo on (product, proper-product set,
+    minimum next index) holding each state's exact longest extension and
+    its least first term. No pruning and no budget; the witness is the
+    memo's first-choice chain from the root, the lexicographically first
+    longest irreducible sequence.
+    """
+    translate = _translate_tables(S)
+    rows = S.table
+    memo = {}
+
+    def key(sig, rp, min_elem):
+        return (rp << 16) | (sig << 8) | min_elem
+
+    def explore(sig, rp, min_elem):
+        k = key(sig, rp, min_elem)
+        if k not in memo:
+            best_extra, best_first = 0, -1
+            r_all = rp | (1 << sig)
+            for x in range(min_elem, S.size):
+                new_sig = rows[sig][x]
+                new_rp = r_all | _translate_mask(translate[x], rp)
+                if (new_rp >> new_sig) & 1:
+                    continue
+                extra = 1 + explore(new_sig, new_rp, x)
+                if extra > best_extra:
+                    best_extra, best_first = extra, x
+            memo[k] = (best_extra, best_first)
+        return memo[k][0]
+
+    explore(S.identity, 0, 0)
+    sig, rp, min_elem = S.identity, 0, 0
+    terms = []
+    while (first := memo[key(sig, rp, min_elem)][1]) >= 0:
+        terms.append(first)
+        rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
+        sig, min_elem = rows[sig][first], first
+    return 1 + len(terms), tuple(terms)
 
 
 def all_multisets(n_elements, length):

@@ -267,6 +267,41 @@ class TestProposition:
         assert report.artifacts["montecarlo"]["counterexample"] is None
         assert report.artifacts["lower_bound"] == 20
 
+    def test_sampling_and_stress_stop_with_the_budget(self):
+        report = verify_proposition(5, budget_ms=0, stress=50, samples=5000)
+        assert report.status == STATUS_INCOMPLETE
+        assert report.artifacts["montecarlo"]["checked"] < 5000
+        assert report.artifacts["stress_sequences"] == 50
+        assert report.artifacts["stress_passed"] < 50
+
+    @pytest.mark.parametrize(
+        "reduction, report",
+        [
+            ("reduce_quadratic_case", lambda: verify_proposition(3, stress=10)),
+            ("constructive_reduction", lambda: verify_lemma_product([2, 2], stress=10)),
+        ],
+    )
+    def test_stress_cut_short_is_not_verified(self, monkeypatch, reduction, report):
+        # both searches finish; the budget runs out after the second reduction
+        from davenport import verify as verify_module
+
+        reduce = getattr(verify_module, reduction)
+        calls = []
+
+        def reduce_then_expire(*args, **kwargs):
+            out = reduce(*args, **kwargs)
+            calls.append(out)
+            if len(calls) == 2:
+                monkeypatch.setattr(verify_module.Budget, "expired", lambda self: True)
+            return out
+
+        monkeypatch.setattr(verify_module, reduction, reduce_then_expire)
+        rep = report()
+        assert rep.lhs.complete and rep.rhs.complete
+        assert rep.artifacts["stress_sequences"] == 10
+        assert rep.artifacts["stress_passed"] == 2
+        assert rep.status == STATUS_INCOMPLETE
+
 
 class TestConjectureProbe:
     def test_p3_square(self):

@@ -2,6 +2,7 @@
 brute-force enumeration."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -26,6 +27,7 @@ from davenport import (
     sumset,
     units_of,
 )
+from davenport.semigroup import build_adjoined_zero_product
 from davenport.zerosum import (
     _multiset_count,
     _translate_mask,
@@ -39,6 +41,7 @@ from conftest import (
     brute_is_reducible,
     brute_proper_subsums,
     brute_sumset,
+    unpruned_davenport,
 )
 
 
@@ -287,6 +290,17 @@ class TestDavenportExact:
             if len(res.witness):
                 assert not is_reducible(res.witness)
 
+    def test_proposition_frontier_p7(self):
+        # D = p(p-1) = 42 for (x+1)^2 over F_7; the ideal bound makes the
+        # search finish well inside the budget
+        S = build_quotient_semigroup(7, poly(7, 1, 2, 1))
+        res = davenport_exact(S, budget_ms=30_000)
+        assert res.complete
+        assert res.value == 42
+        assert len(res.witness) == 41
+        assert not is_reducible(res.witness)
+        assert find_reduction(res.witness) is None
+
     def test_identityless_rejected(self):
         from davenport.semigroup import FiniteSemigroup
 
@@ -343,6 +357,97 @@ class TestSearchAgainstBruteForce:
         ]
         for S in small:
             assert davenport_exact(S).value == brute_davenport(S)
+
+
+ORACLE_CAP = 27
+
+
+def _small_universes(family):
+    """Every universe of the family with at most ORACLE_CAP elements."""
+    cap = ORACLE_CAP
+    if family == "quotient":
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            deg = 1
+            while p ** deg <= cap:
+                for low in iproduct(range(p), repeat=deg):
+                    yield build_quotient_semigroup(p, poly(p, *low, 1))
+                deg += 1
+    elif family == "cyclic":
+        for n in range(1, cap + 1):
+            yield build_cyclic_group(n)
+    elif family == "cyclic_with_zero":
+        for n in range(2, cap):
+            yield build_cyclic_with_zero(n)
+    elif family == "abelian":
+        # divisibility chains of rank >= 2
+        def chains(chain, size):
+            if len(chain) >= 2:
+                yield chain
+            for d in range(chain[-1], cap // size + 1, chain[-1]):
+                yield from chains(chain + [d], size * d)
+
+        for d in range(2, cap + 1):
+            for chain in chains([d], d):
+                yield build_abelian_group(chain)
+    elif family == "adjoined_zero_product":
+        def order_lists(orders, size):
+            if len(orders) >= 2:
+                yield orders
+            for n in range(orders[-1] if orders else 2, cap // size):
+                yield from order_lists(orders + [n], size * (n + 1))
+
+        for orders in order_lists([], 1):
+            yield build_adjoined_zero_product(orders)
+
+
+class TestBranchAndBoundOracle:
+    """The pruned search against the unpruned one on every small universe:
+    same value, same witness, both complete. Groups are their own unit
+    groups, and U(C_n ∪ {inf}) has the table of C_n."""
+
+    @pytest.mark.parametrize(
+        "family, units",
+        [
+            ("quotient", False),
+            ("quotient", True),
+            ("cyclic", False),
+            ("cyclic_with_zero", False),
+            ("abelian", False),
+            ("adjoined_zero_product", False),
+            ("adjoined_zero_product", True),
+        ],
+    )
+    def test_matches_unpruned_search(self, family, units):
+        seen = set()
+        for S in _small_universes(family):
+            if units:
+                S = units_of(S).as_semigroup()
+            assert S.size <= ORACLE_CAP
+            problem = (S.identity, tuple(map(tuple, S.table)))
+            if problem in seen:
+                continue
+            seen.add(problem)
+            res = davenport_exact(S)
+            assert res.complete
+            expected = unpruned_davenport(S)
+            assert (res.value, res.witness.indices()) == expected, S.describe()
+
+    def test_families_cover_the_cap(self):
+        sizes = {
+            family: sorted(S.size for S in _small_universes(family))
+            for family in ("quotient", "cyclic", "cyclic_with_zero")
+        }
+        assert sizes["quotient"].count(27) == 27  # every monic cubic over F_3
+        assert sizes["cyclic"] == list(range(1, 28))
+        assert sizes["cyclic_with_zero"] == list(range(3, 28))
+        assert all(
+            units_of(S).as_semigroup().table == build_cyclic_group(S.n).table
+            for S in _small_universes("cyclic_with_zero")
+        )
+        assert {tuple(S.orders) for S in _small_universes("abelian")} >= {
+            (2, 2, 2, 2), (3, 9), (5, 5), (2, 12), (3, 3, 3)
+        }
+        assert max(S.size for S in _small_universes("adjoined_zero_product")) == 27
 
 
 class TestGroupFormula:
