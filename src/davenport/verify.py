@@ -464,11 +464,15 @@ def verify_proposition(
             f"{U.invariant_factors}"
         )
 
-    rhs = davenport_exact(U.as_semigroup(), budget.remaining_ms())
+    # a generator of the cyclic unit group repeated d-1 times is
+    # irreducible (checked below), so D(S) >= D(U) always holds explicitly
+    gen = _cyclic_generator(U)
+    G = U.as_semigroup()
+    rhs = davenport_exact(G, budget.remaining_ms())
     if not rhs.complete:
         rhs = DavenportResult(
             value=d_formula,
-            witness=rhs.witness,
+            witness=Sequence(G, [(U.elements.index(gen), d_formula - 1)]),
             method="formula",
             nodes=rhs.nodes,
             millis=rhs.millis,
@@ -480,9 +484,6 @@ def verify_proposition(
         "unit_order": U.order,
         "unit_invariants": list(U.invariant_factors),
     }
-    # structural lower bound: a generator of the cyclic unit group repeated
-    # d-1 times is irreducible, so D(S) >= D(U) always holds explicitly
-    gen = _cyclic_generator(U)
     lower_witness = Sequence(S, [(gen, d_formula - 1)])
     if is_reducible(lower_witness):
         raise AssertionError("generator-power witness unexpectedly reducible")

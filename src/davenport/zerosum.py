@@ -436,6 +436,15 @@ def davenport_exact(
     multisets in lexicographic order and only a strictly longer sequence
     replaces the incumbent, so the witness is the lexicographically first
     longest irreducible sequence.
+
+    Child test. Appending x to T gives product s x and proper products
+    rp' = rp ∪ {s} ∪ rp x, and T x is reducible iff s x lies in rp'. So
+    it is reducible iff s x lies in rp ∪ {s}, or r x = s x for some r in
+    rp, that is iff rp meets fiber[x][s x], where fiber[x][t] is the
+    preimage of t under r -> r x. Both checks are O(1) mask tests, so rp'
+    is built only for the children that pass. The test is an equivalence,
+    not a prune: the search tree, node counts, memo and witness are those
+    of testing s x against rp' itself.
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
@@ -445,6 +454,13 @@ def davenport_exact(
     rows = S.table
     # ideal[s]: the principal ideal s S^1 as a bitmask
     ideal = [_translate_mask(translate[s], (1 << n) - 1) | (1 << s) for s in range(n)]
+    # fiber[x][t]: the r with r*x = t, as a bitmask (row x is column x)
+    fiber = []
+    for row in rows:
+        col = [0] * n
+        for r, t in enumerate(row):
+            col[t] |= 1 << r
+        fiber.append(col)
 
     memo: dict[int, tuple[int, bool, int]] = {}  # packed state -> (ub, exact, first)
     nodes = 0
@@ -486,8 +502,11 @@ def davenport_exact(
         best_ub = 0
         best_first = -1
         exact = True
+        row = rows[sig]
         for x in range(min_elem, n):
-            new_sig = rows[sig][x]
+            new_sig = row[x]
+            if (r_all >> new_sig) & 1 or rp & fiber[x][new_sig]:
+                continue
             acc = 0
             m = rp
             ci = 0
@@ -497,8 +516,6 @@ def davenport_exact(
                 m >>= 8
                 ci += 1
             new_rp = r_all | acc
-            if (new_rp >> new_sig) & 1:
-                continue
             if depth + 1 > best_len:
                 best_len = depth + 1
                 best_path = tuple(path) + (x,)
@@ -515,13 +532,14 @@ def davenport_exact(
         explore(S.identity, 0, 0, 0)
     except _OutOfBudget:
         complete = False
+    finally:
+        # explore's closure refers to itself; rebinding it breaks that
+        # cycle, so the memo and the tables go by refcount on return
+        explore = None
     if len(best_path) != best_len:
         raise AssertionError(
             f"witness replay found {len(best_path)} terms, the search {best_len}"
         )
-    # explore's closure refers to itself, so only the cyclic collector
-    # would free the memo; drop it now
-    memo.clear()
     witness = Sequence.from_indices(S, best_path)
     _check_witness(witness)
     return DavenportResult(

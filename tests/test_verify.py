@@ -267,6 +267,16 @@ class TestProposition:
         assert report.artifacts["montecarlo"]["counterexample"] is None
         assert report.artifacts["lower_bound"] == 20
 
+    def test_formula_side_carries_the_generator_power_witness(self):
+        # a capped D(U) search keeps none of its partial witness
+        report = verify_proposition(7, budget_ms=0, stress=0, samples=1)
+        rhs = report.rhs
+        assert (rhs.method, rhs.value, rhs.complete) == ("formula", 42, True)
+        assert len(rhs.witness) == rhs.value - 1 == 41
+        assert len(rhs.witness.pairs) == 1
+        assert (rhs.witness.parent.kind, rhs.witness.parent.size) == ("abelian_group", 42)
+        assert not is_reducible(rhs.witness)
+
     def test_sampling_and_stress_stop_with_the_budget(self):
         report = verify_proposition(5, budget_ms=0, stress=50, samples=5000)
         assert report.status == STATUS_INCOMPLETE

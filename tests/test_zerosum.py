@@ -1,7 +1,9 @@
 """Reducibility, sum sets, and Davenport searches, cross-checked against
 brute-force enumeration."""
 
+import gc
 import random
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -300,6 +302,45 @@ class TestDavenportExact:
         assert len(res.witness) == 41
         assert not is_reducible(res.witness)
         assert find_reduction(res.witness) is None
+        # the child test decides the same children as building rp*x did,
+        # so the search tree keeps its size
+        assert res.nodes == 692_887
+
+    def test_tree_pinned_x3_x1_3_over_f2(self):
+        S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
+        res = davenport_exact(S)
+        assert (res.value, res.nodes, res.complete) == (7, 89_800, True)
+
+    def test_frontier_x2_x1_2_over_f3(self):
+        # n = 81: exact, and D(S) = D(U(S)) = 11 although f is not squarefree
+        S = build_quotient_semigroup(3, poly(3, 0, 0, 1) * poly(3, 1, 1) ** 2)
+        res = davenport_exact(S, budget_ms=60_000)
+        assert res.complete
+        assert res.value == 11
+        assert davenport_group_formula(units_of(S).invariant_factors) == 11
+        assert len(res.witness) == 10
+        assert find_reduction(res.witness) is None
+
+    def test_working_set_freed_on_return(self):
+        # explore refers to itself; once that cycle is broken the memo and
+        # the search tables go by refcount, with no cyclic garbage left
+        S = build_quotient_semigroup(5, poly(5, 1, 2, 1))
+        davenport_exact(S, budget_ms=0)  # builds the cached translate tables
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = davenport_exact(S)
+            after, peak = tracemalloc.get_traced_memory()
+            garbage = gc.collect()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert res.value == 20
+        # what stays is interpreter free lists, not the memo
+        assert after - before < (peak - before) // 4
+        assert garbage == 0
 
     def test_identityless_rejected(self):
         from davenport.semigroup import FiniteSemigroup
