@@ -8,6 +8,9 @@ they are parsed):
     factor := atom ['^' uint]
     atom   := uint | 'x' | '(' expr ')'
 
+A power or product whose degree would exceed ``MAX_DEGREE`` is a
+``ParseError``, raised before it is expanded.
+
 The explicit form ``coeffs:c0,c1,...,cn`` lists little-endian
 coefficients directly. Printing uses descending-degree form with explicit
 ``*`` and ``^``, so printed polynomials re-parse to themselves.
@@ -24,6 +27,10 @@ from __future__ import annotations
 from .gfpoly import Poly, validate_prime
 from .semigroup import INF, FiniteSemigroup
 from .zerosum import Sequence
+
+
+MAX_DEGREE = 1024
+"""Largest degree a product or power may reach while an expression is parsed."""
 
 
 class ParseError(ValueError):
@@ -87,18 +94,26 @@ class _PolyParser:
             acc = acc + t if op == "+" else acc - t
         return acc
 
+    def check_degree(self, degree: int):
+        if degree > MAX_DEGREE:
+            self.error(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+
     def term(self) -> Poly:
         acc = self.factor()
         while self.peek() == "*":
             self.eat("*")
-            acc = acc * self.factor()
+            rhs = self.factor()
+            self.check_degree(acc.degree + rhs.degree)
+            acc = acc * rhs
         return acc
 
     def factor(self) -> Poly:
         base = self.atom()
         if self.peek() == "^":
             self.eat("^")
-            return base ** self.uint()
+            k = self.uint()
+            self.check_degree(base.degree * k)
+            return base ** k
         return base
 
     def atom(self) -> Poly:

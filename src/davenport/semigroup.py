@@ -91,8 +91,9 @@ class FiniteSemigroup:
     ):
         self.kind = kind
         self.values = list(values)
+        self.size = len(self.values)
         self.index_of = {v: i for i, v in enumerate(self.values)}
-        if len(self.index_of) != len(self.values):
+        if len(self.index_of) != self.size:
             raise ValueError("universe contains duplicate elements")
         self.identity = (
             self.index_of[identity_value] if identity_value is not None else None
@@ -100,7 +101,7 @@ class FiniteSemigroup:
         self.zero = self.index_of[zero_value] if zero_value is not None else None
         self.params = dict(params or {})
         self.factors = factors
-        _check_universe_size(len(self.values))
+        _check_universe_size(self.size)
         self.table = self._build_table(mul_value)
         self._validate_axioms()
         self._unit_cache: Optional[UnitGroup] = None
@@ -108,12 +109,8 @@ class FiniteSemigroup:
 
     # -- core ------------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
     def __len__(self) -> int:
-        return len(self.values)
+        return self.size
 
     def op(self, i: int, j: int) -> int:
         """Product of elements by index."""
@@ -568,26 +565,19 @@ def crt_decompose(p: int, f: Poly) -> CrtDecomposition:
 # -- product-coordinate helpers --------------------------------------------
 
 
-def _resolve(S: FiniteSemigroup, a):
-    i = S.index_of.get(a)
-    if i is not None:
-        return i, a
-    # bare ints are ambiguous for group kinds whose values are ints;
-    # treat as index only when the value itself is not in the universe
-    if isinstance(a, int) and not isinstance(a, bool) and a in range(S.size):
-        return a, S.values[a]
-    raise ValueError(f"element {a!r} not in the universe")
-
-
 def _coordinates(S: FiniteSemigroup, a) -> tuple[Seq[FiniteSemigroup], tuple]:
     """Factors of S and the components of a; a lone C_n ∪ {inf} has one."""
     if S.kind == "product" and S.factors is not None:
-        return S.factors, _resolve(S, a)[1]
-    if S.kind == "cyclic_with_zero":
-        return (S,), (_resolve(S, a)[1],)
-    raise TypeError(
-        "coordinate maps are defined on product semigroups and on C_n ∪ {inf}"
-    )
+        factors, components = S.factors, a
+    elif S.kind == "cyclic_with_zero":
+        factors, components = (S,), (a,)
+    else:
+        raise TypeError(
+            "coordinate maps are defined on product semigroups and on C_n ∪ {inf}"
+        )
+    if a not in S.index_of:
+        raise ValueError(f"element {a!r} not in the universe")
+    return factors, components
 
 
 def j_set(S: FiniteSemigroup, a) -> frozenset:

@@ -313,9 +313,9 @@ def verify_theorem1(
             "modulus (use the conjecture probe instead)"
         )
     budget = Budget(budget_ms)
-    S = build_quotient_semigroup(p, f)
-    U = units_of(S)
     crt = crt_decompose(p, f)
+    S = crt.source
+    U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())
     rhs = davenport_exact(U.as_semigroup(), budget.remaining_ms())
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional
 
 from .gfpoly import prime_factors
@@ -588,30 +587,16 @@ def davenport_group_formula(invariant_factors) -> Optional[int]:
 # -- random sequences and Monte-Carlo bounds ---------------------------------
 
 
-def _multiset_count(n_values: int, k: int) -> int:
-    return comb(n_values + k - 1, k)
-
-
-def _unrank_multiset(n_values: int, k: int, rank: int) -> list[int]:
-    """Stars-and-bars unranking: the rank-th non-decreasing k-tuple."""
-    out = []
-    e = 0
-    remaining = k
-    while remaining:
-        block = _multiset_count(n_values - e, remaining - 1)
-        if rank < block:
-            out.append(e)
-            remaining -= 1
-        else:
-            rank -= block
-            e += 1
-    return out
-
-
 def random_sequence(S: FiniteSemigroup, length: int, rng: random.Random) -> Sequence:
-    """Uniformly random multiset of the given length over the universe."""
-    rank = rng.randrange(_multiset_count(S.size, length))
-    return Sequence.from_indices(S, _unrank_multiset(S.size, length, rank))
+    """Uniformly random multiset of the given length over the universe.
+
+    Stars and bars: the i-th smallest of ``length`` distinct picks from
+    ``range(size + length - 1)``, minus i, is the i-th term. The shift is a
+    bijection from subsets onto multisets, so uniform subsets give uniform
+    multisets.
+    """
+    picks = sorted(rng.sample(range(S.size + length - 1), length))
+    return Sequence.from_indices(S, (c - i for i, c in enumerate(picks)))
 
 
 @dataclass
@@ -652,8 +637,8 @@ def davenport_montecarlo_upper(
 ) -> MonteCarloReport:
     """Sample length-d sequences; any irreducible one disproves D(S) <= d.
 
-    Sampling is uniform over multisets via stars-and-bars unranking with a
-    seeded generator, so reports are reproducible. The clock of ``budget``
+    Sampling is uniform over multisets (``random_sequence``) with a seeded
+    generator, so reports are reproducible. The clock of ``budget``
     (default: none) is read before each sample; once it has run out the
     report stops with ``checked < samples``.
     """

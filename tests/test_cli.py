@@ -203,6 +203,28 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested too deeply" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "-p", "3", "-f", "x^99999999"),
+            ("units", "-p", "3", "-f", "(x+1)^99999999"),
+            ("factor", "-p", "2", "-f", "x^1000*x^1000"),
+        ],
+    )
+    def test_degree_above_cap_exits_2_fast(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds the cap of 1024" in err
+
+    def test_degree_at_cap_parses(self, capsys):
+        code, out, _ = run(capsys, "factor", "-p", "2", "-f", "x^1024")
+        assert code == 0
+        assert "(x)^1024" in out
+
     def test_internal_check_failure_exits_4(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("search produced a reducible witness")

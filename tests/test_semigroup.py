@@ -374,6 +374,12 @@ class TestCoordinateMaps:
         assert psi_projection(P, set(), (INF, 1)) == (INF, 1)
         assert psi_projection(P, {1, 2}, (INF, 1)) == (0, 0)
 
+    def test_index_is_not_an_element(self, c2z_squared):
+        with pytest.raises(ValueError):
+            j_set(c2z_squared, 3)
+        with pytest.raises(ValueError):
+            psi_projection(c2z_squared, {1}, 3)
+
     def test_psi_out_of_range(self, c2z_squared):
         with pytest.raises(ValueError):
             psi_projection(c2z_squared, {3}, (1, 1))

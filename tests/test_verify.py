@@ -76,6 +76,23 @@ class TestTheorem1:
         assert rec["status"] == STATUS_VERIFIED
         assert rec["lhs"]["complete"] and rec["rhs"]["complete"]
 
+    def test_builds_the_quotient_once(self, monkeypatch):
+        import davenport.semigroup
+        import davenport.verify
+
+        f = poly(3, 0, 1) * poly(3, 1, 1)
+        moduli = []
+        for module in (davenport.semigroup, davenport.verify):
+            build = module.build_quotient_semigroup
+
+            def counting(p, g, build=build):
+                moduli.append(g)
+                return build(p, g)
+
+            monkeypatch.setattr(module, "build_quotient_semigroup", counting)
+        verify_theorem1(3, f)
+        assert moduli.count(f) == 1
+
 
 class TestConstructiveReduction:
     def test_all_units_zero_sum_gives_empty(self, c2z_squared):

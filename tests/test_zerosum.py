@@ -4,7 +4,8 @@ brute-force enumeration."""
 import gc
 import random
 import tracemalloc
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
+from math import comb
 
 import pytest
 
@@ -31,10 +32,8 @@ from davenport import (
 )
 from davenport.semigroup import build_adjoined_zero_product
 from davenport.zerosum import (
-    _multiset_count,
     _translate_mask,
     _translate_tables,
-    _unrank_multiset,
     sigma_index,
 )
 
@@ -535,12 +534,30 @@ class TestMonteCarlo:
         b = davenport_montecarlo_upper(quotient_p3_sq, 4, samples=100, seed=9)
         assert a.to_record() == b.to_record()
 
-    def test_unranker_is_bijective(self):
-        for n, k in ((3, 2), (4, 3), (5, 1)):
-            total = _multiset_count(n, k)
-            seen = {tuple(_unrank_multiset(n, k, r)) for r in range(total)}
-            assert len(seen) == total
-            assert all(list(t) == sorted(t) for t in seen)
+    def test_sampler_maps_subsets_onto_multisets(self):
+        class EnumeratingRng:
+            """Returns every k-subset in turn, largest pick first, since
+            ``random.Random.sample`` does not sort its picks."""
+
+            def __init__(self):
+                self.subsets = None
+
+            def sample(self, population, k):
+                if self.subsets is None:
+                    self.subsets = combinations(population, k)
+                return list(next(self.subsets))[::-1]
+
+        for n, k in ((3, 2), (4, 3), (5, 1), (1, 4)):
+            G = build_cyclic_group(n)
+            rng = EnumeratingRng()
+            images = []
+            for _ in range(comb(n + k - 1, k)):
+                T = random_sequence(G, k, rng)
+                assert len(T) == k
+                images.append(tuple(i for i, m in T.pairs for _ in range(m)))
+            with pytest.raises(StopIteration):
+                next(rng.subsets)
+            assert sorted(images) == list(all_multisets(n, k))
 
 
 class TestResultRecord:
