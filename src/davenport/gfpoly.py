@@ -6,7 +6,8 @@ trailing zeros are stripped so the zero polynomial is the empty tuple.
 Degrees and primes stay desk-scale (p <= a few dozen, deg <= a handful),
 so all algorithms are the self-evidently correct ones: schoolbook
 multiplication, long division, and factorization by trial division over
-all monic polynomials of increasing degree.
+all monic polynomials of increasing degree. Primality and factorization
+give up with ``ValueError`` past ``MAX_TRIAL_STEPS``.
 """
 
 from __future__ import annotations
@@ -14,21 +15,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+MAX_TRIAL_STEPS = 2_000_000
+"""Most steps one trial division may take: a step is one integer divisor
+tried, or one coefficient update a polynomial division may make."""
+
+
+def _too_much_work(what) -> ValueError:
+    return ValueError(
+        f"trial division of {what} exceeds the cap of {MAX_TRIAL_STEPS} steps"
+    )
+
+
+def _least_prime_factor(n: int) -> int:
+    """Least prime factor of n >= 2, by trial division."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        if d > 2 * MAX_TRIAL_STEPS:
+            raise _too_much_work(n)
+        d += 1 if d == 2 else 2
+    return n
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality check by trial division."""
-    if n < 2:
-        return False
     if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        return n >= 2
+    return _least_prime_factor(n) == n
 
 
 def validate_prime(p: int) -> int:
@@ -66,9 +80,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
 
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
@@ -322,6 +333,7 @@ def factor(f: Poly) -> Factorization:
     unit = f.leading_coefficient()
     work = f.monic()
     found: list[tuple[Poly, int]] = []
+    steps = 0
     d = 1
     while work.degree >= 1:
         if d > work.degree // 2:
@@ -331,6 +343,9 @@ def factor(f: Poly) -> Factorization:
         for g in monic_polys(p, d):
             mult = 0
             while True:
+                steps += len(work.coeffs) * (d + 1)
+                if steps > MAX_TRIAL_STEPS:
+                    raise _too_much_work(f)
                 q, r = poly_divrem(work, g)
                 if not r.is_zero():
                     break
@@ -349,14 +364,10 @@ def prime_factors(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("positive integer required")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    while n > 1:
+        q = _least_prime_factor(n)
+        out[q] = out.get(q, 0) + 1
+        n //= q
     return out
 
 

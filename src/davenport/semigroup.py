@@ -35,6 +35,7 @@ from .gfpoly import (
     Factorization,
     Poly,
     factor,
+    monic_polys,
     prime_factors,
     validate_prime,
 )
@@ -105,7 +106,6 @@ class FiniteSemigroup:
         self.table = self._build_table(mul_value)
         self._validate_axioms()
         self._unit_cache: Optional[UnitGroup] = None
-        self._search_cache = None  # translate tables, built by zerosum on demand
 
     # -- core ------------------------------------------------------------
 
@@ -230,14 +230,8 @@ def build_quotient_semigroup(p: int, f: Poly) -> FiniteSemigroup:
     if d < 1:
         raise ValueError("quotient modulus must have degree >= 1")
     _check_universe_size(p**d)
-    values = []
-    for idx in range(p**d):
-        coeffs = []
-        k = idx
-        for _ in range(d):
-            k, c = divmod(k, p)
-            coeffs.append(c)
-        values.append(Poly(p, coeffs))
+    # x^d + r runs through the monic polynomials as r does through residues
+    values = [Poly(p, g.coeffs[:-1]) for g in monic_polys(p, d)]
 
     def mul_residues(a: Poly, b: Poly) -> Poly:
         return (a * b) % f
@@ -548,16 +542,16 @@ def crt_decompose(p: int, f: Poly) -> CrtDecomposition:
         )
     source = build_quotient_semigroup(p, f)
     polys = tuple(g for g, _ in fac.factors)
-    parts = tuple(build_quotient_semigroup(p, g) for g in polys)
+    # a lone factor is f up to a unit, so its quotient is the source itself
+    parts = (source,) if len(polys) == 1 else tuple(
+        build_quotient_semigroup(p, g) for g in polys
+    )
     prod = build_product(list(parts))
-    iso = {}
-    seen = set()
-    for i, a in enumerate(source.values):
-        image = tuple(a % g for g in polys)
-        j = prod.index_of[image]
-        iso[i] = j
-        seen.add(j)
-    if len(seen) != source.size or prod.size != source.size:
+    iso = {
+        i: prod.index_of[tuple(a % g for g in polys)]
+        for i, a in enumerate(source.values)
+    }
+    if len(set(iso.values())) != source.size or prod.size != source.size:
         raise AssertionError("residue map failed to be a bijection")
     return CrtDecomposition(source, polys, parts, prod, iso)
 

@@ -364,15 +364,16 @@ def proposition_semigroup(p: int) -> FiniteSemigroup:
     return build_quotient_semigroup(p, quadratic_modulus(p))
 
 
-def build_witness_V(p: int) -> Sequence:
-    """The irreducible exhibit x * g^(p-2) with g the least primitive root.
+def build_witness_V(S: FiniteSemigroup) -> Sequence:
+    """The irreducible exhibit x * g^(p-2) over ``proposition_semigroup(p)``,
+    with g the least primitive root.
 
     Its existence shows an irreducible sequence of length p-1, hence
     D(U) >= p for the square modulus.
     """
-    if p <= 2:
-        raise ValueError("the witness family needs p > 2")
-    S = proposition_semigroup(p)
+    if S.kind != "quotient" or S.p <= 2 or S.modulus != quadratic_modulus(S.p):
+        raise ValueError("the witness family lives in F_p[x]/<(x+1)^2>, p > 2")
+    p = S.p
     g = primitive_root(p)
     x = Poly(p, [0, 1])
     V = Sequence(
@@ -489,7 +490,7 @@ def verify_proposition(
         raise AssertionError("generator-power witness unexpectedly reducible")
     artifacts["lower_bound_witness"] = lower_witness.format()
     artifacts["lower_bound"] = d_formula
-    exhibit = build_witness_V(p)
+    exhibit = build_witness_V(S)
     artifacts["exhibit_V"] = exhibit.format()
     artifacts["exhibit_V_bound"] = len(exhibit) + 1
 

@@ -12,8 +12,9 @@ without loss.
 
 Two independent routes decide reducibility:
 
-* an incremental one used by the search: carry the set of proper
-  sub-multiset products as a bitmask and fold terms one at a time;
+* an incremental one behind ``is_reducible``: carry the set of proper
+  sub-multiset products and fold terms in one at a time, each through its
+  Cayley-table row;
 * a layered dynamic program over distinct elements that also
   reconstructs witnesses (used for reductions and sum-set queries).
 
@@ -267,6 +268,21 @@ def is_reducible(T: Sequence) -> bool:
     return _reducible_incremental(S, T.indices())
 
 
+def _reducible_incremental(S: FiniteSemigroup, indices) -> bool:
+    # rp: the products of the proper sub-multisets of the terms read so far;
+    # appending x makes it rp ∪ {sig} ∪ rp·x, read off row x of the table
+    sig = S.identity
+    rp: set[int] = set()
+    for x in indices:
+        row = S.table[x]
+        rp |= {row[r] for r in rp}
+        rp.add(sig)
+        sig = row[sig]
+        if sig in rp:
+            return True
+    return False
+
+
 def is_zero_sum_free(T: Sequence) -> bool:
     """No nonempty sub-multiset multiplies to the identity.
 
@@ -287,31 +303,29 @@ def is_zero_sum_free(T: Sequence) -> bool:
     return _dp_select(S, T.pairs, S.identity, proper=False) is None
 
 
-# -- incremental reducibility (bitmask route) --------------------------------
+# -- Davenport constant ------------------------------------------------------
 
 
 def _translate_tables(S: FiniteSemigroup) -> list[list[list[int]]]:
-    """Per-element tables for mask-based reducibility and search.
+    """Per-element tables that translate product-set bitmasks, for the search.
 
     tables[x] maps a product-set bitmask R to {r*x : r in R} chunkwise: one
     table per 8-element chunk of the universe, indexed by that chunk's bits
     of R. Row x of the Cayley table is column x too (the table is filled
     symmetrically), and each chunk is built by doubling, so a chunk of w
-    elements has 2^w entries.
+    elements has 2^w entries. ``davenport_exact`` builds them once per call
+    and drops them on return.
     """
-    tables = S._search_cache
-    if tables is None:
-        tables = []
-        for row in S.table:
-            bits = [1 << t for t in row]
-            chunks = []
-            for base in range(0, S.size, 8):
-                tab = [0]
-                for b in bits[base:base + 8]:
-                    tab += [t | b for t in tab]
-                chunks.append(tab)
-            tables.append(chunks)
-        S._search_cache = tables
+    tables = []
+    for row in S.table:
+        bits = [1 << t for t in row]
+        chunks = []
+        for base in range(0, S.size, 8):
+            tab = [0]
+            for b in bits[base:base + 8]:
+                tab += [t | b for t in tab]
+            chunks.append(tab)
+        tables.append(chunks)
     return tables
 
 
@@ -323,23 +337,6 @@ def _translate_mask(chunks: list[list[int]], mask: int) -> int:
         mask >>= 8
         ci += 1
     return acc
-
-
-def _reducible_incremental(S: FiniteSemigroup, indices) -> bool:
-    translate = _translate_tables(S)
-    sig = S.identity
-    rp = 0
-    rows = S.table
-    for x in indices:
-        new_sig = rows[sig][x]
-        rp = rp | (1 << sig) | _translate_mask(translate[x], rp)
-        if (rp >> new_sig) & 1:
-            return True
-        sig = new_sig
-    return False
-
-
-# -- Davenport constant ------------------------------------------------------
 
 
 @dataclass

@@ -30,6 +30,7 @@ from davenport.verify import (
     STATUS_VERIFIED,
     build_witness_V,
     conjecture_probe,
+    proposition_semigroup,
     verify_lemma_product,
     verify_proposition,
     verify_theorem1,
@@ -147,7 +148,7 @@ def test_criterion_5_proposition_p5_stretch():
 def test_criterion_6_witness_family():
     """x * g^(p-2) is irreducible for p in {3, 5, 7, 11}."""
     for p in (3, 5, 7, 11):
-        V = build_witness_V(p)
+        V = build_witness_V(proposition_semigroup(p))
         assert len(V) == p - 1
         assert not is_reducible(V)
     _report(6, "exhibit sequences irreducible for p in {3, 5, 7, 11}")

@@ -220,6 +220,29 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds the cap of 1024" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "-p", "1000000000000000003", "-f", "x"),
+            ("davenport", "-p", "1000000000000000003", "-f", "x"),
+            ("davenport-group", "1000000000000000003"),
+            ("factor", "-p", "3", "-f", "x^200+1"),
+        ],
+    )
+    def test_trial_division_above_cap_exits_2_fast(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceeds the cap of 2000000 steps" in err
+
+    def test_trial_division_below_cap_factors(self, capsys):
+        code, out, _ = run(capsys, "factor", "-p", "3", "-f", "x^200")
+        assert code == 0
+        assert "(x)^200" in out
+
     def test_degree_at_cap_parses(self, capsys):
         code, out, _ = run(capsys, "factor", "-p", "2", "-f", "x^1024")
         assert code == 0

@@ -15,7 +15,13 @@ from davenport import (
     poly_mul,
     primitive_root,
 )
-from davenport.gfpoly import Poly, multiplicative_order, validate_prime
+from davenport.gfpoly import (
+    MAX_TRIAL_STEPS,
+    Poly,
+    multiplicative_order,
+    prime_factors,
+    validate_prime,
+)
 
 
 def random_poly(rng, p, max_deg):
@@ -33,6 +39,13 @@ class TestPrimes:
             validate_prime(9)
         with pytest.raises(ValueError):
             validate_prime(1)
+
+    def test_small_factors_found_past_the_cap(self):
+        # the cap bounds the divisors tried, not the size of n
+        big = 1_000_000_000_000_000_003
+        assert big > (2 * MAX_TRIAL_STEPS) ** 2
+        assert not is_prime(2 * big)
+        assert prime_factors(2**60 * 3**5) == {2: 60, 3: 5}
 
 
 class TestCanonicalForm:

@@ -36,6 +36,23 @@ from davenport.verify import (
 from davenport.zerosum import sigma_index
 
 
+def count_quotient_builds(monkeypatch) -> list:
+    """The moduli of every quotient semigroup built from now on."""
+    import davenport.semigroup
+    import davenport.verify
+
+    moduli = []
+    for module in (davenport.semigroup, davenport.verify):
+        build = module.build_quotient_semigroup
+
+        def counting(p, g, build=build):
+            moduli.append(g)
+            return build(p, g)
+
+        monkeypatch.setattr(module, "build_quotient_semigroup", counting)
+    return moduli
+
+
 class TestTheorem1:
     def test_split_quadratic(self):
         report = verify_theorem1(3, poly(3, 0, 1) * poly(3, 1, 1))
@@ -76,20 +93,13 @@ class TestTheorem1:
         assert rec["status"] == STATUS_VERIFIED
         assert rec["lhs"]["complete"] and rec["rhs"]["complete"]
 
-    def test_builds_the_quotient_once(self, monkeypatch):
-        import davenport.semigroup
-        import davenport.verify
-
-        f = poly(3, 0, 1) * poly(3, 1, 1)
-        moduli = []
-        for module in (davenport.semigroup, davenport.verify):
-            build = module.build_quotient_semigroup
-
-            def counting(p, g, build=build):
-                moduli.append(g)
-                return build(p, g)
-
-            monkeypatch.setattr(module, "build_quotient_semigroup", counting)
+    @pytest.mark.parametrize(
+        "f",
+        [poly(3, 0, 1) * poly(3, 1, 1), poly(3, 1, 0, 1)],
+        ids=["x^2+x", "x^2+1"],
+    )
+    def test_builds_the_quotient_once(self, monkeypatch, f):
+        moduli = count_quotient_builds(monkeypatch)
         verify_theorem1(3, f)
         assert moduli.count(f) == 1
 
@@ -166,18 +176,19 @@ class TestLemmaProduct:
 class TestWitnessFamily:
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_irreducible_for_small_primes(self, p):
-        V = build_witness_V(p)
+        V = build_witness_V(proposition_semigroup(p))
         assert len(V) == p - 1
         assert not is_reducible(V)
 
     def test_p3_exact_content(self):
-        V = build_witness_V(3)
-        S = V.parent
+        S = proposition_semigroup(3)
+        V = build_witness_V(S)
+        assert V.parent is S
         assert V == Sequence.of(S, poly(3, 0, 1), poly(3, 2))
 
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
-            build_witness_V(2)
+            build_witness_V(proposition_semigroup(2))
 
 
 class TestQuadraticReduction:
@@ -275,6 +286,11 @@ class TestProposition:
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
             verify_proposition(2)
+
+    def test_builds_the_quotient_once(self, monkeypatch):
+        moduli = count_quotient_builds(monkeypatch)
+        verify_proposition(3, stress=5, samples=10)
+        assert moduli == [quadratic_modulus(3)]
 
     def test_incomplete_when_budget_zero(self):
         report = verify_proposition(5, budget_ms=0, stress=10, samples=50)

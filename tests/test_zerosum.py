@@ -30,7 +30,9 @@ from davenport import (
     sumset,
     units_of,
 )
+from davenport import zerosum
 from davenport.semigroup import build_adjoined_zero_product
+from davenport.verify import build_witness_V, proposition_semigroup
 from davenport.zerosum import (
     _translate_mask,
     _translate_tables,
@@ -130,6 +132,21 @@ class TestReducibility:
                     expected = brute_is_reducible(T)
                     assert is_reducible(T) == expected
                     assert (find_reduction(T) is not None) == expected
+
+    def test_builds_no_search_tables(self, monkeypatch):
+        # reducibility folds Cayley rows; only the exact search builds tables
+        def refuse(S):
+            raise AssertionError("search tables built")
+
+        monkeypatch.setattr(zerosum, "_translate_tables", refuse)
+        S = proposition_semigroup(5)
+        assert is_reducible(Sequence(S, [(S.index_of[poly(5, 2)], 4)]))
+        assert not is_reducible(Sequence.of(S, poly(5, 0, 1), poly(5, 2)))
+        report = davenport_montecarlo_upper(S, 20, samples=200, seed=3)
+        assert report.all_reducible and report.checked == 200
+        assert len(build_witness_V(S)) == 4
+        with pytest.raises(AssertionError, match="search tables built"):
+            davenport_exact(S)
 
     def test_hereditary_exhaustive(self, quotient_p3_sq, c2z_squared):
         for S in (quotient_p3_sq, c2z_squared):
@@ -322,9 +339,9 @@ class TestDavenportExact:
 
     def test_working_set_freed_on_return(self):
         # explore refers to itself; once that cycle is broken the memo and
-        # the search tables go by refcount, with no cyclic garbage left
+        # the search tables, both built inside the call, go by refcount,
+        # with no cyclic garbage left
         S = build_quotient_semigroup(5, poly(5, 1, 2, 1))
-        davenport_exact(S, budget_ms=0)  # builds the cached translate tables
         gc.collect()
         gc.disable()
         tracemalloc.start()
