@@ -62,6 +62,17 @@ class Poly:
 
     def __init__(self, p: int, coeffs=()):
         validate_prime(p)
+        self._fill(p, coeffs)
+
+    @classmethod
+    def _of(cls, p: int, coeffs=()) -> "Poly":
+        """Build over an already validated prime: arithmetic results inherit
+        their operands' ``p`` and skip the public constructor's check."""
+        out = object.__new__(cls)
+        out._fill(p, coeffs)
+        return out
+
+    def _fill(self, p: int, coeffs) -> None:
         cs = [int(c) % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -93,7 +104,7 @@ class Poly:
         if lc in (0, 1):
             return self
         inv = pow(lc, -1, self.p)
-        return Poly(self.p, [c * inv for c in self.coeffs])
+        return Poly._of(self.p, [c * inv for c in self.coeffs])
 
     def evaluate(self, x: int) -> int:
         y = 0
@@ -102,7 +113,7 @@ class Poly:
         return y
 
     def derivative(self) -> "Poly":
-        return Poly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._of(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -112,7 +123,7 @@ class Poly:
                 raise ValueError(f"mixed moduli: {self.p} vs {other.p}")
             return other
         if isinstance(other, int):
-            return Poly(self.p, [other])
+            return Poly._of(self.p, [other])
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
@@ -123,12 +134,12 @@ class Poly:
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             a[i] += c
-        return Poly(self.p, a)
+        return Poly._of(self.p, a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.p, [-c for c in self.coeffs])
+        return Poly._of(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -162,7 +173,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly(self.p, [1])
+        result = Poly._of(self.p, [1])
         base = self
         while k:
             if k & 1:
@@ -227,14 +238,14 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     """Schoolbook product, reduced and canonical."""
     _check_same_prime(a, b)
     if a.is_zero() or b.is_zero():
-        return Poly(a.p)
+        return Poly._of(a.p)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, ca in enumerate(a.coeffs):
         if ca == 0:
             continue
         for j, cb in enumerate(b.coeffs):
             out[i + j] += ca * cb
-    return Poly(a.p, out)
+    return Poly._of(a.p, out)
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -254,7 +265,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         q[i] = coef
         for j, cb in enumerate(b.coeffs):
             r[i + j] = (r[i + j] - coef * cb) % p
-    return Poly(p, q), Poly(p, r[:db])
+    return Poly._of(p, q), Poly._of(p, r[:db])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -274,6 +285,7 @@ def monic_polys(p: int, degree: int) -> Iterator[Poly]:
     constant coefficient varying fastest, which coincides with ordering
     by top-down coefficient reading.
     """
+    validate_prime(p)
     for idx in range(p**degree):
         coeffs = []
         k = idx
@@ -281,7 +293,7 @@ def monic_polys(p: int, degree: int) -> Iterator[Poly]:
             k, c = divmod(k, p)
             coeffs.append(c)
         coeffs.append(1)
-        yield Poly(p, coeffs)
+        yield Poly._of(p, coeffs)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -309,7 +321,7 @@ class Factorization:
     def expand(self) -> Poly:
         """Re-multiply unit and factor powers; the reconstruction oracle."""
         p = self.factors[0][0].p
-        out = Poly(p, [self.unit])
+        out = Poly._of(p, [self.unit])
         for g, m in self.factors:
             out = out * g**m
         return out

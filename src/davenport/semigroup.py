@@ -12,9 +12,10 @@ Four kinds are built here, all sharing one representation:
 
 A semigroup owns a deterministic, indexed universe of at most
 ``TABLE_CAP`` elements, and every product is read from its full Cayley
-table. Value-level multiplication (``Poly`` products mod f, exponent
-addition) runs once, to fill that table; derived semigroups (unit groups,
-products) multiply through their parents' tables, and every semigroup
+table. Each builder fills that table in index space, without multiplying
+element values: a quotient's rows are F_p-linear combinations of the row
+of ``x``, cyclic rows add exponents mod n, and derived semigroups (unit
+groups, products) read their tables from their parents'. Every semigroup
 validates its own table. Each builder rejects a larger universe with
 ``ValueError`` before enumerating it. Instances are immutable after
 construction, so they can be shared freely.
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product as iproduct
 from math import prod
-from typing import Callable, Optional, Sequence as Seq
+from typing import Optional, Sequence as Seq
 
 from .gfpoly import (
     Factorization,
@@ -75,16 +77,18 @@ INF = _Infinity()
 class FiniteSemigroup:
     """Indexed finite commutative semigroup with optional identity/zero.
 
-    ``mul_value`` multiplies element values; the constructor calls it once
-    per unordered pair to fill the Cayley table, checks the axioms on that
-    table, and does not keep it.
+    ``table`` is the filled Cayley table over indices into ``values``: a
+    list of n lists of n indices, with ``table[i][j]`` the index of the
+    product of elements i and j. The constructor keeps it and checks it:
+    shape, entry range, symmetry (the search reads row x as column x),
+    associativity, and the claimed identity and zero.
     """
 
     def __init__(
         self,
         kind: str,
         values: list,
-        mul_value: Callable,
+        table: list[list[int]],
         identity_value=None,
         zero_value=None,
         params: Optional[dict] = None,
@@ -103,7 +107,7 @@ class FiniteSemigroup:
         self.params = dict(params or {})
         self.factors = factors
         _check_universe_size(self.size)
-        self.table = self._build_table(mul_value)
+        self.table = table
         self._validate_axioms()
         self._unit_cache: Optional[UnitGroup] = None
 
@@ -138,41 +142,27 @@ class FiniteSemigroup:
                 base = self.op(base, base)
         return acc
 
-    def _build_table(self, mul: Callable) -> list[list[int]]:
-        n = len(self.values)
-        vals = self.values
-        idx = self.index_of
-        # fill the lower triangle and mirror it; commutativity makes this exact
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            row = table[i]
-            for j in range(i + 1):
-                v = mul(vals[i], vals[j])
-                k = idx.get(v)
-                if k is None:
-                    raise ValueError(f"operation escapes the universe: {v!r}")
-                row[j] = table[j][i] = k
-        return table
-
     def _validate_axioms(self):
         n = len(self.values)
         t = self.table
+        if len(t) != n or any(len(row) != n for row in t):
+            raise ValueError(f"table is not {n}x{n}")
+        if not set().union(*t) <= set(range(n)):
+            raise ValueError("operation escapes the universe")
+        if any(tuple(row) != column for row, column in zip(t, zip(*t))):
+            raise ValueError("operation is not commutative")
         if n <= ASSOC_EXHAUSTIVE_CAP:
-            rng_n = range(n)
-            for i in rng_n:
-                ti = t[i]
-                for j in rng_n:
-                    tij = t[ti[j]]
-                    tj = t[j]
-                    for k in rng_n:
-                        if tij[k] != ti[tj[k]]:
-                            raise ValueError("operation is not associative")
+            pairs = iproduct(range(n), repeat=2)
         else:
+            # about ASSOC_SPOT_SAMPLES triples: random (i, j), every k
             rng = random.Random(0)
-            for _ in range(ASSOC_SPOT_SAMPLES):
-                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if t[t[i][j]][k] != t[i][t[j][k]]:
-                    raise ValueError("operation is not associative")
+            m = ASSOC_SPOT_SAMPLES // n
+            pairs = zip(rng.choices(range(n), k=m), rng.choices(range(n), k=m))
+        for i, j in pairs:
+            ti = t[i]
+            # (i*j)*k = i*(j*k) for every k: row i*j is row i composed with row j
+            if t[ti[j]] != list(map(ti.__getitem__, t[j])):
+                raise ValueError("operation is not associative")
         if self.identity is not None and t[self.identity] != list(range(n)):
             raise ValueError("claimed identity is not neutral")
         if self.zero is not None and t[self.zero] != [self.zero] * n:
@@ -221,7 +211,7 @@ def build_quotient_semigroup(p: int, f: Poly) -> FiniteSemigroup:
 
     The universe holds all p^deg(f) residues, indexed by little-endian
     coefficient counting (index 0 is the zero residue, index 1 the
-    constant 1).
+    constant 1, index p the residue x).
     """
     validate_prime(p)
     if f.p != p:
@@ -232,14 +222,10 @@ def build_quotient_semigroup(p: int, f: Poly) -> FiniteSemigroup:
     _check_universe_size(p**d)
     # x^d + r runs through the monic polynomials as r does through residues
     values = [Poly(p, g.coeffs[:-1]) for g in monic_polys(p, d)]
-
-    def mul_residues(a: Poly, b: Poly) -> Poly:
-        return (a * b) % f
-
     S = FiniteSemigroup(
         "quotient",
         values,
-        mul_residues,
+        _quotient_table(p, f),
         identity_value=Poly(p, [1]),
         zero_value=Poly(p),
         params={"p": p, "f": str(f)},
@@ -249,22 +235,52 @@ def build_quotient_semigroup(p: int, f: Poly) -> FiniteSemigroup:
     return S
 
 
+def _quotient_table(p: int, f: Poly) -> list[list[int]]:
+    """Cayley table of F_p[x]/<f> over base-p digit indices.
+
+    Multiplication by a residue is F_p-linear, so no residue is multiplied
+    as a polynomial. The row of x shifts the digits up one place and folds
+    the top digit t back in as t·(x^d mod f); the row of x^i is the row of
+    x composed with the row of x^(i-1); and for p^i < a < p^(i+1) the row
+    of a is the digitwise sum of the rows of a - p^i and p^i.
+    """
+    d = f.degree
+    n = p**d
+    top = n // p
+    # digitwise sum mod p of two indices, one base-p place at a time; an
+    # index is below n <= 256, so a row fits in bytes
+    add = [b"\0"]
+    w = 1
+    for _ in range(d):
+        add = [bytes([s + w * ((c + e) % p) for e in range(p) for s in row])
+               for c in range(p) for row in add]
+        w *= p
+    # x^d = -(f_0 + ... + f_(d-1) x^(d-1)) mod the monic associate of f
+    tail = f.monic().coeffs[:-1]
+    fold = [sum((-t * c) % p * p**i for i, c in enumerate(tail)) for t in range(p)]
+    x_row = [add[b % top * p][fold[b // top]] for b in range(n)]
+    rows = [[0] * n, list(range(n))]
+    power = 1  # p^i with p^i <= a < p^(i+1)
+    for a in range(2, n):
+        if a == power * p:
+            power = a
+            rows.append([x_row[v] for v in rows[power // p]])
+        else:
+            rows.append([add[u][v] for u, v in zip(rows[a - power], rows[power])])
+    return rows
+
+
 def build_cyclic_with_zero(n: int) -> FiniteSemigroup:
     """Cyclic group of order n with one absorbing element adjoined."""
     if n < 2:
         raise ValueError("cyclic part must have order >= 2")
     _check_universe_size(n + 1)
     values = list(range(n)) + [INF]
-
-    def mul_cyclic(a, b):
-        if a is INF or b is INF:
-            return INF
-        return (a + b) % n
-
+    table = [row + [n] for row in _cyclic_table(n)] + [[n] * (n + 1)]
     S = FiniteSemigroup(
         "cyclic_with_zero",
         values,
-        mul_cyclic,
+        table,
         identity_value=0,
         zero_value=INF,
         params={"n": n},
@@ -278,14 +294,10 @@ def build_cyclic_group(n: int) -> FiniteSemigroup:
     if n < 1:
         raise ValueError("group order must be >= 1")
     _check_universe_size(n)
-
-    def mul_exp(a, b):
-        return (a + b) % n
-
     S = FiniteSemigroup(
         "abelian_group",
         list(range(n)),
-        mul_exp,
+        _cyclic_table(n),
         identity_value=0,
         params={"orders": [n]},
     )
@@ -307,14 +319,10 @@ def build_abelian_group(orders: Seq[int]) -> FiniteSemigroup:
     values = [()]
     for n in orders:
         values = [v + (r,) for v in values for r in range(n)]
-
-    def mul_vec(a, b):
-        return tuple((x + y) % n for x, y, n in zip(a, b, orders))
-
     S = FiniteSemigroup(
         "abelian_group",
         values,
-        mul_vec,
+        _product_table([_cyclic_table(n) for n in orders]),
         identity_value=tuple(0 for _ in orders),
         params={"orders": list(orders)},
     )
@@ -336,11 +344,6 @@ def build_product(factors: Seq[FiniteSemigroup]) -> FiniteSemigroup:
     for f in factors:
         values = [v + (w,) for v in values for w in f.values]
 
-    muls = [f.mul for f in factors]
-
-    def mul_tuple(a, b):
-        return tuple(m(x, y) for m, x, y in zip(muls, a, b))
-
     identity_value = tuple(f.values[f.identity] for f in factors)
     zero_value = None
     if all(f.zero is not None for f in factors):
@@ -349,12 +352,27 @@ def build_product(factors: Seq[FiniteSemigroup]) -> FiniteSemigroup:
     return FiniteSemigroup(
         "product",
         values,
-        mul_tuple,
+        _product_table([f.table for f in factors]),
         identity_value=identity_value,
         zero_value=zero_value,
         params={},
         factors=factors,
     )
+
+
+def _cyclic_table(n: int) -> list[list[int]]:
+    """Exponent addition mod n."""
+    return [list(range(i, n)) + list(range(i)) for i in range(n)]
+
+
+def _product_table(tables: Seq[list[list[int]]]) -> list[list[int]]:
+    """Componentwise product of Cayley tables, by mixed-radix index with
+    the last factor varying fastest, as the product's values are listed."""
+    out = [[0]]
+    for t in tables:
+        m = len(t)
+        out = [[s * m + x for s in row for x in t_row] for row in out for t_row in t]
+    return out
 
 
 def build_adjoined_zero_product(orders: Seq[int]) -> FiniteSemigroup:
@@ -397,10 +415,11 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
     elements = tuple(sorted(inverses))
 
     unit_values = [S.values[i] for i in elements]
+    position = {u: k for k, u in enumerate(elements)}
     group = FiniteSemigroup(
         "abelian_group",
         unit_values,
-        S.mul,
+        [[position[S.table[i][j]] for j in elements] for i in elements],
         identity_value=S.values[e],
         params={"units_of": S.kind},
     )

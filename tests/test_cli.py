@@ -238,6 +238,15 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceeds the cap of 2000000 steps" in err
 
+    def test_prime_near_cap_checked_once(self, capsys):
+        # each trial divisor and quotient inherits the parser's checked prime
+        start = time.monotonic()
+        code, out, err = run(capsys, "factor", "-p", "999999999989", "-f", "x^2+1")
+        assert time.monotonic() - start < 20.0
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap of 2000000 steps" in err
+
     def test_trial_division_below_cap_factors(self, capsys):
         code, out, _ = run(capsys, "factor", "-p", "3", "-f", "x^200")
         assert code == 0

@@ -22,6 +22,7 @@ from davenport.gfpoly import (
     prime_factors,
     validate_prime,
 )
+from davenport.parsing import parse_poly_expr
 
 
 def random_poly(rng, p, max_deg):
@@ -39,6 +40,13 @@ class TestPrimes:
             validate_prime(9)
         with pytest.raises(ValueError):
             validate_prime(1)
+
+    def test_entry_points_reject_composites(self):
+        # arithmetic trusts its operands' prime; these are where it is checked
+        for make in (lambda: Poly(9, [1]), lambda: list(monic_polys(9, 1)),
+                     lambda: parse_poly_expr("x+1", 9)):
+            with pytest.raises(ValueError, match="must be prime"):
+                make()
 
     def test_small_factors_found_past_the_cap(self):
         # the cap bounds the divisors tried, not the size of n

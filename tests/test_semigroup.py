@@ -22,8 +22,8 @@ from davenport import (
     psi_projection,
     units_of,
 )
-from davenport.gfpoly import Poly, factor
-from davenport.semigroup import invariant_factors_from_cyclic_orders
+from davenport.gfpoly import Poly, factor, is_prime
+from davenport.semigroup import FiniteSemigroup, invariant_factors_from_cyclic_orders
 
 from conftest import value_product
 
@@ -160,17 +160,62 @@ class TestTableOracle:
                 [build_quotient_semigroup(2, poly(2, 0, 0, 1)), build_cyclic_group(3)]
             ),
             lambda: crt_decompose(3, poly(3, 0, 1) * poly(3, 1, 0, 1)).product,
+            lambda: build_quotient_semigroup(2, poly(2, *[0] * 8, 1)),
+            lambda: build_quotient_semigroup(13, poly(13, 1, 2, 1)),
         ],
         ids=["quotient", "quotient-field", "quotient-x2", "adjoined-zero",
-             "cyclic", "abelian", "product", "crt"],
+             "cyclic", "abelian", "product", "crt", "x8-f2", "square-f13"],
     )
     def test_table_matches_value_products(self, build):
-        S = build()
-        G = units_of(S).group
-        for T in (S, G):
-            for i, a in enumerate(T.values):
-                for j, b in enumerate(T.values):
-                    assert T.table[i][j] == T.index_of[value_product(S, a, b)]
+        assert_tables_match_values(build())
+
+    @pytest.mark.parametrize(
+        "p, d",
+        [(p, d) for p in range(2, 64) if is_prime(p)
+         for d in range(1, 7) if p**d <= 64],
+    )
+    def test_every_small_quotient(self, p, d):
+        moduli = list(monic_polys(p, d))
+        if p > 2:
+            moduli.append(poly(p, *[2] * (d + 1)))  # 2(x^d + ... + 1)
+        for f in moduli:
+            assert_tables_match_values(build_quotient_semigroup(p, f))
+
+
+def assert_tables_match_values(S):
+    """S's table and its unit group's against value-level products; the
+    constructor has checked both tables symmetric, so j >= i suffices."""
+    G = units_of(S).group
+    for T in (S, G):
+        for i, a in enumerate(T.values):
+            row = T.table[i]
+            for j in range(i, T.size):
+                assert row[j] == T.index_of[value_product(S, a, T.values[j])]
+
+
+class TestConstructorChecks:
+    """FiniteSemigroup rejects a malformed Cayley table."""
+
+    @pytest.mark.parametrize(
+        "table, specials, message",
+        [
+            ([[0, 1], [1, 0], [0, 0]], {}, "table is not 2x2"),
+            ([[0, 1], [1]], {}, "table is not 2x2"),
+            ([[0, 2], [2, 0]], {}, "escapes the universe"),
+            ([[0, -1], [-1, 0]], {}, "escapes the universe"),
+            ([[0, 0], [1, 1]], {}, "not commutative"),
+            # rock-paper-scissors winner: (r*p)*s = s but r*(p*s) = r
+            ([[0, 1, 0], [1, 1, 2], [0, 2, 2]], {}, "not associative"),
+            ([[0, 0], [0, 0]], {"identity_value": "a"}, "identity is not neutral"),
+            ([[0, 1], [1, 0]], {"zero_value": "a"}, "zero is not absorbing"),
+        ],
+        ids=["rows", "row-length", "entry-above", "entry-negative", "asymmetric",
+             "non-associative", "identity", "zero"],
+    )
+    def test_malformed_table_rejected(self, table, specials, message):
+        values = ["a", "b", "c"][: len(table[0])]
+        with pytest.raises(ValueError, match=message):
+            FiniteSemigroup("product", values, table, **specials)
 
 
 class TestTableCap:

@@ -62,10 +62,10 @@ class TestSigma:
         assert sigma(T) == poly(3, 2)
 
     def test_empty_without_identity_rejected(self):
-        # build a tiny identity-free semigroup directly: right-zero of INFs
+        # build a tiny identity-free semigroup directly: every product is "a"
         from davenport.semigroup import FiniteSemigroup
 
-        S = FiniteSemigroup("product", ["a", "b"], lambda u, v: "a", zero_value=None)
+        S = FiniteSemigroup("product", ["a", "b"], [[0, 0], [0, 0]])
         with pytest.raises(ValueError):
             sigma_index(Sequence.empty(S))
 
@@ -361,7 +361,7 @@ class TestDavenportExact:
     def test_identityless_rejected(self):
         from davenport.semigroup import FiniteSemigroup
 
-        S = FiniteSemigroup("product", ["a"], lambda u, v: "a")
+        S = FiniteSemigroup("product", ["a"], [[0]])
         with pytest.raises(ValueError):
             davenport_exact(S)
 
