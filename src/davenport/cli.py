@@ -197,18 +197,12 @@ def _cmd_verify(args) -> int:
     if args.claim == "theorem1":
         if args.prime is None or args.poly is None:
             raise ParseError("verify theorem1 needs -p and -f", 0)
-        f = _poly_arg(args)
-        if args.dump:
-            _maybe_dump(args, build_quotient_semigroup(args.prime, f))
-        report = verify_theorem1(args.prime, f, budget_ms=args.budget_ms)
+        report = verify_theorem1(args.prime, _poly_arg(args), budget_ms=args.budget_ms)
     elif args.claim == "lemma":
         if not args.nlist:
             raise ParseError("verify lemma needs -n n1,n2,...", 0)
-        ns = _nlist_arg(args.nlist)
-        if args.dump:
-            _maybe_dump(args, _semigroup_from_args(args))
         report = verify_lemma_product(
-            ns,
+            _nlist_arg(args.nlist),
             budget_ms=args.budget_ms,
             stress=args.stress,
             seed=args.seed,
@@ -216,8 +210,6 @@ def _cmd_verify(args) -> int:
     else:  # proposition
         if args.prime is None:
             raise ParseError("verify proposition needs -p", 0)
-        if args.dump:
-            _maybe_dump(args, proposition_semigroup(args.prime))
         report = verify_proposition(
             args.prime,
             budget_ms=args.budget_ms,
@@ -225,6 +217,8 @@ def _cmd_verify(args) -> int:
             samples=args.samples,
             seed=args.seed,
         )
+    # the semigroup the verification built, so --dump builds none of its own
+    _maybe_dump(args, report.semigroup)
     return _report_exit(args, report)
 
 

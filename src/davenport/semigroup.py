@@ -110,6 +110,9 @@ class FiniteSemigroup:
         self.table = table
         self._validate_axioms()
         self._unit_cache: Optional[UnitGroup] = None
+        # coordinate tables of a product, built on first use
+        self._zero_sets: Optional[list[frozenset]] = None
+        self._projections: dict[frozenset, list[int]] = {}
 
     # -- core ------------------------------------------------------------
 
@@ -232,6 +235,7 @@ def build_quotient_semigroup(p: int, f: Poly) -> FiniteSemigroup:
     )
     S.p = p
     S.modulus = f
+    S._factorization = None  # factor(f), on first use
     return S
 
 
@@ -441,9 +445,10 @@ def _closed_form_invariants(S: FiniteSemigroup):
     """Unit-group structure pinned down by the quotient modulus, when it is."""
     if S.kind != "quotient":
         return None
-    f: Poly = S.modulus
     p: int = S.p
-    fac: Factorization = factor(f)
+    if S._factorization is None:
+        S._factorization = factor(S.modulus)
+    fac: Factorization = S._factorization
     if fac.is_squarefree:
         orders = [p ** g.degree - 1 for g, _ in fac.factors]
         return invariant_factors_from_cyclic_orders(orders)
@@ -547,19 +552,25 @@ class CrtDecomposition:
         return tuple(p**g.degree - 1 for g in self.factor_polys)
 
 
-def crt_decompose(p: int, f: Poly) -> CrtDecomposition:
+def crt_decompose(
+    p: int, f: Poly, fac: Optional[Factorization] = None
+) -> CrtDecomposition:
     """Split F_p[x]/<f> into quotients by the distinct irreducible factors.
 
     Requires f squarefree; each factor semigroup is a finite field's
     multiplicative semigroup, i.e. a cyclic group with an absorbing zero.
+    A caller that has factored f already passes the factorization as
+    ``fac``; the source quotient keeps it for ``units_of``.
     """
-    fac = factor(f)
+    if fac is None:
+        fac = factor(f)
     if not fac.is_squarefree:
         raise HypothesisViolation(
             f"modulus is not squarefree: {fac}; its repeated factors leave "
             "the decomposable regime"
         )
     source = build_quotient_semigroup(p, f)
+    source._factorization = fac
     polys = tuple(g for g, _ in fac.factors)
     # a lone factor is f up to a unit, so its quotient is the source itself
     parts = (source,) if len(polys) == 1 else tuple(
@@ -578,19 +589,68 @@ def crt_decompose(p: int, f: Poly) -> CrtDecomposition:
 # -- product-coordinate helpers --------------------------------------------
 
 
+def _coordinate_factors(S: FiniteSemigroup) -> Seq[FiniteSemigroup]:
+    """Factors of S; a lone C_n ∪ {inf} is its own single factor."""
+    if S.kind == "product" and S.factors is not None:
+        return S.factors
+    if S.kind == "cyclic_with_zero":
+        return (S,)
+    raise TypeError(
+        "coordinate maps are defined on product semigroups and on C_n ∪ {inf}"
+    )
+
+
 def _coordinates(S: FiniteSemigroup, a) -> tuple[Seq[FiniteSemigroup], tuple]:
     """Factors of S and the components of a; a lone C_n ∪ {inf} has one."""
-    if S.kind == "product" and S.factors is not None:
-        factors, components = S.factors, a
-    elif S.kind == "cyclic_with_zero":
-        factors, components = (S,), (a,)
-    else:
-        raise TypeError(
-            "coordinate maps are defined on product semigroups and on C_n ∪ {inf}"
-        )
+    factors = _coordinate_factors(S)
     if a not in S.index_of:
         raise ValueError(f"element {a!r} not in the universe")
-    return factors, components
+    return factors, (a if S.kind == "product" else (a,))
+
+
+def _digits(factors: Seq[FiniteSemigroup]) -> list[tuple[int, ...]]:
+    """Factor indices of each product index: mixed radix with the last
+    factor fastest, as ``build_product`` lists the product's values."""
+    digits = [()]
+    for f in factors:
+        digits = [d + (w,) for d in digits for w in range(f.size)]
+    return digits
+
+
+def zero_coordinate_sets(S: FiniteSemigroup) -> list[frozenset]:
+    """``j_set`` of every element, by index.
+
+    Read off the factor indices on first use and kept on S, so it lives
+    as long as S does.
+    """
+    if S._zero_sets is None:
+        factors = _coordinate_factors(S)
+        S._zero_sets = [
+            frozenset(pos for pos, (w, f) in enumerate(zip(d, factors), start=1)
+                      if w == f.zero)
+            for d in _digits(factors)
+        ]
+    return S._zero_sets
+
+
+def projection_indices(S: FiniteSemigroup, I) -> list[int]:
+    """``psi_projection(S, I, .)`` by index: entry i is the index of the
+    image of element i. Built on first use for each I and kept on S."""
+    I = frozenset(I)
+    table = S._projections.get(I)
+    if table is None:
+        factors = _coordinate_factors(S)
+        for i in I:
+            if not 1 <= i <= len(factors):
+                raise ValueError(f"coordinate {i} out of range [1, {len(factors)}]")
+        table = []
+        for d in _digits(factors):
+            idx = 0
+            for pos, (w, f) in enumerate(zip(d, factors), start=1):
+                idx = idx * f.size + (f.identity if pos in I else w)
+            table.append(idx)
+        S._projections[I] = table
+    return table
 
 
 def j_set(S: FiniteSemigroup, a) -> frozenset:

@@ -31,21 +31,20 @@ from .semigroup import (
     build_adjoined_zero_product,
     build_quotient_semigroup,
     crt_decompose,
-    j_set,
-    psi_projection,
+    projection_indices,
     units_of,
+    zero_coordinate_sets,
 )
 from .zerosum import (
     Budget,
     DavenportResult,
     Sequence,
     _dp_select,
+    _product_index,
     davenport_exact,
     davenport_montecarlo_upper,
-    find_reduction,
     is_reducible,
     random_sequence,
-    sigma_index,
 )
 
 STATUS_VERIFIED = "verified"
@@ -74,6 +73,11 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.status == STATUS_VERIFIED
+
+    @property
+    def semigroup(self) -> FiniteSemigroup:
+        """The semigroup S of D(S), where the lhs witness lives."""
+        return self.lhs.witness.parent
 
     def to_record(self) -> dict:
         return {
@@ -120,27 +124,33 @@ def _status_for(
 
 def assert_valid_reduction(T: Sequence, T_prime: Sequence) -> None:
     """Independent check: T' is a proper sub-multiset with the same product."""
-    if not T_prime.is_proper_subsequence_of(T):
+    S = T.parent
+    have = dict(T.pairs)
+    if (
+        T_prime.parent is not S
+        or len(T_prime) >= len(T)
+        or any(c > have.get(i, 0) for i, c in T_prime.pairs)
+    ):
         raise AssertionError("reduction output is not a proper subsequence")
-    if sigma_index(T_prime) != sigma_index(T):
+    if _product_index(S, T_prime.pairs) != _product_index(S, T.pairs):
         raise AssertionError("reduction output changed the product")
 
 
-def _remove_subproduct(T: Sequence, source: Sequence, target: int) -> Sequence:
-    """T minus the canonical nonempty sub-multiset of ``source`` with product
-    ``target``, where ``source`` is part of T.
+def _remove_subproduct(S: FiniteSemigroup, pairs, source, target: int) -> list:
+    """``pairs`` minus the canonical nonempty sub-multiset of ``source`` with
+    product ``target``, where ``source`` is part of ``pairs``; all three are
+    (index, count) pairs.
 
     Raises AssertionError when there is none: on threshold-length input
     that would falsify the claim.
     """
-    S = T.parent
-    counts = _dp_select(S, source.pairs, target, proper=False)
+    counts = _dp_select(S, source, target, proper=False)
     if counts is None:
         raise AssertionError(
             f"no nonempty subsequence multiplies to {S.format_element(target)}; "
             "this would falsify the claim"
         )
-    return T.remove(Sequence(S, counts.items()))
+    return [(i, c - counts.get(i, 0)) for i, c in pairs]
 
 
 def _stress(
@@ -189,26 +199,28 @@ def constructive_reduction(
         raise ValueError(
             f"hypothesis |T| >= D(U(S)) not met: {len(T)} < {d_units}"
         )
+    # the procedure runs on (index, count) pairs; T' is the only Sequence built
     e = S.identity
-    j_sigma = j_set(S, S.values[sigma_index(T)])
+    pairs = T.pairs
+    zero_sets = zero_coordinate_sets(S)
+    j_sigma = zero_sets[_product_index(S, pairs)]
 
     if not j_sigma:
         # every term is invertible: remove a nonempty identity-product V
-        T_prime = _remove_subproduct(T, T, e)
+        T_prime = Sequence(S, _remove_subproduct(S, pairs, pairs, e))
         assert_valid_reduction(T, T_prime)
         return T_prime
 
     # for each absorbing coordinate, pick the first term (canonical order)
     # absorbing there; coordinates the pick also covers are crossed off, so
     # V has at most |j_sigma| distinct terms
-    zero_coords = {i: j_set(S, S.values[i]) for i, _ in T.pairs}
     covered: set[int] = set()
     v_indices: list[int] = []
     for coord in sorted(j_sigma):
         if coord in covered:
             continue
-        for i, _ in T.pairs:
-            coords = zero_coords[i]
+        for i, _ in pairs:
+            coords = zero_sets[i]
             if coord in coords:
                 if i not in v_indices:
                     v_indices.append(i)
@@ -216,36 +228,33 @@ def constructive_reduction(
                 break
         else:
             raise AssertionError("sigma(T) absorbs a coordinate no term absorbs")
-    V = Sequence.from_indices(S, v_indices)
-    TV = T.remove(V)
 
-    # project the rest away from the absorbing coordinates; terms become units
-    proj_of = {
-        i: S.index_of[psi_projection(S, j_sigma, S.values[i])] for i, _ in TV.pairs
-    }
+    # project T minus V away from the absorbing coordinates; terms become units
+    proj_of = projection_indices(S, j_sigma)
     proj_pairs: dict[int, int] = {}
-    for i, c in TV.pairs:
-        proj_pairs[proj_of[i]] = proj_pairs.get(proj_of[i], 0) + c
+    for i, c in pairs:
+        c -= i in v_indices
+        if c:
+            proj_pairs[proj_of[i]] = proj_pairs.get(proj_of[i], 0) + c
     counts = _dp_select(S, sorted(proj_pairs.items()), e, proper=False)
     if counts is None:
         raise AssertionError(
             "no projected identity-product subsequence of the required "
             "length; this would falsify the claim"
         )
-    # lift the projected selection back to concrete terms, canonical first
+    # lift the projected selection W back to terms of T minus V, canonical
+    # first, and drop it from T
     need = dict(counts)
-    w_pairs: dict[int, int] = {}
-    for i, c in TV.pairs:
+    t_prime_pairs = []
+    for i, c in pairs:
         pv = proj_of[i]
-        want = need.get(pv, 0)
-        if want:
-            take = min(c, want)
-            w_pairs[i] = take
-            need[pv] = want - take
+        take = min(c - (i in v_indices), need.get(pv, 0))
+        if take:
+            need[pv] -= take
+        t_prime_pairs.append((i, c - take))
     if any(need.values()):
         raise AssertionError("projected witness could not be lifted")
-    W = Sequence(S, w_pairs.items())
-    T_prime = T.remove(W)
+    T_prime = Sequence(S, t_prime_pairs)
     assert_valid_reduction(T, T_prime)
     return T_prime
 
@@ -313,7 +322,7 @@ def verify_theorem1(
             "modulus (use the conjecture probe instead)"
         )
     budget = Budget(budget_ms)
-    crt = crt_decompose(p, f)
+    crt = crt_decompose(p, f, fac)
     S = crt.source
     U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())
@@ -407,11 +416,12 @@ def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
             f"hypothesis |T| >= D(U(S)) = {d_units} not met: |T| = {len(T)}"
         )
 
-    nonunit_pairs = [(i, c) for i, c in T.pairs if i not in U.inverses]
+    pairs = T.pairs
+    nonunit_pairs = [(i, c) for i, c in pairs if i not in U.inverses]
     n_nonunits = sum(c for _, c in nonunit_pairs)
 
     if n_nonunits == 0:
-        T_prime = _remove_subproduct(T, T, S.identity)
+        t_prime_pairs = _remove_subproduct(S, pairs, pairs, S.identity)
     elif n_nonunits >= 2:
         # the product of any two non-units lands on the absorbing element
         first_two = []
@@ -420,18 +430,25 @@ def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
             first_two.extend([i] * take)
             if len(first_two) == 2:
                 break
-        T_prime = Sequence.from_indices(S, first_two)
-        if sigma_index(T_prime) != S.zero or sigma_index(T) != S.zero:
+        t_prime_pairs = [(i, 1) for i in first_two]
+        if (_product_index(S, t_prime_pairs) != S.zero
+                or _product_index(S, pairs) != S.zero):
             raise AssertionError("non-unit pair failed to absorb the product")
     else:
         a1 = nonunit_pairs[0][0]
-        Tu = T.remove(Sequence.from_indices(S, [a1]))
-        unit_reduction = find_reduction(Tu)
-        if unit_reduction is not None:
-            T_prime = unit_reduction.add(Sequence.from_indices(S, [a1]))
+        unit_pairs = [(i, c) for i, c in pairs if i != a1]
+        counts = _dp_select(
+            S, unit_pairs, _product_index(S, unit_pairs), proper=True
+        )
+        if counts is not None:
+            # a reduction of the unit part, with a1 kept
+            t_prime_pairs = [*counts.items(), (a1, 1)]
         else:
             # x+2 fixes every m(x+1)
-            T_prime = _remove_subproduct(T, Tu, S.index_of[Poly(p, [2, 1])])
+            t_prime_pairs = _remove_subproduct(
+                S, pairs, unit_pairs, S.index_of[Poly(p, [2, 1])]
+            )
+    T_prime = Sequence(S, t_prime_pairs)
     assert_valid_reduction(T, T_prime)
     return T_prime
 
@@ -469,6 +486,8 @@ def verify_proposition(
     # irreducible (checked below), so D(S) >= D(U) always holds explicitly
     gen = _cyclic_generator(U)
     G = U.as_semigroup()
+    # the unit census already fixes D(U), so the side in doubt goes first
+    lhs = davenport_exact(S, budget.remaining_ms())
     rhs = davenport_exact(G, budget.remaining_ms())
     if not rhs.complete:
         rhs = DavenportResult(
@@ -479,7 +498,6 @@ def verify_proposition(
             millis=rhs.millis,
             complete=True,
         )
-    lhs = davenport_exact(S, budget.remaining_ms())
 
     artifacts: dict = {
         "unit_order": U.order,

@@ -145,89 +145,133 @@ def sigma(T: Sequence):
 
 
 def sigma_index(T: Sequence) -> int:
-    S = T.parent
-    acc = None
-    for i, c in T.pairs:
-        term = S.power(i, c)
-        acc = term if acc is None else S.op(acc, term)
+    return _product_index(T.parent, T.pairs)
+
+
+def _product_index(S: FiniteSemigroup, pairs) -> int:
+    """Product of (index, count) pairs, each term folded in through its
+    Cayley-table row; the identity for no terms."""
+    rows = S.table
+    acc = S.identity
+    for i, c in pairs:
+        row = rows[i]
+        if acc is None:
+            acc, c = i, c - 1
+        for _ in range(c):
+            acc = row[acc]
     if acc is None:
-        if S.identity is None:
-            raise ValueError("empty sequence over a semigroup without identity")
-        return S.identity
+        raise ValueError("empty sequence over a semigroup without identity")
     return acc
 
 
-# Layered DP over distinct elements. A state is (product index, used all
-# copies so far, used any copy so far); the flags single out the full
-# selection and the empty selection exactly once each.
-_EMPTY = -1
-
-
 def _dp_layers(S: FiniteSemigroup, pairs):
-    start_sum = S.identity if S.identity is not None else _EMPTY
+    """Forward pass of the layered DP over distinct elements, given as
+    (index, positive count) pairs.
+
+    A selection from the first k pairs is empty, full, or partial
+    (neither). Layer k is (the partial products, in insertion order, as
+    dict keys; the full selection's product; the powers x, ..., x^c of
+    pair k). Layer k+1 inserts, in this order: the empty selection times
+    x^1..x^c (x^c only once the empty and full selections differ, k >= 1),
+    each partial product times x^0..x^c, and the full product times
+    x^0..x^(c-1) (k >= 1). The empty selection's product is the identity
+    where there is one, so it times x^t is x^t.
+    """
     rows = S.table
-    layers = [{(start_sum, True, False): None}]
-    for x, c in pairs:
-        powers = [S.power(x, take) for take in range(1, c + 1)]
-        nxt: dict = {}
-        for state in layers[-1]:
-            s, all_used, any_used = state
-            for take in range(c + 1):
-                if take == 0:
-                    t = s
-                else:
-                    px = powers[take - 1]
-                    t = px if s == _EMPTY else rows[s][px]
-                key = (t, all_used and take == c, any_used or take > 0)
-                old = nxt.get(key)
-                if old is None or take < old[1]:
-                    nxt[key] = (state, take)
-        layers.append(nxt)
+    parts: dict[int, None] = {}
+    full = S.identity
+    layers = [(parts, full, ())]
+    for k, (x, c) in enumerate(pairs):
+        row_x = rows[x]
+        powers = [x]
+        for _ in range(c - 1):
+            powers.append(row_x[powers[-1]])
+        below_c = powers[:-1]
+        out = powers[:] if k else below_c
+        for s in parts:
+            row = rows[s]
+            out.append(s)
+            out += [row[px] for px in powers]
+        if k:
+            row = rows[full]
+            out.append(full)
+            out += [row[px] for px in below_c]
+            full = row[powers[-1]]
+        else:
+            full = powers[-1]
+        parts = dict.fromkeys(out)
+        layers.append((parts, full, powers))
     return layers
 
 
-def _dp_final_states(layers, proper: bool):
-    """Last-layer states of the selections a query admits.
-
-    ``proper``: proper sub-multisets, the empty one included when there is
-    an identity to be its product; otherwise nonempty sub-multisets, the
-    full one included.
-    """
-    for state in layers[-1]:
-        s, all_used, any_used = state
-        if s != _EMPTY and (not (all_used and any_used) if proper else any_used):
-            yield state
-
-
 def _dp_collect(S, pairs, *, proper: bool) -> set[int]:
-    return {s for s, _, _ in _dp_final_states(_dp_layers(S, pairs), proper)}
+    """Products of the proper sub-multisets (the empty one included when
+    there is an identity), or else of the nonempty ones."""
+    parts, full, _ = _dp_layers(S, pairs)[-1]
+    out = set(parts)
+    if proper:
+        if S.identity is not None:
+            out.add(S.identity)
+    elif pairs:
+        out.add(full)
+    return out
 
 
 def _dp_select(S, pairs, target: int, *, proper: bool) -> Optional[dict[int, int]]:
     """Deterministic sub-multiset with the target product, or None.
 
-    Among admissible selections the reconstruction prefers the empty one,
-    then ones that leave something out, then fewer copies of later
-    elements (the min-take back-pointers recorded by the layering).
+    ``proper`` admits the proper sub-multisets, the empty one included
+    when there is an identity; otherwise the nonempty ones. Among the
+    admitted selections with the target product the empty one comes
+    first, then the partial ones, then the full one. A partial one is
+    rebuilt backwards, layer by layer, by this rule: the partial product t
+    of layer k comes from the source in layer k-1 and the take of pair k
+    (copies used) with the smallest take that multiplies to t; on a tie
+    the empty selection wins, then the earliest-inserted partial product,
+    then the full selection. Once the source is the empty or the full
+    selection, every earlier pair is taken 0 or all times.
+
+    Why no back-pointers are needed: a DP that keeps, for every state, the
+    first (source, take) reaching it with the least take, scanning sources
+    in the order empty, partials as inserted, full, and takes ascending,
+    records exactly the pointer this rule picks, because the rule scans
+    the same candidates in the same order. The scan only needs layer k-1's
+    reachable products and their order, which ``_dp_layers`` keeps: its
+    layer k is that scan's first occurrences (``dict.fromkeys``), so by
+    induction the partial products are ordered by the least take vector
+    reaching them, compared lexicographically; the empty selection's
+    vector is the least and the full one's the largest.
     """
     layers = _dp_layers(S, pairs)
-    best = None
-    for state in _dp_final_states(layers, proper):
-        s, all_used, any_used = state
-        if s != target:
-            continue
-        rank = (any_used, all_used)
-        if best is None or rank < best[0]:
-            best = (rank, state)
-    if best is None:
-        return None
+    parts, full, _ = layers[-1]
+    if proper and target == S.identity:
+        return {}
+    if target not in parts:
+        return dict(pairs) if not proper and pairs and full == target else None
+    rows = S.table
     counts: dict[int, int] = {}
-    cur = best[1]
-    for depth in range(len(layers) - 1, 0, -1):
-        prev_state, take = layers[depth][cur]
-        if take:
-            counts[pairs[depth - 1][0]] = take
-        cur = prev_state
+    t = target
+    for k in range(len(pairs), 1, -1):
+        x, c = pairs[k - 1]
+        prev, prev_full, _ = layers[k - 1]
+        if t in prev:  # take 0 of a partial selection
+            continue
+        if prev_full == t:  # take 0 of the full selection
+            counts.update(pairs[:k - 1])
+            return counts
+        for take, px in enumerate(layers[k][2], 1):
+            counts[x] = take
+            if px == t:  # the empty selection
+                return counts
+            s = next((s for s in prev if rows[s][px] == t), None)
+            if s is not None:
+                t = s
+                break
+            if take < c and rows[prev_full][px] == t:
+                counts.update(pairs[:k - 1])
+                return counts
+    # layer 0 is the empty selection, which is also the full one
+    counts[pairs[0][0]] = layers[1][2].index(t) + 1
     return counts
 
 

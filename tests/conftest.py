@@ -133,3 +133,68 @@ def c2z_squared():
     from davenport import build_cyclic_with_zero, build_product
 
     return build_product([build_cyclic_with_zero(2), build_cyclic_with_zero(2)])
+
+
+# The layered DP as it stood with back-pointers: a state is (product
+# index, used all copies so far, used any copy so far), and each state
+# keeps the first (state, take) that reaches it with the least take.
+_EMPTY = -1
+
+
+def backpointer_dp_layers(S, pairs):
+    start_sum = S.identity if S.identity is not None else _EMPTY
+    rows = S.table
+    layers = [{(start_sum, True, False): None}]
+    for x, c in pairs:
+        powers = [S.power(x, take) for take in range(1, c + 1)]
+        nxt = {}
+        for state in layers[-1]:
+            s, all_used, any_used = state
+            for take in range(c + 1):
+                if take == 0:
+                    t = s
+                else:
+                    px = powers[take - 1]
+                    t = px if s == _EMPTY else rows[s][px]
+                key = (t, all_used and take == c, any_used or take > 0)
+                old = nxt.get(key)
+                if old is None or take < old[1]:
+                    nxt[key] = (state, take)
+        layers.append(nxt)
+    return layers
+
+
+def _backpointer_final_states(layers, proper):
+    for state in layers[-1]:
+        s, all_used, any_used = state
+        if s != _EMPTY and (not (all_used and any_used) if proper else any_used):
+            yield state
+
+
+def backpointer_dp_collect(S, pairs, *, proper):
+    layers = backpointer_dp_layers(S, pairs)
+    return {s for s, _, _ in _backpointer_final_states(layers, proper)}
+
+
+def backpointer_dp_select(S, pairs, target, *, proper):
+    """The admissible final state of least (any used, all used) with the
+    target product, followed back through its back-pointers."""
+    layers = backpointer_dp_layers(S, pairs)
+    best = None
+    for state in _backpointer_final_states(layers, proper):
+        s, all_used, any_used = state
+        if s != target:
+            continue
+        rank = (any_used, all_used)
+        if best is None or rank < best[0]:
+            best = (rank, state)
+    if best is None:
+        return None
+    counts = {}
+    cur = best[1]
+    for depth in range(len(layers) - 1, 0, -1):
+        prev_state, take = layers[depth][cur]
+        if take:
+            counts[pairs[depth - 1][0]] = take
+        cur = prev_state
+    return counts

@@ -127,6 +127,33 @@ class TestFactorUnitsDump:
         assert dump["semigroup"]["kind"] == "quotient"
         assert dump["semigroup"]["size"] == 3
 
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["theorem1", "-p", "3", "-f", "x^2+x"], ["x^2+x", "x", "x+1"]),
+            (["proposition", "-p", "3", "--stress", "10"], ["x^2+2*x+1"]),
+        ],
+        ids=["theorem1", "proposition"],
+    )
+    def test_verify_dump_builds_once(self, capsys, monkeypatch, argv, built):
+        import davenport.cli
+        import davenport.semigroup
+        import davenport.verify
+
+        moduli = []
+        for module in (davenport.cli, davenport.semigroup, davenport.verify):
+            def counting(p, g, build=module.build_quotient_semigroup):
+                moduli.append(str(g))
+                return build(p, g)
+
+            monkeypatch.setattr(module, "build_quotient_semigroup", counting)
+        code, out, _ = run(capsys, "verify", *argv, "--dump", "--format", "record")
+        assert code == 0
+        assert moduli == built
+        dump, report = map(json.loads, out.strip().splitlines())
+        assert dump["semigroup"]["params"] == {"p": 3, "f": built[0]}
+        assert report["status"] == "verified"
+
 
 class TestProbeVerb:
     def test_probe_evidence(self, capsys):

@@ -1,7 +1,7 @@
 """Semigroup models: construction, axioms, units, CRT, projections."""
 
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -23,7 +23,13 @@ from davenport import (
     units_of,
 )
 from davenport.gfpoly import Poly, factor, is_prime
-from davenport.semigroup import FiniteSemigroup, invariant_factors_from_cyclic_orders
+from davenport.semigroup import (
+    FiniteSemigroup,
+    build_adjoined_zero_product,
+    invariant_factors_from_cyclic_orders,
+    projection_indices,
+    zero_coordinate_sets,
+)
 
 from conftest import value_product
 
@@ -444,6 +450,36 @@ class TestCoordinateMaps:
             one_then_two = psi_projection(P, {2}, psi_projection(P, {1}, a))
             both = psi_projection(P, {1, 2}, a)
             assert one_then_two == both
+
+    @pytest.mark.parametrize(
+        "orders", [[3], [2, 2], [2, 3], [3, 2], [2, 2, 2], [2, 3, 4]],
+        ids=lambda o: "x".join(map(str, o)),
+    )
+    def test_index_tables_match_value_maps(self, orders):
+        P = build_adjoined_zero_product(orders)
+        k = len(orders)
+        zero_sets = zero_coordinate_sets(P)
+        assert zero_sets == [j_set(P, v) for v in P.values]
+        for r in range(k + 1):
+            for I in combinations(range(1, k + 1), r):
+                assert projection_indices(P, I) == [
+                    P.index_of[psi_projection(P, I, v)] for v in P.values
+                ]
+
+    def test_index_tables_kept_on_the_semigroup(self, c2z_squared):
+        P = build_product([build_cyclic_with_zero(2)] * 2)
+        assert zero_coordinate_sets(P) is zero_coordinate_sets(P)
+        assert projection_indices(P, [1]) is projection_indices(P, {1})
+        assert zero_coordinate_sets(P) is not zero_coordinate_sets(c2z_squared)
+
+    def test_index_tables_reject_what_the_value_maps_reject(self, quotient_p3_sq):
+        with pytest.raises(TypeError):
+            zero_coordinate_sets(quotient_p3_sq)
+        with pytest.raises(TypeError):
+            projection_indices(quotient_p3_sq, {1})
+        P = build_product([build_cyclic_with_zero(2)] * 2)
+        with pytest.raises(ValueError):
+            projection_indices(P, {3})
 
 
 class TestDescriptions:

@@ -1,5 +1,6 @@
 """Verification harness: claim checks, constructive reductions, reports."""
 
+import hashlib
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from davenport.verify import (
     verify_proposition,
     verify_theorem1,
 )
+from davenport.semigroup import build_adjoined_zero_product
 from davenport.zerosum import sigma_index
 
 
@@ -103,6 +105,55 @@ class TestTheorem1:
         verify_theorem1(3, f)
         assert moduli.count(f) == 1
 
+    def test_factors_the_modulus_once(self, monkeypatch):
+        import davenport.semigroup
+        import davenport.verify
+
+        factored = []
+        for module in (davenport.semigroup, davenport.verify):
+            def counting(f, factor=module.factor):
+                factored.append(str(f))
+                return factor(f)
+
+            monkeypatch.setattr(module, "factor", counting)
+        # the searches stop on their first node; factoring precedes them
+        verify_theorem1(7, poly(7, 0, 1, 1), budget_ms=0)
+        assert factored == ["x^2+x"]
+
+
+def reduction_digest() -> str:
+    """SHA-256 of input -> output lines of both reduction procedures on
+    seeded threshold-length sequences, and on every one-non-unit sequence
+    whose unit part is a generator power (the fixing-product case)."""
+    h = hashlib.sha256()
+
+    def record(T, T_prime):
+        h.update(f"{T.format()} -> {T_prime.format()}\n".encode())
+
+    for n_list in ([2], [3], [6], [2, 2], [2, 4], [3, 3], [2, 2, 2], [2, 2, 4], [3, 4]):
+        S = build_adjoined_zero_product(n_list)
+        d = davenport_exact(units_of(S).as_semigroup()).value
+        rng = random.Random(f"lemma {n_list}")
+        for _ in range(150):
+            T = random_sequence(S, d + rng.randrange(2), rng)
+            record(T, constructive_reduction(S, T, d_units=d))
+    for p in (3, 5, 7):
+        S = proposition_semigroup(p)
+        rng = random.Random(f"proposition {p}")
+        for _ in range(150):
+            T = random_sequence(S, p * (p - 1) + rng.randrange(2), rng)
+            record(T, reduce_quadratic_case(p, T))
+        d = p * (p - 1)
+        units = units_of(S).inverses
+        for g in sorted(units):
+            if is_reducible(Sequence(S, [(g, d - 1)])):
+                continue
+            for a in range(S.size):
+                if a not in units:
+                    T = Sequence(S, [(g, d - 1), (a, 1)])
+                    record(T, reduce_quadratic_case(p, T))
+    return h.hexdigest()
+
 
 class TestConstructiveReduction:
     def test_all_units_zero_sum_gives_empty(self, c2z_squared):
@@ -134,6 +185,40 @@ class TestConstructiveReduction:
         T = Sequence.of(quotient_p3_sq, poly(3, 2))
         with pytest.raises(TypeError):
             constructive_reduction(quotient_p3_sq, T, d_units=1)
+
+    def test_outputs_pinned(self):
+        # the digest of the outputs before the reductions moved to index pairs
+        assert reduction_digest() == (
+            "9a8dd7007eaeee42dd07e353bba9c135aecfa08f87ddae1f2989ce5588baef48"
+        )
+
+    def test_coordinate_tables_built_once_per_semigroup(self, monkeypatch):
+        import davenport.semigroup
+        import davenport.verify
+
+        value_maps = []
+        for module in (davenport.semigroup, davenport.verify):
+            for name in ("j_set", "psi_projection"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, lambda *args, name=name: value_maps.append(name)
+                    )
+        builds = []
+        digits = davenport.semigroup._digits
+        monkeypatch.setattr(
+            davenport.semigroup, "_digits", lambda f: builds.append(f) or digits(f)
+        )
+        P = build_product([build_cyclic_with_zero(2), build_cyclic_with_zero(2)])
+        inf_1 = P.index_of[(INF, 1)]
+        for T in (
+            Sequence(P, [(inf_1, 1), (P.index_of[(1, 1)], 2)]),
+            Sequence(P, [(inf_1, 1), (P.index_of[(1, 0)], 1), (P.index_of[(0, 1)], 1)]),
+        ):
+            T_prime = constructive_reduction(P, T, d_units=3)
+            assert T_prime.is_proper_subsequence_of(T)
+            # the zero-coordinate sets and the projection away from {1}
+            assert len(builds) == 2
+        assert value_maps == []
 
     @pytest.mark.parametrize("n_list", [[2], [3], [2, 2], [2, 4], [3, 3], [2, 2, 2]])
     def test_random_threshold_sequences(self, n_list):
@@ -291,6 +376,12 @@ class TestProposition:
         moduli = count_quotient_builds(monkeypatch)
         verify_proposition(3, stress=5, samples=10)
         assert moduli == [quadratic_modulus(3)]
+
+    def test_semigroup_side_searched_first(self):
+        # D(U) is fixed by the unit census; a short budget goes to D(S)
+        report = verify_proposition(7, budget_ms=500, stress=0, samples=1)
+        assert report.lhs.nodes > 1
+        assert (report.rhs.method, report.rhs.value) == ("formula", 42)
 
     def test_incomplete_when_budget_zero(self):
         report = verify_proposition(5, budget_ms=0, stress=10, samples=50)

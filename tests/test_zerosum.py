@@ -31,7 +31,7 @@ from davenport import (
     units_of,
 )
 from davenport import zerosum
-from davenport.semigroup import build_adjoined_zero_product
+from davenport.semigroup import FiniteSemigroup, build_adjoined_zero_product
 from davenport.verify import build_witness_V, proposition_semigroup
 from davenport.zerosum import (
     _translate_mask,
@@ -41,6 +41,8 @@ from davenport.zerosum import (
 
 from conftest import (
     all_multisets,
+    backpointer_dp_collect,
+    backpointer_dp_select,
     brute_is_reducible,
     brute_proper_subsums,
     brute_sumset,
@@ -192,6 +194,39 @@ class TestTranslateTables:
                     if (R >> r) & 1:
                         expected |= 1 << S.op(r, x)
                 assert _translate_mask(chunks, R) == expected
+
+
+class TestLayeredDP:
+    """The back-pointer-free layered DP against the back-pointer one."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_cyclic_with_zero(3),
+            lambda: build_product([build_cyclic_with_zero(2)] * 2),
+            lambda: build_abelian_group([2, 2]),
+            lambda: build_quotient_semigroup(3, poly(3, 1, 2, 1)),
+            # identity-free: the null semigroup, and a <- a^2 = b -> 0
+            lambda: FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]]),
+            lambda: FiniteSemigroup(
+                "nilpotent", [0, 1, 2], [[0, 0, 0], [0, 2, 0], [0, 0, 0]]
+            ),
+        ],
+        ids=["c3z", "c2z^2", "c2^2", "p3sq", "null2", "nil3"],
+    )
+    def test_matches_backpointer_oracle(self, build):
+        S = build()
+        for length in range(5):
+            for indices in all_multisets(S.size, length):
+                pairs = Sequence.from_indices(S, indices).pairs
+                for proper in (True, False):
+                    assert zerosum._dp_collect(
+                        S, pairs, proper=proper
+                    ) == backpointer_dp_collect(S, pairs, proper=proper)
+                    for target in range(S.size):
+                        assert zerosum._dp_select(
+                            S, pairs, target, proper=proper
+                        ) == backpointer_dp_select(S, pairs, target, proper=proper)
 
 
 class TestZeroSumFree:
