@@ -33,8 +33,6 @@ from .semigroup import (
     build_quotient_semigroup,
     crt_decompose,
     is_group,
-    j_set,
-    psi_projection,
     units_of,
 )
 from .zerosum import (
@@ -79,8 +77,6 @@ __all__ = [
     "build_quotient_semigroup",
     "crt_decompose",
     "is_group",
-    "j_set",
-    "psi_projection",
     "units_of",
     "DavenportResult",
     "MonteCarloReport",

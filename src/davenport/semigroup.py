@@ -20,9 +20,9 @@ validates its own table. Each builder rejects a larger universe with
 ``ValueError`` before enumerating it. Instances are immutable after
 construction, so they can be shared freely.
 
-The semigroup operation is written multiplicatively throughout (``mul``),
-matching ring multiplication in the quotient case; for the adjoined-zero
-and group kinds "multiplying" g^i and g^j adds exponents.
+The semigroup operation is written multiplicatively throughout (``op``,
+on indices), matching ring multiplication in the quotient case; for the
+adjoined-zero and group kinds "multiplying" g^i and g^j adds exponents.
 """
 
 from __future__ import annotations
@@ -122,10 +122,6 @@ class FiniteSemigroup:
     def op(self, i: int, j: int) -> int:
         """Product of elements by index."""
         return self.table[i][j]
-
-    def mul(self, a, b):
-        """Product of elements by value."""
-        return self.values[self.op(self.index_of[a], self.index_of[b])]
 
     def power(self, i: int, k: int) -> int:
         """k-th power by index; k = 0 requires an identity."""
@@ -441,14 +437,19 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
     return ug
 
 
+def modulus_factorization(S: FiniteSemigroup) -> Factorization:
+    """``factor(S.modulus)`` of a quotient, factored once and kept on S."""
+    if S._factorization is None:
+        S._factorization = factor(S.modulus)
+    return S._factorization
+
+
 def _closed_form_invariants(S: FiniteSemigroup):
     """Unit-group structure pinned down by the quotient modulus, when it is."""
     if S.kind != "quotient":
         return None
     p: int = S.p
-    if S._factorization is None:
-        S._factorization = factor(S.modulus)
-    fac: Factorization = S._factorization
+    fac = modulus_factorization(S)
     if fac.is_squarefree:
         orders = [p ** g.degree - 1 for g, _ in fac.factors]
         return invariant_factors_from_cyclic_orders(orders)
@@ -467,7 +468,7 @@ def _invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
     rank by rank into the divisibility chain d_1 | d_2 | ... | d_r.
     """
     n = group.size
-    orders = [_element_order(group, i, n) for i in range(n)]
+    orders = [element_order(group, i, n) for i in range(n)]
     per_prime: dict[int, list[int]] = {}
     for q in prime_factors(n):
         qpow_counts: dict[int, int] = {}
@@ -499,7 +500,8 @@ def _invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
     return _merge_prime_powers(per_prime)
 
 
-def _element_order(group: FiniteSemigroup, i: int, group_order: int) -> int:
+def element_order(group: FiniteSemigroup, i: int, group_order: int) -> int:
+    """Order of element i of a group of order ``group_order``."""
     order = group_order
     for q in prime_factors(group_order):
         while order % q == 0 and group.power(i, order // q) == group.identity:
@@ -541,10 +543,6 @@ class CrtDecomposition:
     factors: tuple[FiniteSemigroup, ...]
     product: FiniteSemigroup
     iso: dict  # source index -> product index
-
-    def map_value(self, a: Poly) -> tuple:
-        """Residue vector (a mod f_1, ..., a mod f_k)."""
-        return tuple(a % g for g in self.factor_polys)
 
     @property
     def cyclic_orders(self) -> tuple[int, ...]:
@@ -600,14 +598,6 @@ def _coordinate_factors(S: FiniteSemigroup) -> Seq[FiniteSemigroup]:
     )
 
 
-def _coordinates(S: FiniteSemigroup, a) -> tuple[Seq[FiniteSemigroup], tuple]:
-    """Factors of S and the components of a; a lone C_n ∪ {inf} has one."""
-    factors = _coordinate_factors(S)
-    if a not in S.index_of:
-        raise ValueError(f"element {a!r} not in the universe")
-    return factors, (a if S.kind == "product" else (a,))
-
-
 def _digits(factors: Seq[FiniteSemigroup]) -> list[tuple[int, ...]]:
     """Factor indices of each product index: mixed radix with the last
     factor fastest, as ``build_product`` lists the product's values."""
@@ -618,7 +608,8 @@ def _digits(factors: Seq[FiniteSemigroup]) -> list[tuple[int, ...]]:
 
 
 def zero_coordinate_sets(S: FiniteSemigroup) -> list[frozenset]:
-    """``j_set`` of every element, by index.
+    """The 1-based coordinates at which each element, by index, equals
+    its factor's zero.
 
     Read off the factor indices on first use and kept on S, so it lives
     as long as S does.
@@ -634,8 +625,13 @@ def zero_coordinate_sets(S: FiniteSemigroup) -> list[frozenset]:
 
 
 def projection_indices(S: FiniteSemigroup, I) -> list[int]:
-    """``psi_projection(S, I, .)`` by index: entry i is the index of the
-    image of element i. Built on first use for each I and kept on S."""
+    """The projection that sets the 1-based coordinates in I to the factor
+    identity, by index: entry i is the index of the image of element i.
+
+    The map is a homomorphism of the product onto the sub-semigroup
+    supported on the remaining coordinates. Built on first use for each I
+    and kept on S.
+    """
     I = frozenset(I)
     table = S._projections.get(I)
     if table is None:
@@ -651,35 +647,6 @@ def projection_indices(S: FiniteSemigroup, I) -> list[int]:
             table.append(idx)
         S._projections[I] = table
     return table
-
-
-def j_set(S: FiniteSemigroup, a) -> frozenset:
-    """1-based coordinates of a product element equal to the factor zero."""
-    factors, components = _coordinates(S, a)
-    out = []
-    for pos, (component, f) in enumerate(zip(components, factors), start=1):
-        if f.zero is not None and component == f.values[f.zero]:
-            out.append(pos)
-    return frozenset(out)
-
-
-def psi_projection(S: FiniteSemigroup, I, a):
-    """Replace the (1-based) coordinates in I with the factor identity.
-
-    The map is a homomorphism of the product onto the sub-semigroup
-    supported on the remaining coordinates. On a lone C_n ∪ {inf} the
-    result is an element value, not a 1-tuple.
-    """
-    factors, components = _coordinates(S, a)
-    k = len(factors)
-    I = frozenset(I)
-    for i in I:
-        if not 1 <= i <= k:
-            raise ValueError(f"coordinate {i} out of range [1, {k}]")
-    out = []
-    for pos, (component, f) in enumerate(zip(components, factors), start=1):
-        out.append(f.values[f.identity] if pos in I else component)
-    return tuple(out) if S.kind == "product" else out[0]
 
 
 def is_group(S: FiniteSemigroup) -> bool:

@@ -31,6 +31,8 @@ from .semigroup import (
     build_adjoined_zero_product,
     build_quotient_semigroup,
     crt_decompose,
+    element_order,
+    modulus_factorization,
     projection_indices,
     units_of,
     zero_coordinate_sets,
@@ -39,8 +41,8 @@ from .zerosum import (
     Budget,
     DavenportResult,
     Sequence,
-    _dp_select,
-    _product_index,
+    dp_select,
+    product_index,
     davenport_exact,
     davenport_montecarlo_upper,
     is_reducible,
@@ -132,7 +134,7 @@ def assert_valid_reduction(T: Sequence, T_prime: Sequence) -> None:
         or any(c > have.get(i, 0) for i, c in T_prime.pairs)
     ):
         raise AssertionError("reduction output is not a proper subsequence")
-    if _product_index(S, T_prime.pairs) != _product_index(S, T.pairs):
+    if product_index(S, T_prime.pairs) != product_index(S, T.pairs):
         raise AssertionError("reduction output changed the product")
 
 
@@ -144,7 +146,7 @@ def _remove_subproduct(S: FiniteSemigroup, pairs, source, target: int) -> list:
     Raises AssertionError when there is none: on threshold-length input
     that would falsify the claim.
     """
-    counts = _dp_select(S, source, target, proper=False)
+    counts = dp_select(S, source, target, proper=False)
     if counts is None:
         raise AssertionError(
             f"no nonempty subsequence multiplies to {S.format_element(target)}; "
@@ -203,7 +205,7 @@ def constructive_reduction(
     e = S.identity
     pairs = T.pairs
     zero_sets = zero_coordinate_sets(S)
-    j_sigma = zero_sets[_product_index(S, pairs)]
+    j_sigma = zero_sets[product_index(S, pairs)]
 
     if not j_sigma:
         # every term is invertible: remove a nonempty identity-product V
@@ -236,7 +238,7 @@ def constructive_reduction(
         c -= i in v_indices
         if c:
             proj_pairs[proj_of[i]] = proj_pairs.get(proj_of[i], 0) + c
-    counts = _dp_select(S, sorted(proj_pairs.items()), e, proper=False)
+    counts = dp_select(S, sorted(proj_pairs.items()), e, proper=False)
     if counts is None:
         raise AssertionError(
             "no projected identity-product subsequence of the required "
@@ -406,9 +408,9 @@ def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
     if p <= 2:
         raise ValueError("the quadratic-case reduction needs p > 2")
     S = T.parent
-    f = quadratic_modulus(p)
-    if S.kind != "quotient" or getattr(S, "modulus", None) != f or S.p != p:
-        raise ValueError(f"sequence must live in the quotient by {f} over F_{p}")
+    # (x+1)^2 = x^2 + 2x + 1, read off the modulus without building one
+    if S.kind != "quotient" or S.p != p or S.modulus.coeffs != (1, 2 % p, 1):
+        raise ValueError(f"sequence must live in the quotient by (x+1)^2 over F_{p}")
     U = units_of(S)
     d_units = p * (p - 1)
     if len(T) < d_units:
@@ -431,23 +433,21 @@ def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
             if len(first_two) == 2:
                 break
         t_prime_pairs = [(i, 1) for i in first_two]
-        if (_product_index(S, t_prime_pairs) != S.zero
-                or _product_index(S, pairs) != S.zero):
+        if (product_index(S, t_prime_pairs) != S.zero
+                or product_index(S, pairs) != S.zero):
             raise AssertionError("non-unit pair failed to absorb the product")
     else:
         a1 = nonunit_pairs[0][0]
         unit_pairs = [(i, c) for i, c in pairs if i != a1]
-        counts = _dp_select(
-            S, unit_pairs, _product_index(S, unit_pairs), proper=True
+        counts = dp_select(
+            S, unit_pairs, product_index(S, unit_pairs), proper=True
         )
         if counts is not None:
             # a reduction of the unit part, with a1 kept
             t_prime_pairs = [*counts.items(), (a1, 1)]
         else:
-            # x+2 fixes every m(x+1)
-            t_prime_pairs = _remove_subproduct(
-                S, pairs, unit_pairs, S.index_of[Poly(p, [2, 1])]
-            )
+            # x+2 (index 2 + p in base-p digits) fixes every m(x+1)
+            t_prime_pairs = _remove_subproduct(S, pairs, unit_pairs, 2 + p)
     T_prime = Sequence(S, t_prime_pairs)
     assert_valid_reduction(T, T_prime)
     return T_prime
@@ -539,12 +539,10 @@ def verify_proposition(
 
 def _cyclic_generator(U: UnitGroup) -> int:
     """Index (in the parent) of the canonically first maximal-order unit."""
-    from .semigroup import _element_order  # local: census helper
-
     G = U.as_semigroup()
     n = G.size
     for gi in range(n):
-        if _element_order(G, gi, n) == n:
+        if element_order(G, gi, n) == n:
             return U.elements[gi]
     raise ValueError("unit group is not cyclic")
 
@@ -568,7 +566,7 @@ def conjecture_probe(
     lhs = davenport_exact(S, budget.remaining_ms())
     rhs = davenport_exact(U.as_semigroup(), budget.remaining_ms())
     artifacts = {
-        "factorization": str(factor(f)),
+        "factorization": str(modulus_factorization(S)),
         "unit_order": U.order,
         "unit_invariants": list(U.invariant_factors),
         "interpretation": "conjecture evidence only, nothing is asserted",

@@ -62,10 +62,6 @@ class Sequence:
         return cls(parent, ((i, 1) for i in indices))
 
     @classmethod
-    def of(cls, parent: FiniteSemigroup, *values) -> "Sequence":
-        return cls(parent, ((parent.index_of[v], 1) for v in values))
-
-    @classmethod
     def empty(cls, parent: FiniteSemigroup) -> "Sequence":
         return cls(parent, ())
 
@@ -82,42 +78,12 @@ class Sequence:
     def __hash__(self):
         return hash((id(self.parent), self.pairs))
 
-    def multiplicity(self, value) -> int:
-        i = self.parent.index_of[value]
-        return dict(self.pairs).get(i, 0)
-
     def indices(self) -> tuple[int, ...]:
         """Expanded sorted index tuple, one entry per term."""
         out = []
         for i, c in self.pairs:
             out.extend([i] * c)
         return tuple(out)
-
-    def values(self) -> list:
-        return [self.parent.values[i] for i in self.indices()]
-
-    def is_subsequence_of(self, other: "Sequence") -> bool:
-        if self.parent is not other.parent:
-            return False
-        theirs = dict(other.pairs)
-        return all(c <= theirs.get(i, 0) for i, c in self.pairs)
-
-    def is_proper_subsequence_of(self, other: "Sequence") -> bool:
-        return self.is_subsequence_of(other) and len(self) < len(other)
-
-    def remove(self, other: "Sequence") -> "Sequence":
-        """Multiset difference; ``other`` must be a subsequence."""
-        if not other.is_subsequence_of(self):
-            raise ValueError("not a subsequence, cannot remove")
-        theirs = dict(other.pairs)
-        return Sequence(
-            self.parent, ((i, c - theirs.get(i, 0)) for i, c in self.pairs)
-        )
-
-    def add(self, other: "Sequence") -> "Sequence":
-        if self.parent is not other.parent:
-            raise ValueError("sequences over different semigroups")
-        return Sequence(self.parent, self.pairs + other.pairs)
 
     def format(self) -> str:
         """Semicolon-joined element literals with ``*m`` multiplicities."""
@@ -145,10 +111,10 @@ def sigma(T: Sequence):
 
 
 def sigma_index(T: Sequence) -> int:
-    return _product_index(T.parent, T.pairs)
+    return product_index(T.parent, T.pairs)
 
 
-def _product_index(S: FiniteSemigroup, pairs) -> int:
+def product_index(S: FiniteSemigroup, pairs) -> int:
     """Product of (index, count) pairs, each term folded in through its
     Cayley-table row; the identity for no terms."""
     rows = S.table
@@ -217,7 +183,7 @@ def _dp_collect(S, pairs, *, proper: bool) -> set[int]:
     return out
 
 
-def _dp_select(S, pairs, target: int, *, proper: bool) -> Optional[dict[int, int]]:
+def dp_select(S, pairs, target: int, *, proper: bool) -> Optional[dict[int, int]]:
     """Deterministic sub-multiset with the target product, or None.
 
     ``proper`` admits the proper sub-multisets, the empty one included
@@ -296,7 +262,7 @@ def find_reduction(T: Sequence) -> Optional[Sequence]:
     if len(T) < 1:
         return None
     S = T.parent
-    counts = _dp_select(S, T.pairs, sigma_index(T), proper=True)
+    counts = dp_select(S, T.pairs, sigma_index(T), proper=True)
     if counts is None:
         return None
     return Sequence(S, counts.items())
@@ -344,33 +310,41 @@ def is_zero_sum_free(T: Sequence) -> bool:
             )
     if len(T) == 0:
         return True
-    return _dp_select(S, T.pairs, S.identity, proper=False) is None
+    return dp_select(S, T.pairs, S.identity, proper=False) is None
 
 
 # -- Davenport constant ------------------------------------------------------
 
 
-def _translate_tables(S: FiniteSemigroup) -> list[list[list[int]]]:
-    """Per-element tables that translate product-set bitmasks, for the search.
+def _search_tables(S: FiniteSemigroup):
+    """The tables the exact search reads: ``(translate, ideal, fiber)``.
 
-    tables[x] maps a product-set bitmask R to {r*x : r in R} chunkwise: one
-    table per 8-element chunk of the universe, indexed by that chunk's bits
-    of R. Row x of the Cayley table is column x too (the table is filled
-    symmetrically), and each chunk is built by doubling, so a chunk of w
-    elements has 2^w entries. ``davenport_exact`` builds them once per call
-    and drops them on return.
+    translate[x] maps a product-set bitmask R to {r*x : r in R} chunkwise:
+    one table per 8-element chunk of the universe, indexed by that chunk's
+    bits of R. Row x of the Cayley table is column x too (the table is
+    filled symmetrically), and each chunk is built by doubling, so a chunk
+    of w elements has 2^w entries. ideal[s] is the principal ideal s S^1
+    and fiber[x][t] the set of r with r*x = t, both as bitmasks.
+    ``davenport_exact`` builds them once per call and drops them on return.
     """
-    tables = []
+    n = S.size
+    translate = []
+    fiber = []
     for row in S.table:
         bits = [1 << t for t in row]
         chunks = []
-        for base in range(0, S.size, 8):
+        for base in range(0, n, 8):
             tab = [0]
             for b in bits[base:base + 8]:
                 tab += [t | b for t in tab]
             chunks.append(tab)
-        tables.append(chunks)
-    return tables
+        translate.append(chunks)
+        col = [0] * n
+        for r, t in enumerate(row):
+            col[t] |= 1 << r
+        fiber.append(col)
+    ideal = [_translate_mask(translate[s], (1 << n) - 1) | (1 << s) for s in range(n)]
+    return translate, ideal, fiber
 
 
 def _translate_mask(chunks: list[list[int]], mask: int) -> int:
@@ -445,13 +419,12 @@ def davenport_exact(
     Sequences are generated with non-decreasing element indices; only
     irreducible prefixes are extended, and search states that coincide in
     (product, proper-product set, minimum next index) are merged through a
-    memo table. The memo key packs the product and the minimum next index
-    into 8 bits each, which relies on the universe-size cap
-    ``semigroup.TABLE_CAP``. The budget covers building the search tables
-    too; the clock is read on the first node and then every 1024 nodes, so
-    ``budget_ms=0`` explores exactly one node. On budget exhaustion the
-    result downgrades to the longest sequence found so far, an explicit
-    lower bound with ``complete=False``.
+    memo table, whose key packs the product and the minimum next index into
+    fields of ``(n - 1).bit_length()`` bits. The budget covers building the
+    search tables too; the clock is read on the first node and then every
+    1024 nodes, so ``budget_ms=0`` explores exactly one node. On budget
+    exhaustion the result downgrades to the longest sequence found so far,
+    an explicit lower bound with ``complete=False``.
 
     ``best_len`` is the length of the longest irreducible sequence found
     so far (the incumbent). A state's memo value is ``(ub, exact, first)``:
@@ -489,18 +462,11 @@ def davenport_exact(
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
     budget = Budget(budget_ms)
-    translate = _translate_tables(S)
+    translate, ideal, fiber = _search_tables(S)
     n = S.size
     rows = S.table
-    # ideal[s]: the principal ideal s S^1 as a bitmask
-    ideal = [_translate_mask(translate[s], (1 << n) - 1) | (1 << s) for s in range(n)]
-    # fiber[x][t]: the r with r*x = t, as a bitmask (row x is column x)
-    fiber = []
-    for row in rows:
-        col = [0] * n
-        for r, t in enumerate(row):
-            col[t] |= 1 << r
-        fiber.append(col)
+    w = max(1, (n - 1).bit_length())  # memo-key field width: indices < n
+    w2 = 2 * w
 
     memo: dict[int, tuple[int, bool, int]] = {}  # packed state -> (ub, exact, first)
     nodes = 0
@@ -512,7 +478,7 @@ def davenport_exact(
         # follow the first-choice chain of an exact state
         terms = []
         while True:
-            first = memo[(rp << 16) | (sig << 8) | min_elem][2]
+            first = memo[(rp << w2) | (sig << w) | min_elem][2]
             if first < 0:
                 return terms
             terms.append(first)
@@ -521,7 +487,7 @@ def davenport_exact(
 
     def explore(sig: int, rp: int, min_elem: int, depth: int) -> tuple[int, bool, int]:
         nonlocal nodes, best_len, best_path
-        key = (rp << 16) | (sig << 8) | min_elem
+        key = (rp << w2) | (sig << w) | min_elem
         hit = memo.get(key)
         if hit is not None:
             if hit[1]:

@@ -7,7 +7,17 @@ from itertools import product as iproduct
 import pytest
 
 from davenport import INF, Sequence
-from davenport.zerosum import _translate_mask, _translate_tables, sigma_index
+from davenport.zerosum import _search_tables, _translate_mask, sigma_index
+
+
+def seq_of(S, *values):
+    """The sequence with one term per element value."""
+    return Sequence(S, ((S.index_of[v], 1) for v in values))
+
+
+def is_proper_subsequence(W: Sequence, T: Sequence) -> bool:
+    have = dict(T.pairs)
+    return len(W) < len(T) and all(c <= have.get(i, 0) for i, c in W.pairs)
 
 
 def brute_sigma(S, indices):
@@ -70,22 +80,21 @@ def unpruned_davenport(S):
 
     The search ``davenport_exact`` used before its ideal-bound pruning:
     depth-first over non-decreasing index sequences, extending only
-    irreducible prefixes, with a memo on (product, proper-product set,
-    minimum next index) holding each state's exact longest extension and
-    its least first term. No pruning and no budget; the witness is the
-    memo's first-choice chain from the root, the lexicographically first
-    longest irreducible sequence.
+    irreducible prefixes, with a memo on the tuple (product, proper-product
+    set, minimum next index) holding each state's exact longest extension
+    and its least first term; the tuple keeps the oracle off the search's
+    packed key. No pruning and no budget; the witness is the memo's
+    first-choice chain from the root, the lexicographically first longest
+    irreducible sequence. It shares only the translate tables, which
+    ``TestTranslateTables`` checks against the Cayley table.
     """
-    translate = _translate_tables(S)
+    translate = _search_tables(S)[0]
     rows = S.table
     memo = {}
 
-    def key(sig, rp, min_elem):
-        return (rp << 16) | (sig << 8) | min_elem
-
     def explore(sig, rp, min_elem):
-        k = key(sig, rp, min_elem)
-        if k not in memo:
+        key = (sig, rp, min_elem)
+        if key not in memo:
             best_extra, best_first = 0, -1
             r_all = rp | (1 << sig)
             for x in range(min_elem, S.size):
@@ -96,13 +105,13 @@ def unpruned_davenport(S):
                 extra = 1 + explore(new_sig, new_rp, x)
                 if extra > best_extra:
                     best_extra, best_first = extra, x
-            memo[k] = (best_extra, best_first)
-        return memo[k][0]
+            memo[key] = (best_extra, best_first)
+        return memo[key][0]
 
-    explore(S.identity, 0, 0)
     sig, rp, min_elem = S.identity, 0, 0
+    explore(sig, rp, min_elem)
     terms = []
-    while (first := memo[key(sig, rp, min_elem)][1]) >= 0:
+    while (first := memo[(sig, rp, min_elem)][1]) >= 0:
         terms.append(first)
         rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
         sig, min_elem = rows[sig][first], first
@@ -198,3 +207,52 @@ def backpointer_dp_select(S, pairs, target, *, proper):
             counts[pairs[depth - 1][0]] = take
         cur = prev_state
     return counts
+
+
+# Value-level coordinate maps of products of adjoined-zero cyclic
+# semigroups: the reference the index tables ``zero_coordinate_sets`` and
+# ``projection_indices`` are checked against.
+
+
+def _coordinates(S, a):
+    """Factors of S and the components of a; a lone C_n ∪ {inf} has one."""
+    if S.kind == "product" and S.factors is not None:
+        factors, components = S.factors, a
+    elif S.kind == "cyclic_with_zero":
+        factors, components = (S,), (a,)
+    else:
+        raise TypeError(
+            "coordinate maps are defined on product semigroups and on C_n ∪ {inf}"
+        )
+    if a not in S.index_of:
+        raise ValueError(f"element {a!r} not in the universe")
+    return factors, components
+
+
+def j_set(S, a) -> frozenset:
+    """1-based coordinates of a product element equal to the factor zero."""
+    factors, components = _coordinates(S, a)
+    out = []
+    for pos, (component, f) in enumerate(zip(components, factors), start=1):
+        if f.zero is not None and component == f.values[f.zero]:
+            out.append(pos)
+    return frozenset(out)
+
+
+def psi_projection(S, I, a):
+    """Replace the (1-based) coordinates in I with the factor identity.
+
+    The map is a homomorphism of the product onto the sub-semigroup
+    supported on the remaining coordinates. On a lone C_n ∪ {inf} the
+    result is an element value, not a 1-tuple.
+    """
+    factors, components = _coordinates(S, a)
+    k = len(factors)
+    I = frozenset(I)
+    for i in I:
+        if not 1 <= i <= k:
+            raise ValueError(f"coordinate {i} out of range [1, {k}]")
+    out = []
+    for pos, (component, f) in enumerate(zip(components, factors), start=1):
+        out.append(f.values[f.identity] if pos in I else component)
+    return tuple(out) if S.kind == "product" else out[0]

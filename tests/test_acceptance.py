@@ -167,7 +167,7 @@ def test_criterion_7_property_suite():
                 T = Sequence.from_indices(S, idx)
                 if is_reducible(T):
                     for x in range(S.size):
-                        assert is_reducible(T.add(Sequence.from_indices(S, [x])))
+                        assert is_reducible(Sequence(S, T.pairs + ((x, 1),)))
 
     # DP-vs-enumeration equivalence to length 5
     for S in (S9, P9):

@@ -16,10 +16,8 @@ from davenport import (
     crt_decompose,
     is_group,
     is_irreducible,
-    j_set,
     monic_polys,
     poly,
-    psi_projection,
     units_of,
 )
 from davenport.gfpoly import Poly, factor, is_prime
@@ -31,7 +29,12 @@ from davenport.semigroup import (
     zero_coordinate_sets,
 )
 
-from conftest import value_product
+from conftest import j_set, psi_projection, value_product
+
+
+def mul(S, a, b):
+    """Product of two element values, read off the Cayley table."""
+    return S.values[S.op(S.index_of[a], S.index_of[b])]
 
 
 def exhaustive_axioms(S):
@@ -57,13 +60,13 @@ class TestQuotient:
 
     def test_products(self, quotient_p3_sq):
         S = quotient_p3_sq
-        assert S.mul(poly(3, 0, 1), poly(3, 2, 1)) == poly(3, 2)
-        assert S.mul(poly(3, 1, 1), poly(3, 2, 2)) == poly(3)
+        assert mul(S, poly(3, 0, 1), poly(3, 2, 1)) == poly(3, 2)
+        assert mul(S, poly(3, 1, 1), poly(3, 2, 2)) == poly(3)
 
     def test_degree_one_quotient_is_prime_field(self):
         S = build_quotient_semigroup(3, poly(3, 0, 1))
         assert [str(v) for v in S.values] == ["0", "1", "2"]
-        assert S.mul(poly(3, 2), poly(3, 2)) == poly(3, 1)
+        assert mul(S, poly(3, 2), poly(3, 2)) == poly(3, 1)
 
     def test_axioms(self, quotient_p3_sq):
         exhaustive_axioms(quotient_p3_sq)
@@ -86,11 +89,11 @@ class TestQuotient:
 class TestCyclicWithZero:
     def test_small_orders(self):
         C2 = build_cyclic_with_zero(2)
-        assert C2.mul(1, 1) == 0
+        assert mul(C2, 1, 1) == 0
         C3 = build_cyclic_with_zero(3)
-        assert C3.mul(1, INF) is INF
+        assert mul(C3, 1, INF) is INF
         C4 = build_cyclic_with_zero(4)
-        assert C4.mul(2, 3) == 1
+        assert mul(C4, 2, 3) == 1
 
     def test_size_and_specials(self):
         C = build_cyclic_with_zero(6)
@@ -110,7 +113,7 @@ class TestProduct:
 
     def test_componentwise_op(self, c2z_squared):
         P = c2z_squared
-        assert P.mul((1, INF), (1, 1)) == (0, INF)
+        assert mul(P, (1, INF), (1, 1)) == (0, INF)
 
     def test_identity_and_zero_tuples(self, c2z_squared):
         P = c2z_squared
@@ -143,7 +146,7 @@ class TestGroups:
     def test_abelian_group_tuple_values(self):
         G = build_abelian_group([2, 4])
         assert G.size == 8
-        assert G.mul((1, 3), (1, 2)) == (0, 1)
+        assert mul(G, (1, 3), (1, 2)) == (0, 1)
         assert is_group(G)
 
     def test_quotient_is_not_a_group(self, quotient_p3_sq):
@@ -356,9 +359,6 @@ class TestCrt:
     def test_residue_vectors(self):
         crt = crt_decompose(3, poly(3, 0, 1) * poly(3, 1, 1))
         S = crt.source
-        assert crt.map_value(poly(3, 2, 1)) == (poly(3, 2), poly(3, 1))
-        assert crt.map_value(poly(3, 1)) == (poly(3, 1), poly(3, 1))
-        assert crt.map_value(poly(3)) == (poly(3), poly(3))
         i = S.index_of[poly(3, 2, 1)]
         assert crt.product.values[crt.iso[i]] == (poly(3, 2), poly(3, 1))
 
@@ -440,8 +440,8 @@ class TestCoordinateMaps:
         for I in (set(), {1}, {2}, {1, 2}):
             for a in P.values:
                 for b in P.values:
-                    lhs = psi_projection(P, I, P.mul(a, b))
-                    rhs = P.mul(psi_projection(P, I, a), psi_projection(P, I, b))
+                    lhs = psi_projection(P, I, mul(P, a, b))
+                    rhs = mul(P, psi_projection(P, I, a), psi_projection(P, I, b))
                     assert lhs == rhs
 
     def test_psi_composition(self):

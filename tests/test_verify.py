@@ -34,8 +34,11 @@ from davenport.verify import (
     verify_proposition,
     verify_theorem1,
 )
+from davenport.gfpoly import factor
 from davenport.semigroup import build_adjoined_zero_product
 from davenport.zerosum import sigma_index
+
+from conftest import is_proper_subsequence, seq_of
 
 
 def count_quotient_builds(monkeypatch) -> list:
@@ -53,6 +56,21 @@ def count_quotient_builds(monkeypatch) -> list:
 
         monkeypatch.setattr(module, "build_quotient_semigroup", counting)
     return moduli
+
+
+def count_factor_calls(monkeypatch) -> list:
+    """The moduli, as text, of every factorization from now on."""
+    import davenport.semigroup
+    import davenport.verify
+
+    factored = []
+    for module in (davenport.semigroup, davenport.verify):
+        def counting(f, factor=module.factor):
+            factored.append(str(f))
+            return factor(f)
+
+        monkeypatch.setattr(module, "factor", counting)
+    return factored
 
 
 class TestTheorem1:
@@ -106,16 +124,7 @@ class TestTheorem1:
         assert moduli.count(f) == 1
 
     def test_factors_the_modulus_once(self, monkeypatch):
-        import davenport.semigroup
-        import davenport.verify
-
-        factored = []
-        for module in (davenport.semigroup, davenport.verify):
-            def counting(f, factor=module.factor):
-                factored.append(str(f))
-                return factor(f)
-
-            monkeypatch.setattr(module, "factor", counting)
+        factored = count_factor_calls(monkeypatch)
         # the searches stop on their first node; factoring precedes them
         verify_theorem1(7, poly(7, 0, 1, 1), budget_ms=0)
         assert factored == ["x^2+x"]
@@ -158,7 +167,7 @@ def reduction_digest() -> str:
 class TestConstructiveReduction:
     def test_all_units_zero_sum_gives_empty(self, c2z_squared):
         P = c2z_squared
-        T = Sequence.of(P, (1, 0), (1, 1), (0, 1))
+        T = seq_of(P, (1, 0), (1, 1), (0, 1))
         T_prime = constructive_reduction(P, T, d_units=3)
         assert T_prime == Sequence.empty(P)
 
@@ -166,23 +175,23 @@ class TestConstructiveReduction:
         P = c2z_squared
         T = Sequence(P, [(P.index_of[(INF, 1)], 1), (P.index_of[(1, 1)], 2)])
         T_prime = constructive_reduction(P, T, d_units=3)
-        assert T_prime == Sequence.of(P, (INF, 1))
+        assert T_prime == seq_of(P, (INF, 1))
         assert sigma_index(T_prime) == sigma_index(T)
 
     def test_single_factor_degenerate(self):
         C = build_cyclic_with_zero(2)
         T = Sequence(C, [(C.index_of[INF], 1), (C.index_of[1], 2)])
         T_prime = constructive_reduction(C, T, d_units=2)
-        assert T_prime.is_proper_subsequence_of(T)
+        assert is_proper_subsequence(T_prime, T)
         assert sigma_index(T_prime) == sigma_index(T)
 
     def test_below_threshold_rejected(self, c2z_squared):
-        T = Sequence.of(c2z_squared, (1, 1))
+        T = seq_of(c2z_squared, (1, 1))
         with pytest.raises(ValueError):
             constructive_reduction(c2z_squared, T, d_units=3)
 
     def test_wrong_kind_rejected(self, quotient_p3_sq):
-        T = Sequence.of(quotient_p3_sq, poly(3, 2))
+        T = seq_of(quotient_p3_sq, poly(3, 2))
         with pytest.raises(TypeError):
             constructive_reduction(quotient_p3_sq, T, d_units=1)
 
@@ -194,15 +203,7 @@ class TestConstructiveReduction:
 
     def test_coordinate_tables_built_once_per_semigroup(self, monkeypatch):
         import davenport.semigroup
-        import davenport.verify
 
-        value_maps = []
-        for module in (davenport.semigroup, davenport.verify):
-            for name in ("j_set", "psi_projection"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(
-                        module, name, lambda *args, name=name: value_maps.append(name)
-                    )
         builds = []
         digits = davenport.semigroup._digits
         monkeypatch.setattr(
@@ -215,10 +216,9 @@ class TestConstructiveReduction:
             Sequence(P, [(inf_1, 1), (P.index_of[(1, 0)], 1), (P.index_of[(0, 1)], 1)]),
         ):
             T_prime = constructive_reduction(P, T, d_units=3)
-            assert T_prime.is_proper_subsequence_of(T)
+            assert is_proper_subsequence(T_prime, T)
             # the zero-coordinate sets and the projection away from {1}
             assert len(builds) == 2
-        assert value_maps == []
 
     @pytest.mark.parametrize("n_list", [[2], [3], [2, 2], [2, 4], [3, 3], [2, 2, 2]])
     def test_random_threshold_sequences(self, n_list):
@@ -231,7 +231,7 @@ class TestConstructiveReduction:
         for _ in range(200):
             T = random_sequence(S, d_units + rng.randrange(2), rng)
             T_prime = constructive_reduction(S, T, d_units=d_units)
-            assert T_prime.is_proper_subsequence_of(T)
+            assert is_proper_subsequence(T_prime, T)
             assert sigma_index(T_prime) == sigma_index(T)
 
 
@@ -269,7 +269,7 @@ class TestWitnessFamily:
         S = proposition_semigroup(3)
         V = build_witness_V(S)
         assert V.parent is S
-        assert V == Sequence.of(S, poly(3, 0, 1), poly(3, 2))
+        assert V == seq_of(S, poly(3, 0, 1), poly(3, 2))
 
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
@@ -291,7 +291,7 @@ class TestQuadraticReduction:
             (S.index_of[poly(3, 2)], 4),
         ])
         T_prime = reduce_quadratic_case(3, T)
-        assert T_prime == Sequence.of(S, poly(3, 1, 1), poly(3, 2, 2))
+        assert T_prime == seq_of(S, poly(3, 1, 1), poly(3, 2, 2))
         assert sigma_index(T_prime) == S.zero == sigma_index(T)
 
     def test_one_nonunit_uses_fixing_product(self):
@@ -299,7 +299,7 @@ class TestQuadraticReduction:
         x = poly(3, 0, 1)
         T = Sequence(S, [(S.index_of[poly(3, 2, 2)], 1), (S.index_of[x], 5)])
         T_prime = reduce_quadratic_case(3, T)
-        assert T_prime.is_proper_subsequence_of(T)
+        assert is_proper_subsequence(T_prime, T)
         assert sigma_index(T_prime) == sigma_index(T)
         # the unit part x^5 is zero-sum free, so a product-(x+2) block W
         # was removed: x^2 = x+2 fixes 2(x+1), leaving x^3 and the non-unit
@@ -355,8 +355,28 @@ class TestQuadraticReduction:
         for _ in range(100):
             T = random_sequence(S, 20, rng)
             T_prime = reduce_quadratic_case(5, T)
-            assert T_prime.is_proper_subsequence_of(T)
+            assert is_proper_subsequence(T_prime, T)
             assert sigma_index(T_prime) == sigma_index(T)
+
+    def test_builds_no_modulus(self, monkeypatch):
+        import davenport.verify
+
+        S = proposition_semigroup(5)
+        rng = random.Random(53)
+        inputs = [random_sequence(S, 20, rng) for _ in range(100)]
+        built = []
+        monkeypatch.setattr(
+            davenport.verify, "quadratic_modulus",
+            lambda p: built.append(p) or quadratic_modulus(p),
+        )
+        for T in inputs:
+            reduce_quadratic_case(5, T)
+        assert built == []
+
+    def test_other_modulus_rejected(self):
+        S = build_quotient_semigroup(5, poly(5, 1, 0, 1))
+        with pytest.raises(ValueError, match="quotient by"):
+            reduce_quadratic_case(5, Sequence(S, [(S.identity, 20)]))
 
 
 class TestProposition:
@@ -454,6 +474,12 @@ class TestConjectureProbe:
         with pytest.raises(ValueError):
             conjecture_probe(3, poly(3, 1))
 
+    def test_factors_the_modulus_once(self, monkeypatch):
+        factored = count_factor_calls(monkeypatch)
+        report = conjecture_probe(3, poly(3, 0, 0, 1))
+        assert factored == ["x^2"]
+        assert report.artifacts["factorization"] == str(factor(poly(3, 0, 0, 1)))
+
 
 class TestValidator:
     def test_accepts_valid(self, quotient_p3_sq):
@@ -463,14 +489,14 @@ class TestValidator:
 
     def test_rejects_non_subsequence(self, quotient_p3_sq):
         S = quotient_p3_sq
-        T = Sequence.of(S, poly(3, 2))
-        other = Sequence.of(S, poly(3, 0, 1))
+        T = seq_of(S, poly(3, 2))
+        other = seq_of(S, poly(3, 0, 1))
         with pytest.raises(AssertionError):
             assert_valid_reduction(T, other)
 
     def test_rejects_changed_product(self, quotient_p3_sq):
         S = quotient_p3_sq
-        T = Sequence.of(S, poly(3, 0, 1), poly(3, 2))
-        sub = Sequence.of(S, poly(3, 0, 1))
+        T = seq_of(S, poly(3, 0, 1), poly(3, 2))
+        sub = seq_of(S, poly(3, 0, 1))
         with pytest.raises(AssertionError):
             assert_valid_reduction(T, sub)

@@ -30,14 +30,14 @@ from davenport import (
     sumset,
     units_of,
 )
-from davenport import zerosum
+from davenport import semigroup, zerosum
 from davenport.semigroup import FiniteSemigroup, build_adjoined_zero_product
-from davenport.verify import build_witness_V, proposition_semigroup
-from davenport.zerosum import (
-    _translate_mask,
-    _translate_tables,
-    sigma_index,
+from davenport.verify import (
+    assert_valid_reduction,
+    build_witness_V,
+    proposition_semigroup,
 )
+from davenport.zerosum import _search_tables, _translate_mask, sigma_index
 
 from conftest import (
     all_multisets,
@@ -46,6 +46,7 @@ from conftest import (
     brute_is_reducible,
     brute_proper_subsums,
     brute_sumset,
+    seq_of,
     unpruned_davenport,
 )
 
@@ -60,7 +61,7 @@ class TestSigma:
         assert sigma(T) == 2
 
     def test_quotient_product(self, quotient_p3_sq):
-        T = Sequence.of(quotient_p3_sq, poly(3, 0, 1), poly(3, 2, 1))
+        T = seq_of(quotient_p3_sq, poly(3, 0, 1), poly(3, 2, 1))
         assert sigma(T) == poly(3, 2)
 
     def test_empty_without_identity_rejected(self):
@@ -74,12 +75,12 @@ class TestSigma:
 
 class TestProperSubsums:
     def test_quotient_example(self, quotient_p3_sq):
-        T = Sequence.of(quotient_p3_sq, poly(3, 0, 1), poly(3, 2))
+        T = seq_of(quotient_p3_sq, poly(3, 0, 1), poly(3, 2))
         assert proper_subsums(T) == {poly(3, 1), poly(3, 0, 1), poly(3, 2)}
 
     def test_single_term(self):
         C = build_cyclic_with_zero(2)
-        T = Sequence.of(C, 1)
+        T = seq_of(C, 1)
         assert proper_subsums(T) == {0}
 
     def test_pair_excludes_full_selection(self):
@@ -104,15 +105,15 @@ class TestReducibility:
         assert find_reduction(T) == Sequence.empty(C)  # the empty witness
 
     def test_exhibit_pair_irreducible(self, quotient_p3_sq):
-        T = Sequence.of(quotient_p3_sq, poly(3, 0, 1), poly(3, 2))
+        T = seq_of(quotient_p3_sq, poly(3, 0, 1), poly(3, 2))
         assert not is_reducible(T)
         assert find_reduction(T) is None
 
     def test_absorbing_witness(self):
         C = build_cyclic_with_zero(2)
-        T = Sequence.of(C, 1, INF)
+        T = seq_of(C, 1, INF)
         assert is_reducible(T)
-        assert find_reduction(T) == Sequence.of(C, INF)
+        assert find_reduction(T) == seq_of(C, INF)
 
     def test_witness_contract(self, quotient_p3_sq):
         rng = random.Random(37)
@@ -122,8 +123,7 @@ class TestReducibility:
             if red is None:
                 assert not brute_is_reducible(T)
             else:
-                assert red.is_proper_subsequence_of(T)
-                assert sigma_index(red) == sigma_index(T)
+                assert_valid_reduction(T, red)
 
     def test_three_routes_agree(self, quotient_p3_sq, c2z_squared):
         C = build_cyclic_with_zero(2)
@@ -135,15 +135,22 @@ class TestReducibility:
                     assert is_reducible(T) == expected
                     assert (find_reduction(T) is not None) == expected
 
+    def test_identity_free_semigroup(self):
+        # the null semigroup: every product is 0, and no empty sub-multiset
+        S = FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]])
+        assert not is_reducible(Sequence(S, [(1, 2)]))  # 1*1 = 0, vs {1}
+        assert is_reducible(Sequence(S, [(1, 3)]))
+        assert find_reduction(Sequence(S, [(1, 3)])) == Sequence(S, [(1, 2)])
+
     def test_builds_no_search_tables(self, monkeypatch):
         # reducibility folds Cayley rows; only the exact search builds tables
         def refuse(S):
             raise AssertionError("search tables built")
 
-        monkeypatch.setattr(zerosum, "_translate_tables", refuse)
+        monkeypatch.setattr(zerosum, "_search_tables", refuse)
         S = proposition_semigroup(5)
         assert is_reducible(Sequence(S, [(S.index_of[poly(5, 2)], 4)]))
-        assert not is_reducible(Sequence.of(S, poly(5, 0, 1), poly(5, 2)))
+        assert not is_reducible(seq_of(S, poly(5, 0, 1), poly(5, 2)))
         report = davenport_montecarlo_upper(S, 20, samples=200, seed=3)
         assert report.all_reducible and report.checked == 200
         assert len(build_witness_V(S)) == 4
@@ -158,12 +165,13 @@ class TestReducibility:
                     if not is_reducible(T):
                         continue
                     for x in range(S.size):
-                        extended = T.add(Sequence.from_indices(S, [x]))
+                        extended = Sequence(S, T.pairs + ((x, 1),))
                         assert is_reducible(extended)
 
 
 class TestTranslateTables:
-    """Chunked translate tables against the table product, mask by mask."""
+    """The search tables against the table product: translates mask by
+    mask, principal ideals and fibers element by element."""
 
     @pytest.mark.parametrize(
         "build",
@@ -180,10 +188,14 @@ class TestTranslateTables:
     def test_masks_match_products(self, build):
         S = build()
         n = S.size
-        tables = _translate_tables(S)
+        tables, ideal, fiber = _search_tables(S)
         rng = random.Random(n)
         masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
         for x in range(n):
+            assert ideal[x] == sum({1 << t for t in [x] + S.table[x]})
+            # every r sits in the fiber of r*x, and the fibers hold n bits
+            assert all(fiber[x][S.op(r, x)] >> r & 1 for r in range(n))
+            assert sum(m.bit_count() for m in fiber[x]) == n
             chunks = tables[x]
             assert [len(c) for c in chunks] == [
                 1 << min(8, n - base) for base in range(0, n, 8)
@@ -224,7 +236,7 @@ class TestLayeredDP:
                         S, pairs, proper=proper
                     ) == backpointer_dp_collect(S, pairs, proper=proper)
                     for target in range(S.size):
-                        assert zerosum._dp_select(
+                        assert zerosum.dp_select(
                             S, pairs, target, proper=proper
                         ) == backpointer_dp_select(S, pairs, target, proper=proper)
 
@@ -238,7 +250,7 @@ class TestZeroSumFree:
 
     def test_inverse_pair(self):
         G = build_cyclic_group(7)
-        T = Sequence.of(G, 2, 5)
+        T = seq_of(G, 2, 5)
         assert not is_zero_sum_free(T)
 
     def test_empty(self):
@@ -246,12 +258,12 @@ class TestZeroSumFree:
         assert is_zero_sum_free(Sequence.empty(G))
 
     def test_nonunit_term_rejected(self, quotient_p3_sq):
-        T = Sequence.of(quotient_p3_sq, poly(3, 1, 1))
+        T = seq_of(quotient_p3_sq, poly(3, 1, 1))
         with pytest.raises(ValueError):
             is_zero_sum_free(T)
 
     def test_unit_terms_allowed_in_semigroup(self, quotient_p3_sq):
-        T = Sequence.of(quotient_p3_sq, poly(3, 2))
+        T = seq_of(quotient_p3_sq, poly(3, 2))
         assert is_zero_sum_free(T)
 
     def test_matches_irreducibility_for_group_sequences(self):
@@ -270,7 +282,7 @@ class TestSumset:
             assert sumset(T) == set(range(1, n))
 
     def test_singleton(self, quotient_p3_sq):
-        T = Sequence.of(quotient_p3_sq, poly(3, 0, 1))
+        T = seq_of(quotient_p3_sq, poly(3, 0, 1))
         assert sumset(T) == {poly(3, 0, 1)}
 
     def test_two_generators_c3(self):
@@ -392,6 +404,14 @@ class TestDavenportExact:
         # what stays is interpreter free lists, not the memo
         assert after - before < (peak - before) // 4
         assert garbage == 0
+
+    def test_key_fields_wider_than_a_byte(self, monkeypatch):
+        # n = 257: element indices need 9 bits in the memo key
+        monkeypatch.setattr(semigroup, "TABLE_CAP", 257)
+        res = davenport_exact(build_cyclic_group(257))
+        assert (res.value, res.complete) == (257, True)
+        assert len(res.witness) == 256
+        assert find_reduction(res.witness) is None
 
     def test_identityless_rejected(self):
         from davenport.semigroup import FiniteSemigroup
