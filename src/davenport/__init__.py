@@ -11,12 +11,10 @@ from .gfpoly import (
     Factorization,
     Poly,
     factor,
-    is_irreducible,
     is_prime,
     monic_polys,
     poly,
     poly_divrem,
-    poly_gcd,
     poly_mul,
     primitive_root,
 )
@@ -57,12 +55,10 @@ __all__ = [
     "Factorization",
     "Poly",
     "factor",
-    "is_irreducible",
     "is_prime",
     "monic_polys",
     "poly",
     "poly_divrem",
-    "poly_gcd",
     "poly_mul",
     "primitive_root",
     "INF",

@@ -13,6 +13,7 @@ give up with ``ValueError`` past ``MAX_TRIAL_STEPS``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 MAX_TRIAL_STEPS = 2_000_000
@@ -38,8 +39,10 @@ def _least_prime_factor(n: int) -> int:
     return n
 
 
+@cache
 def is_prime(n: int) -> bool:
-    """Deterministic primality check by trial division."""
+    """Deterministic primality check by trial division; a second check of
+    the same n is one cache lookup."""
     if n < 4:
         return n >= 2
     return _least_prime_factor(n) == n
@@ -55,24 +58,14 @@ class Poly:
     """Canonical residue polynomial over F_p.
 
     Instances are immutable; arithmetic returns new canonical instances.
-    The usual operators are overloaded (+, -, *, //, %, divmod, **).
+    The operators are +, -, *, %, divmod and ** over one prime; any other
+    operand type is a ``TypeError``.
     """
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs=()):
         validate_prime(p)
-        self._fill(p, coeffs)
-
-    @classmethod
-    def _of(cls, p: int, coeffs=()) -> "Poly":
-        """Build over an already validated prime: arithmetic results inherit
-        their operands' ``p`` and skip the public constructor's check."""
-        out = object.__new__(cls)
-        out._fill(p, coeffs)
-        return out
-
-    def _fill(self, p: int, coeffs) -> None:
         cs = [int(c) % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -95,77 +88,43 @@ class Poly:
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def is_monic(self) -> bool:
-        return self.leading_coefficient() == 1
-
     def monic(self) -> "Poly":
         """Associated monic polynomial (zero stays zero)."""
         lc = self.leading_coefficient()
         if lc in (0, 1):
             return self
         inv = pow(lc, -1, self.p)
-        return Poly._of(self.p, [c * inv for c in self.coeffs])
-
-    def evaluate(self, x: int) -> int:
-        y = 0
-        for c in reversed(self.coeffs):
-            y = (y * x + c) % self.p
-        return y
-
-    def derivative(self) -> "Poly":
-        return Poly._of(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly(self.p, [c * inv for c in self.coeffs])
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return Poly._of(self.p, [other])
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
+        _check_same_prime(self, other)
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             a[i] += c
-        return Poly._of(self.p, a)
-
-    __radd__ = __add__
+        return Poly(self.p, a)
 
     def __neg__(self):
-        return Poly._of(self.p, [-c for c in self.coeffs])
+        return Poly(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
         return poly_mul(self, other)
 
-    __rmul__ = __mul__
-
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
         return poly_divrem(self, other)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -173,7 +132,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly._of(self.p, [1])
+        result = Poly(self.p, [1])
         base = self
         while k:
             if k & 1:
@@ -182,7 +141,7 @@ class Poly:
             k >>= 1
         return result
 
-    # -- identity & ordering -------------------------------------------
+    # -- identity and printing -----------------------------------------
 
     def __eq__(self, other):
         return (
@@ -193,16 +152,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.p, self.coeffs))
-
-    def sort_key(self):
-        """Deterministic order: by degree, then coefficients read from the top."""
-        return (self.degree, tuple(reversed(self.coeffs)))
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        return self.sort_key() < other.sort_key()
-
-    # -- printing -------------------------------------------------------
 
     def __str__(self):
         if not self.coeffs:
@@ -238,14 +187,14 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     """Schoolbook product, reduced and canonical."""
     _check_same_prime(a, b)
     if a.is_zero() or b.is_zero():
-        return Poly._of(a.p)
+        return Poly(a.p)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, ca in enumerate(a.coeffs):
         if ca == 0:
             continue
         for j, cb in enumerate(b.coeffs):
             out[i + j] += ca * cb
-    return Poly._of(a.p, out)
+    return Poly(a.p, out)
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -265,17 +214,7 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         q[i] = coef
         for j, cb in enumerate(b.coeffs):
             r[i + j] = (r[i + j] - coef * cb) % p
-    return Poly._of(p, q), Poly._of(p, r[:db])
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    _check_same_prime(a, b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly(p, q), Poly(p, r[:db])
 
 
 def monic_polys(p: int, degree: int) -> Iterator[Poly]:
@@ -285,7 +224,6 @@ def monic_polys(p: int, degree: int) -> Iterator[Poly]:
     constant coefficient varying fastest, which coincides with ordering
     by top-down coefficient reading.
     """
-    validate_prime(p)
     for idx in range(p**degree):
         coeffs = []
         k = idx
@@ -293,18 +231,7 @@ def monic_polys(p: int, degree: int) -> Iterator[Poly]:
             k, c = divmod(k, p)
             coeffs.append(c)
         coeffs.append(1)
-        yield Poly._of(p, coeffs)
-
-
-def is_irreducible(f: Poly) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    if f.degree < 1:
-        raise ValueError("irreducibility is defined for degree >= 1")
-    for d in range(1, f.degree // 2 + 1):
-        for g in monic_polys(f.p, d):
-            if (f % g).is_zero():
-                return False
-    return True
+        yield Poly(p, coeffs)
 
 
 @dataclass(frozen=True)
@@ -321,7 +248,7 @@ class Factorization:
     def expand(self) -> Poly:
         """Re-multiply unit and factor powers; the reconstruction oracle."""
         p = self.factors[0][0].p
-        out = Poly._of(p, [self.unit])
+        out = Poly(p, [self.unit])
         for g, m in self.factors:
             out = out * g**m
         return out

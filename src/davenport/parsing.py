@@ -226,23 +226,15 @@ def _parse_element_value(S: FiniteSemigroup, text: str):
 
 
 def _split_multiplicity(item: str) -> tuple[str, int]:
-    """Strip a trailing top-level ``*m`` multiplicity from one sequence item."""
-    depth = 0
-    star = -1
-    for i, ch in enumerate(item):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            star = i
-    if star >= 0:
-        suffix = item[star + 1 :].strip()
-        if suffix.isdigit():
-            mult = int(suffix)
-            if mult < 1:
-                raise ParseError("multiplicity must be >= 1", star + 1)
-            return item[:star], mult
+    """Strip a trailing top-level ``*m`` multiplicity from one sequence item,
+    which the split on ``;`` has already checked to be balanced."""
+    *_, suffix = _split_top_level(item, "*")
+    if suffix != item and suffix.strip().isdigit():
+        star = len(item) - len(suffix) - 1
+        mult = int(suffix)
+        if mult < 1:
+            raise ParseError("multiplicity must be >= 1", star + 1)
+        return item[:star], mult
     return item, 1
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import prod
+from math import gcd, prod
 from typing import Optional, Sequence as Seq
 
 from .gfpoly import (
@@ -116,30 +116,9 @@ class FiniteSemigroup:
 
     # -- core ------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return self.size
-
     def op(self, i: int, j: int) -> int:
         """Product of elements by index."""
         return self.table[i][j]
-
-    def power(self, i: int, k: int) -> int:
-        """k-th power by index; k = 0 requires an identity."""
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            if self.identity is None:
-                raise ValueError("power 0 needs an identity element")
-            return self.identity
-        acc = None
-        base = i
-        while k:
-            if k & 1:
-                acc = base if acc is None else self.op(acc, base)
-            k >>= 1
-            if k:
-                base = self.op(base, base)
-        return acc
 
     def _validate_axioms(self):
         n = len(self.values)
@@ -467,10 +446,9 @@ def _invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
     recovers the q-Sylow partition; the per-prime prime powers then merge
     rank by rank into the divisibility chain d_1 | d_2 | ... | d_r.
     """
-    n = group.size
-    orders = [element_order(group, i, n) for i in range(n)]
+    orders = element_orders(group)
     per_prime: dict[int, list[int]] = {}
-    for q in prime_factors(n):
+    for q in prime_factors(group.size):
         qpow_counts: dict[int, int] = {}
         for o in orders:
             # keep only elements whose order is a power of q
@@ -500,13 +478,29 @@ def _invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
     return _merge_prime_powers(per_prime)
 
 
-def element_order(group: FiniteSemigroup, i: int, group_order: int) -> int:
-    """Order of element i of a group of order ``group_order``."""
-    order = group_order
-    for q in prime_factors(group_order):
-        while order % q == 0 and group.power(i, order // q) == group.identity:
-            order //= q
-    return order
+def element_orders(G: FiniteSemigroup) -> list[int]:
+    """The order of every element of the finite group G, by index.
+
+    Walking row i from i runs through the powers i, i^2, ... and reaches
+    the identity at i^m, m = ord(i); i^k on the way has order
+    m / gcd(k, m). So one walk settles the whole cyclic subgroup <i>, and
+    an element starts a walk only when no earlier walk passed through it.
+    In a group no walk is longer than G.size steps; a longer one means G
+    is not a group, and raises ``ValueError``.
+    """
+    orders = [0] * G.size
+    for i, row in enumerate(G.table):
+        if orders[i]:
+            continue
+        powers = [i]
+        while powers[-1] != G.identity:
+            if len(powers) == G.size:
+                raise ValueError("not a group: no power of an element is the identity")
+            powers.append(row[powers[-1]])
+        m = len(powers)
+        for k, x in enumerate(powers, start=1):
+            orders[x] = m // gcd(k, m)
+    return orders
 
 
 def invariant_factors_from_cyclic_orders(orders: Seq[int]) -> tuple[int, ...]:

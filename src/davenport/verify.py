@@ -31,7 +31,7 @@ from .semigroup import (
     build_adjoined_zero_product,
     build_quotient_semigroup,
     crt_decompose,
-    element_order,
+    element_orders,
     modulus_factorization,
     projection_indices,
     units_of,
@@ -73,10 +73,6 @@ class VerificationReport:
     millis: int = 0
 
     @property
-    def passed(self) -> bool:
-        return self.status == STATUS_VERIFIED
-
-    @property
     def semigroup(self) -> FiniteSemigroup:
         """The semigroup S of D(S), where the lhs witness lives."""
         return self.lhs.witness.parent
@@ -113,15 +109,15 @@ def _status_for(
     rhs: DavenportResult,
     extra_complete: bool = True,
 ) -> str:
+    """Outside the hypothesis for p <= 2; else incomplete unless both sides
+    and the extra route are complete exact searches, and then verified or
+    refuted as the two values agree or differ."""
     if p is not None and p <= 2:
         return STATUS_OUTSIDE
-    if not (lhs.complete and rhs.complete and extra_complete):
+    if not (lhs.complete and rhs.complete and extra_complete
+            and lhs.method == rhs.method == "exact_dfs"):
         return STATUS_INCOMPLETE
-    if lhs.method == "exact_dfs" and rhs.method == "exact_dfs" and lhs.value == rhs.value:
-        return STATUS_VERIFIED
-    if lhs.method == "exact_dfs" and rhs.method == "exact_dfs":
-        return STATUS_REFUTED
-    return STATUS_INCOMPLETE
+    return STATUS_VERIFIED if lhs.value == rhs.value else STATUS_REFUTED
 
 
 def assert_valid_reduction(T: Sequence, T_prime: Sequence) -> None:
@@ -375,6 +371,12 @@ def proposition_semigroup(p: int) -> FiniteSemigroup:
     return build_quotient_semigroup(p, quadratic_modulus(p))
 
 
+def _is_square_quotient(S: FiniteSemigroup) -> bool:
+    """True when S is F_p[x]/<(x+1)^2>, read off the modulus's coefficients
+    (x^2 + 2x + 1) without building a polynomial."""
+    return S.kind == "quotient" and S.modulus.coeffs == (1, 2 % S.p, 1)
+
+
 def build_witness_V(S: FiniteSemigroup) -> Sequence:
     """The irreducible exhibit x * g^(p-2) over ``proposition_semigroup(p)``,
     with g the least primitive root.
@@ -382,7 +384,7 @@ def build_witness_V(S: FiniteSemigroup) -> Sequence:
     Its existence shows an irreducible sequence of length p-1, hence
     D(U) >= p for the square modulus.
     """
-    if S.kind != "quotient" or S.p <= 2 or S.modulus != quadratic_modulus(S.p):
+    if not _is_square_quotient(S) or S.p <= 2:
         raise ValueError("the witness family lives in F_p[x]/<(x+1)^2>, p > 2")
     p = S.p
     g = primitive_root(p)
@@ -408,8 +410,7 @@ def reduce_quadratic_case(p: int, T: Sequence) -> Sequence:
     if p <= 2:
         raise ValueError("the quadratic-case reduction needs p > 2")
     S = T.parent
-    # (x+1)^2 = x^2 + 2x + 1, read off the modulus without building one
-    if S.kind != "quotient" or S.p != p or S.modulus.coeffs != (1, 2 % p, 1):
+    if not _is_square_quotient(S) or S.p != p:
         raise ValueError(f"sequence must live in the quotient by (x+1)^2 over F_{p}")
     U = units_of(S)
     d_units = p * (p - 1)
@@ -539,12 +540,10 @@ def verify_proposition(
 
 def _cyclic_generator(U: UnitGroup) -> int:
     """Index (in the parent) of the canonically first maximal-order unit."""
-    G = U.as_semigroup()
-    n = G.size
-    for gi in range(n):
-        if element_order(G, gi, n) == n:
-            return U.elements[gi]
-    raise ValueError("unit group is not cyclic")
+    orders = element_orders(U.as_semigroup())
+    if U.order not in orders:
+        raise ValueError("unit group is not cyclic")
+    return U.elements[orders.index(U.order)]
 
 
 # -- conjecture probe ---------------------------------------------------------

@@ -6,8 +6,47 @@ from itertools import product as iproduct
 
 import pytest
 
-from davenport import INF, Sequence
+from davenport import INF, Sequence, monic_polys
+from davenport.gfpoly import Poly
 from davenport.zerosum import _search_tables, _translate_mask, sigma_index
+
+
+# Polynomial oracles for ``factor``: the package itself needs none of them.
+
+
+def is_monic(f: Poly) -> bool:
+    return f.leading_coefficient() == 1
+
+
+def evaluate(f: Poly, x: int) -> int:
+    y = 0
+    for c in reversed(f.coeffs):
+        y = (y * x + c) % f.p
+    return y
+
+
+def derivative(f: Poly) -> Poly:
+    return Poly(f.p, [i * c for i, c in enumerate(f.coeffs)][1:])
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor by the Euclidean algorithm."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Trial division by all monic polynomials of degree <= deg(f)/2."""
+    if f.degree < 1:
+        raise ValueError("irreducibility is defined for degree >= 1")
+    for d in range(1, f.degree // 2 + 1):
+        for g in monic_polys(f.p, d):
+            if (f % g).is_zero():
+                return False
+    return True
 
 
 def seq_of(S, *values):
@@ -150,12 +189,25 @@ def c2z_squared():
 _EMPTY = -1
 
 
+def binary_power(S, x, k):
+    """x^k for k >= 1 by repeated squaring through ``S.op``, a route apart
+    from the DP's folding of Cayley rows."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = x if acc is None else S.op(acc, x)
+        k >>= 1
+        if k:
+            x = S.op(x, x)
+    return acc
+
+
 def backpointer_dp_layers(S, pairs):
     start_sum = S.identity if S.identity is not None else _EMPTY
     rows = S.table
     layers = [{(start_sum, True, False): None}]
     for x, c in pairs:
-        powers = [S.power(x, take) for take in range(1, c + 1)]
+        powers = [binary_power(S, x, take) for take in range(1, c + 1)]
         nxt = {}
         for state in layers[-1]:
             s, all_used, any_used = state

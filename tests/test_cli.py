@@ -40,6 +40,23 @@ class TestVerifyVerb:
         assert code == 0
         assert "status: verified" in out
 
+    def test_theorem1_refuted_exits_1(self, capsys, monkeypatch):
+        # only the unit-group side comes back complete, with another value
+        import davenport.verify
+
+        search = davenport.verify.davenport_exact
+
+        def units_off_by_one(S, budget_ms=None):
+            result = search(S, budget_ms)
+            if "units_of" in S.params:
+                result.value += 1
+            return result
+
+        monkeypatch.setattr(davenport.verify, "davenport_exact", units_off_by_one)
+        code, out, _ = run(capsys, "verify", "theorem1", "-p", "3", "-f", "x*(x+1)")
+        assert code == 1
+        assert "status: refuted" in out
+
     def test_missing_flags_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "theorem1")
         assert code == 2
@@ -198,6 +215,34 @@ class TestUsageErrors:
         assert code == 2
         assert "offset" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "-p", "3", "-f", "x)"),
+            ("factor", "-p", "3", "-f", "coeffs:1,a"),
+            ("reduce", "-n", "3", "--seq", "g^x"),
+            ("reduce", "-n", "3", "--seq", "h"),
+            ("reduce", "-n", "2,2", "--seq", "(g, g));(g, g)"),
+            ("reduce", "-n", "2,2", "--seq", "((g, g)"),
+            ("reduce", "-n", "2,2", "--seq", "g"),
+            ("reduce", "-n", "2,2", "--seq", "(g, g, g)"),
+            ("reduce", "-p", "3", "--seq", "x;;x"),
+            ("reduce", "--seq", "x"),
+            ("davenport", "-n", "2,a"),
+            ("davenport", "-n", ","),
+            ("davenport",),
+            ("davenport-group", "0,2"),
+            ("davenport-group", "6,6,12"),
+            ("verify", "lemma"),
+            ("verify", "proposition"),
+        ],
+    )
+    def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_composite_modulus(self, capsys):
         code, _, err = run(capsys, "factor", "-p", "9", "-f", "x")
         assert code == 2
@@ -266,7 +311,8 @@ class TestUsageErrors:
         assert "exceeds the cap of 2000000 steps" in err
 
     def test_prime_near_cap_checked_once(self, capsys):
-        # each trial divisor and quotient inherits the parser's checked prime
+        # trial division runs once for the prime; every later Poly built over
+        # it, each trial divisor and quotient, checks it through the cache
         start = time.monotonic()
         code, out, err = run(capsys, "factor", "-p", "999999999989", "-f", "x^2+1")
         assert time.monotonic() - start < 20.0

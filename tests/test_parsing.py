@@ -41,6 +41,10 @@ class TestPolyExpressions:
         assert parse_poly_expr("-x+1", 3) == poly(3, 1, 2)
         assert parse_poly_expr("(-x)^2", 3) == poly(3, 0, 0, 1)
 
+    def test_binary_minus(self):
+        assert parse_poly_expr("x^2-1", 3) == poly(3, 2, 0, 1)
+        assert parse_poly_expr("x-x", 3).is_zero()
+
     def test_whitespace_tolerated(self):
         assert parse_poly_expr("  x ^ 2 + 2 * x + 1 ", 3) == poly(3, 1, 2, 1)
 

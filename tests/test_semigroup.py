@@ -15,7 +15,6 @@ from davenport import (
     build_quotient_semigroup,
     crt_decompose,
     is_group,
-    is_irreducible,
     monic_polys,
     poly,
     units_of,
@@ -24,12 +23,13 @@ from davenport.gfpoly import Poly, factor, is_prime
 from davenport.semigroup import (
     FiniteSemigroup,
     build_adjoined_zero_product,
+    element_orders,
     invariant_factors_from_cyclic_orders,
     projection_indices,
     zero_coordinate_sets,
 )
 
-from conftest import j_set, psi_projection, value_product
+from conftest import is_irreducible, j_set, psi_projection, value_product
 
 
 def mul(S, a, b):
@@ -151,6 +151,39 @@ class TestGroups:
 
     def test_quotient_is_not_a_group(self, quotient_p3_sq):
         assert not is_group(quotient_p3_sq)
+
+    def test_identity_free_is_not_a_group(self):
+        assert not is_group(FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]]))
+
+
+class TestElementOrders:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_cyclic_group(12),
+            lambda: build_abelian_group([2, 6]),
+            lambda: build_abelian_group([3, 3, 3]),
+            lambda: units_of(build_quotient_semigroup(3, poly(3, 0, 0, 1, 1))).group,
+        ],
+        ids=["C12", "C2xC6", "C3^3", "U(x^3+x^2 over F_3)"],
+    )
+    def test_match_repeated_multiplication(self, build):
+        G = build()
+
+        def order(i):
+            acc, k = i, 1
+            while acc != G.identity:
+                acc, k = G.op(acc, i), k + 1
+            return k
+
+        assert element_orders(G) == [order(i) for i in range(G.size)]
+
+    def test_non_group_rejected(self, quotient_p3_sq):
+        # the zero's walk never reaches the identity, and without an
+        # identity no walk does; both stop after |S| steps
+        for S in (quotient_p3_sq, FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]])):
+            with pytest.raises(ValueError, match="not a group"):
+                element_orders(S)
 
 
 class TestTableOracle:
