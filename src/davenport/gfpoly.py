@@ -324,9 +324,5 @@ def multiplicative_order(a: int, p: int) -> int:
 def primitive_root(p: int) -> int:
     """Least generator of the multiplicative group mod p (1 for p = 2)."""
     validate_prime(p)
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        if multiplicative_order(g, p) == p - 1:
-            return g
-    raise AssertionError("unreachable: every prime has a primitive root")
+    # 1 has order 1, which is p - 1 only for p = 2
+    return next(g for g in range(1, p) if multiplicative_order(g, p) == p - 1)

@@ -24,6 +24,9 @@ product elements as parenthesized comma-separated tuples.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from functools import partial
+
 from .gfpoly import Poly, validate_prime
 from .semigroup import INF, FiniteSemigroup
 from .zerosum import Sequence
@@ -38,7 +41,18 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
+        self.message = message
         self.position = position
+
+
+@contextmanager
+def _at(offset: int):
+    """Shift the offset of a ParseError raised inside the block by ``offset``:
+    a part parsed on its own reports where it sits in the enclosing text."""
+    try:
+        yield
+    except ParseError as err:
+        raise ParseError(err.message, err.position + offset) from None
 
 
 class _PolyParser:
@@ -185,6 +199,17 @@ def _split_top_level(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _parts_at(text: str, sep: str) -> list[tuple[int, str]]:
+    """The stripped top-level parts of text, each with the offset of its
+    first non-blank character (of its end when it is blank)."""
+    out = []
+    start = 0
+    for part in _split_top_level(text, sep):
+        out.append((start + len(part) - len(part.lstrip()), part.strip()))
+        start += len(part) + 1
+    return out
+
+
 def parse_element(S: FiniteSemigroup, text: str) -> int:
     """Parse one element literal of S; returns its universe index."""
     value = _parse_element_value(S, text)
@@ -201,28 +226,25 @@ def _parse_element_value(S: FiniteSemigroup, text: str):
     if S.kind == "cyclic_with_zero":
         return _parse_cyclic_literal(t, S.n, allow_inf=True)
     if S.kind == "abelian_group":
-        orders = getattr(S, "orders", None)
-        if orders is not None and len(orders) == 1:
+        orders = getattr(S, "orders", None) or ()
+        if len(orders) == 1:
             return _parse_cyclic_literal(t, orders[0], allow_inf=False)
-        if not (t.startswith("(") and t.endswith(")")):
-            raise ParseError(f"expected a tuple literal, got {text!r}", 0)
-        comps = _split_top_level(t[1:-1], ",")
-        if orders is None or len(comps) != len(orders):
-            raise ParseError(f"tuple arity mismatch in {text!r}", 0)
-        return tuple(
-            _parse_cyclic_literal(c, n, allow_inf=False)
-            for c, n in zip(comps, orders)
-        )
-    if S.kind == "product":
-        if not (t.startswith("(") and t.endswith(")")):
-            raise ParseError(f"expected a tuple literal, got {text!r}", 0)
-        comps = _split_top_level(t[1:-1], ",")
-        if S.factors is None or len(comps) != len(S.factors):
-            raise ParseError(f"tuple arity mismatch in {text!r}", 0)
-        return tuple(
-            _parse_element_value(f, c) for f, c in zip(S.factors, comps)
-        )
-    raise ParseError(f"no element syntax for semigroup kind {S.kind!r}", 0)
+        coords = [partial(_parse_cyclic_literal, n=n, allow_inf=False) for n in orders]
+    elif S.kind == "product":
+        coords = [partial(_parse_element_value, f) for f in S.factors or ()]
+    else:
+        raise ParseError(f"no element syntax for semigroup kind {S.kind!r}", 0)
+    if not (t.startswith("(") and t.endswith(")")):
+        raise ParseError(f"expected a tuple literal, got {text!r}", 0)
+    with _at(1):
+        comps = _parts_at(t[1:-1], ",")
+    if len(comps) != len(coords):
+        raise ParseError(f"tuple arity mismatch in {text!r}", 0)
+    out = []
+    for (at, c), parse in zip(comps, coords):
+        with _at(1 + at):
+            out.append(parse(c))
+    return tuple(out)
 
 
 def _split_multiplicity(item: str) -> tuple[str, int]:
@@ -244,9 +266,11 @@ def parse_sequence(S: FiniteSemigroup, text: str) -> Sequence:
     if not t:
         return Sequence.empty(S)
     pairs = []
-    for item in _split_top_level(t, ";"):
-        if not item.strip():
-            raise ParseError("empty sequence item", 0)
-        lit, mult = _split_multiplicity(item.strip())
-        pairs.append((parse_element(S, lit), mult))
+    with _at(len(text) - len(text.lstrip())):
+        for at, item in _parts_at(t, ";"):
+            with _at(at):
+                if not item:
+                    raise ParseError("empty sequence item", 0)
+                lit, mult = _split_multiplicity(item)
+                pairs.append((parse_element(S, lit), mult))
     return Sequence(S, pairs)

@@ -316,6 +316,33 @@ def is_zero_sum_free(T: Sequence) -> bool:
 # -- Davenport constant ------------------------------------------------------
 
 
+def _nilpotency_index(S: FiniteSemigroup) -> Optional[int]:
+    """Least e with N^e = {0}, N the non-units of S; None when there is none.
+
+    N^e is the set of products of e non-units. N is an ideal, so
+    N ⊇ N^2 ⊇ ... and each step is read off the Cayley rows. None when S
+    has no zero or no non-unit, or when the chain stops shrinking before
+    it reaches {0}. For F_p[x]/<g^m>, g irreducible, e = m; a modulus with
+    two distinct irreducible factors has none.
+    """
+    if S.zero is None:
+        return None
+    inverses = units_of(S).inverses
+    N = [b for b in range(S.size) if b not in inverses]
+    if not N:
+        return None
+    rows = S.table
+    P = set(N)
+    e = 1
+    while len(P) > 1:
+        nxt = {rows[a][b] for a in P for b in N}
+        if len(nxt) == len(P):
+            return None
+        P = nxt
+        e += 1
+    return e
+
+
 def _search_tables(S: FiniteSemigroup):
     """The tables the exact search reads: ``(translate, ideal, fiber)``.
 
@@ -458,6 +485,40 @@ def davenport_exact(
     is built only for the children that pass. The test is an equivalence,
     not a prune: the search tree, node counts, memo and witness are those
     of testing s x against rp' itself.
+
+    Pruning floor. Cuts and inexact memo hits compare against
+    ``cut = max(best_len, floor)``, not ``best_len``, where
+    floor = D*(U) - 2, U is the unit group with invariant factors d_i and
+    D*(U) = 1 + sum(d_i - 1). A cut branch holds no sequence longer than
+    ``cut``. Let L = D(S) - 1 be the longest length. Until the incumbent
+    reaches L, the branch holding the lexicographically first sequence of
+    length L is cut only if floor >= L. But D*(U) <= D(U) <= D(S) (a
+    sequence irreducible over U is irreducible over S, its sub-multisets
+    having the same products), so floor <= L - 1: that sequence is still
+    found first, and the value and the witness are those of the search
+    without the floor. The floor never enters the result: ``best_len`` and
+    ``best_path`` still record every longer prefix, so a capped run reports
+    a witnessed lower bound. The argument needs only floor < L, which a
+    complete run ending with best_len > floor proves whatever the census
+    says; one ending at or below the floor (a wrong census) raises
+    ``AssertionError``.
+
+    Unit split bound. Let N be the non-units, an ideal, and e the least
+    with N^e = {0} (``_nilpotency_index``). Take a state whose product s
+    is a unit and which has at least one term; every term of T is then a
+    unit, so rp and s lie in U, and s S^1 = S. If T y_1 ... y_k is
+    irreducible, its a unit terms and b non-unit terms obey:
+
+    * a <= |U minus (rp and s)|: T times the unit terms is irreducible
+      (downward closed), so as in the ideal bound its partial products
+      past T are distinct units outside rp and s;
+    * b <= e - 1: e non-unit terms multiply to 0, so the whole product is
+      0, and dropping one term of T leaves a proper sub-multiset whose
+      product is still 0.
+
+    So k <= |U| - |rp and s| + e - 1, the ideal bound less |N| - (e - 1).
+    The bound depends only on the state, so memo entries stay valid. With
+    no such e (no zero, no non-unit, or N^k never {0}) the rule is off.
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
@@ -467,11 +528,19 @@ def davenport_exact(
     rows = S.table
     w = max(1, (n - 1).bit_length())  # memo-key field width: indices < n
     w2 = 2 * w
+    U = units_of(S)
+    floor = sum(d - 1 for d in U.invariant_factors) - 1  # D*(U) - 2
+    e = _nilpotency_index(S)
+    unit_mask = split = 0  # with no e the split bound is off: its test never fires
+    if e is not None:
+        unit_mask = sum(1 << u for u in U.elements)
+        split = n - U.order - (e - 1)  # |N| - (e - 1)
 
     memo: dict[int, tuple[int, bool, int]] = {}  # packed state -> (ub, exact, first)
     nodes = 0
     best_len = 0
     best_path: tuple[int, ...] = ()
+    cut = max(best_len, floor)  # what cuts and inexact memo hits must beat
     path: list[int] = []
 
     def replay(sig: int, rp: int, min_elem: int) -> list[int]:
@@ -486,7 +555,7 @@ def davenport_exact(
             sig, min_elem = rows[sig][first], first
 
     def explore(sig: int, rp: int, min_elem: int, depth: int) -> tuple[int, bool, int]:
-        nonlocal nodes, best_len, best_path
+        nonlocal nodes, best_len, best_path, cut
         key = (rp << w2) | (sig << w) | min_elem
         hit = memo.get(key)
         if hit is not None:
@@ -494,15 +563,18 @@ def davenport_exact(
                 if depth + hit[0] > best_len:
                     best_len = depth + hit[0]
                     best_path = tuple(path) + tuple(replay(sig, rp, min_elem))
+                    cut = max(cut, best_len)
                 return hit
-            if depth + hit[0] <= best_len:
+            if depth + hit[0] <= cut:
                 return hit
         nodes += 1
         if nodes & 0x3FF == 1 and budget.expired():
             raise _OutOfBudget
         r_all = rp | (1 << sig)
         bound = (ideal[sig] & ~r_all).bit_count()
-        if depth + bound <= best_len:
+        if (unit_mask >> sig) & 1 and rp:
+            bound -= split
+        if depth + bound <= cut:
             entry = memo[key] = (bound, False, -1)
             return entry
         best_ub = 0
@@ -525,6 +597,7 @@ def davenport_exact(
             if depth + 1 > best_len:
                 best_len = depth + 1
                 best_path = tuple(path) + (x,)
+                cut = max(cut, best_len)
             path.append(x)
             ub, sub_exact, _ = explore(new_sig, new_rp, x, depth + 1)
             path.pop()
@@ -545,6 +618,10 @@ def davenport_exact(
     if len(best_path) != best_len:
         raise AssertionError(
             f"witness replay found {len(best_path)} terms, the search {best_len}"
+        )
+    if complete and best_len <= floor:
+        raise AssertionError(
+            f"complete search found {best_len} terms, not above the floor {floor}"
         )
     witness = Sequence.from_indices(S, best_path)
     _check_witness(witness)

@@ -40,6 +40,14 @@ class TestVerifyVerb:
         assert code == 0
         assert "status: verified" in out
 
+    def test_proposition_p11_exact(self, capsys):
+        # D(S) = D(U) = 110 by two complete searches, then 1000 reductions
+        code, out, _ = run(capsys, "verify", "proposition", "-p", "11")
+        assert code == 0
+        assert "status: verified" in out
+        assert "D(S):    D = 110 [exact]" in out
+        assert "stress_passed: 1000" in out
+
     def test_theorem1_refuted_exits_1(self, capsys, monkeypatch):
         # only the unit-group side comes back complete, with another value
         import davenport.verify
@@ -243,6 +251,14 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "seq, offset", [("x;x;y", 4), ("x;2*0", 4), ("x;;x", 2), ("x; x+)", 5)]
+    )
+    def test_sequence_error_offset_into_the_text(self, capsys, seq, offset):
+        code, _, err = run(capsys, "reduce", "-p", "3", "--seq", seq)
+        assert code == 2
+        assert err.endswith(f"(at offset {offset})\n")
+
     def test_composite_modulus(self, capsys):
         code, _, err = run(capsys, "factor", "-p", "9", "-f", "x")
         assert code == 2
@@ -352,7 +368,7 @@ GOLDEN_RECORDS = [
     (
         ("davenport", "-p", "3", "-f", "(x+1)^2"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 39, "value": 6, "witness": "x*5"}'
+        '"nodes": 41, "value": 6, "witness": "x*5"}'
     ),
     (
         ("davenport", "-n", "2,4"),
@@ -376,10 +392,10 @@ GOLDEN_RECORDS = [
         '"lower_bound": 6, "lower_bound_witness": "x*5", "stress_passed": '
         '50, "stress_sequences": 50, "unit_invariants": [6], '
         '"unit_order": 6}, "claim": "proposition", "lhs": {"complete": '
-        'true, "method": "exact_dfs", "millis": null, "nodes": 39, '
+        'true, "method": "exact_dfs", "millis": null, "nodes": 41, '
         '"value": 6, "witness": "x*5"}, "params": {"f": "x^2+2*x+1", "p": '
         '3}, "rhs": {"complete": true, "method": "exact_dfs", "millis": '
-        'null, "nodes": 23, "value": 6, "witness": "x*5"}, "status": '
+        'null, "nodes": 18, "value": 6, "witness": "x*5"}, "status": '
         '"verified"}'
     ),
     (

@@ -55,6 +55,14 @@ class TestPrimes:
         assert not is_prime(2 * big)
         assert prime_factors(2**60 * 3**5) == {2: 60, 3: 5}
 
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_prime_factors_need_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="positive integer required"):
+            prime_factors(n)
+
+    def test_prime_factors_of_one(self):
+        assert prime_factors(1) == {}
+
 
 class TestCanonicalForm:
     def test_trailing_zeros_stripped(self):
@@ -271,6 +279,11 @@ class TestPrimitiveRoot:
     def test_orders(self):
         assert multiplicative_order(2, 7) == 3
         assert multiplicative_order(3, 7) == 6
+
+    @pytest.mark.parametrize("a", [0, 7, -14])
+    def test_zero_has_no_order(self, a):
+        with pytest.raises(ValueError, match="zero has no multiplicative order"):
+            multiplicative_order(a, 7)
 
 
 class TestPrinting:

@@ -157,6 +157,47 @@ class TestSequenceLiterals:
             parse_sequence(quotient_p3_sq, "w+1")
 
 
+class TestSequenceOffsets:
+    """A parse error inside a sequence item reports its offset into the
+    whole sequence text, not into the item."""
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("x;x;y", 4),  # the y
+            ("x;2*0", 4),  # the multiplicity 0
+            ("x;;x", 2),  # the empty item
+            ("x; x+)", 5),  # the unbalanced ')'
+            ("  x; (x+1)*2; x^", 16),  # leading blanks; the missing exponent
+            ("x; w", 3),  # not an element, reported at the item
+        ],
+    )
+    def test_quotient_items(self, quotient_p3_sq, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_sequence(quotient_p3_sq, text)
+        assert exc.value.position == offset
+        assert str(exc.value).endswith(f"(at offset {offset})")
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("(g, g);(g, h)", 11),
+            ("(g, g);( g,g^x)", 13),
+            ("(g, g);(g, (g)", 14),
+        ],
+    )
+    def test_tuple_components(self, c2z_squared, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_sequence(c2z_squared, text)
+        assert exc.value.position == offset
+
+    def test_group_tuple_component(self):
+        G = build_abelian_group([2, 3])
+        with pytest.raises(ParseError) as exc:
+            parse_sequence(G, "(g, g^2);(g, h)")
+        assert exc.value.position == 13
+
+
 class TestSequenceType:
     def test_empty_representable(self, quotient_p3_sq):
         lam = Sequence.empty(quotient_p3_sq)

@@ -19,11 +19,13 @@ from davenport import (
     poly,
     units_of,
 )
+from davenport import semigroup
 from davenport.gfpoly import Poly, factor, is_prime
 from davenport.semigroup import (
     FiniteSemigroup,
     build_adjoined_zero_product,
     element_orders,
+    format_value,
     invariant_factors_from_cyclic_orders,
     projection_indices,
     zero_coordinate_sets,
@@ -258,6 +260,62 @@ class TestConstructorChecks:
         values = ["a", "b", "c"][: len(table[0])]
         with pytest.raises(ValueError, match=message):
             FiniteSemigroup("product", values, table, **specials)
+
+
+def identity_free():
+    """The one-element semigroup, with its element claimed neither identity nor zero."""
+    return FiniteSemigroup("product", ["a"], [[0]])
+
+
+class TestBuilderArguments:
+    """What the builders and the value printer reject."""
+
+    def test_duplicate_universe_values(self):
+        with pytest.raises(ValueError, match="duplicate elements"):
+            FiniteSemigroup("product", ["a", "a"], [[0, 1], [1, 0]])
+
+    def test_format_value_of_an_unknown_value(self):
+        with pytest.raises(TypeError, match="unknown element value"):
+            format_value(1.5)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: build_cyclic_group(0), "group order must be >= 1"),
+            (lambda: build_abelian_group([]), "at least one cyclic order"),
+            (lambda: build_abelian_group([2, 0]), "cyclic orders must be >= 1"),
+            (lambda: build_abelian_group([-3]), "cyclic orders must be >= 1"),
+            (lambda: build_product([build_cyclic_group(2), identity_free()]),
+             "every product factor needs an identity"),
+            (lambda: units_of(identity_free()), "unit group needs an identity"),
+        ],
+        ids=["cyclic-0", "abelian-empty", "abelian-zero", "abelian-negative",
+             "product-factor", "units"],
+    )
+    def test_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+class TestInternalChecks:
+    """Cross-checks that only a defect can trip; each raises AssertionError,
+    which the CLI reports with exit code 4."""
+
+    def test_closed_form_disagreeing_with_census(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "_closed_form_invariants", lambda S: (7,))
+        with pytest.raises(AssertionError, match=r"closed-form unit structure \(7,\)"):
+            units_of(build_quotient_semigroup(3, poly(3, 1, 2, 1)))
+
+    def test_census_not_a_layering(self, monkeypatch):
+        # three elements of 2-power order cannot make a 2-group
+        monkeypatch.setattr(semigroup, "element_orders", lambda G: [1, 2, 2, 3, 3, 6])
+        with pytest.raises(AssertionError, match="not a q-group layering"):
+            units_of(build_cyclic_group(6))
+
+    def test_residue_map_not_a_bijection(self):
+        # a factorization of another modulus: x alone sends 9 residues to 3
+        with pytest.raises(AssertionError, match="failed to be a bijection"):
+            crt_decompose(3, poly(3, 0, 1, 1), factor(poly(3, 0, 1)))
 
 
 class TestTableCap:

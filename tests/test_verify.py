@@ -397,11 +397,21 @@ class TestProposition:
         verify_proposition(3, stress=5, samples=10)
         assert moduli == [quadratic_modulus(3)]
 
-    def test_semigroup_side_searched_first(self):
-        # D(U) is fixed by the unit census; a short budget goes to D(S)
-        report = verify_proposition(7, budget_ms=500, stress=0, samples=1)
-        assert report.lhs.nodes > 1
-        assert (report.rhs.method, report.rhs.value) == ("formula", 42)
+    def test_semigroup_side_searched_first(self, monkeypatch):
+        # D(U) is fixed by the unit census, so the budget goes to D(S) first
+        import davenport.verify
+
+        searched = []
+
+        def recording(S, budget_ms=None):
+            searched.append(S.kind)
+            return davenport_exact(S, budget_ms)
+
+        monkeypatch.setattr(davenport.verify, "davenport_exact", recording)
+        report = verify_proposition(7, stress=0, samples=1)
+        assert searched == ["quotient", "abelian_group"]
+        assert report.lhs.value == report.rhs.value == 42
+        assert report.status == STATUS_VERIFIED
 
     def test_incomplete_when_budget_zero(self):
         report = verify_proposition(5, budget_ms=0, stress=10, samples=50)

@@ -1,6 +1,7 @@
 """Reducibility, sum sets, and Davenport searches, cross-checked against
 brute-force enumeration."""
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -37,7 +38,12 @@ from davenport.verify import (
     build_witness_V,
     proposition_semigroup,
 )
-from davenport.zerosum import _search_tables, _translate_mask, sigma_index
+from davenport.zerosum import (
+    _nilpotency_index,
+    _search_tables,
+    _translate_mask,
+    sigma_index,
+)
 
 from conftest import (
     all_multisets,
@@ -365,9 +371,43 @@ class TestDavenportExact:
         assert len(res.witness) == 41
         assert not is_reducible(res.witness)
         assert find_reduction(res.witness) is None
-        # the child test decides the same children as building rp*x did,
-        # so the search tree keeps its size
-        assert res.nodes == 692_887
+        # the pruning floor D*(U) - 2 = 40 and the unit split bound (e = 2)
+        # take the tree from 692,887 nodes to this
+        assert res.nodes == 16_041
+
+    @pytest.mark.parametrize("p, witness", [(11, "(x+3)*109"), (13, "(x+3)*155")])
+    def test_proposition_frontier_p11_p13(self, p, witness):
+        # D = p(p-1) for (x+1)^2: n = 121 and 169, exact within the budget
+        S = build_quotient_semigroup(p, poly(p, 1, 2, 1))
+        res = davenport_exact(S, budget_ms=60_000)
+        assert res.complete
+        assert res.value == p * (p - 1)
+        assert res.witness.format() == witness
+        assert find_reduction(res.witness) is None
+
+    def test_floor_above_the_value_is_caught(self, monkeypatch):
+        # a unit census claiming C_100 for C_6 puts the floor at 98; the
+        # search then ends complete at or below it, which only a wrong
+        # floor explains
+        G = build_cyclic_group(6)
+        U = units_of(G)
+        monkeypatch.setattr(
+            zerosum, "units_of", lambda S: dataclasses.replace(U, invariant_factors=(100,))
+        )
+        with pytest.raises(AssertionError, match="not above the floor 98"):
+            davenport_exact(G)
+
+    def test_capped_run_keeps_a_witnessed_lower_bound(self, monkeypatch):
+        # the floor D*(U) - 2 = 154 only cuts branches; a run stopped by its
+        # budget reports the longest sequence it has seen, with a witness.
+        # The clock is read on nodes 1, 1025 and 2049; it runs out on the third
+        reads = iter([False, False, True])
+        monkeypatch.setattr(zerosum.Budget, "expired", lambda self: next(reads))
+        S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
+        res = davenport_exact(S, budget_ms=60_000)
+        assert (res.nodes, res.complete) == (2049, False)
+        assert 1 < res.value == 1 + len(res.witness) <= 156
+        assert find_reduction(res.witness) is None
 
     def test_tree_pinned_x3_x1_3_over_f2(self):
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
@@ -441,6 +481,39 @@ class TestDavenportExact:
             dS = davenport_exact(S).value
             dU = davenport_exact(units_of(S).as_semigroup()).value
             assert dU <= dS
+
+
+class TestNilpotencyIndex:
+    """The least e with N^e = {0}, N the non-units, behind the split bound."""
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (2, 3), (2, 8), (3, 2), (5, 3), (7, 1)])
+    def test_power_of_x(self, p, e):
+        S = build_quotient_semigroup(p, poly(p, *[0] * e, 1))
+        assert _nilpotency_index(S) == e
+
+    def test_square_modulus(self):
+        assert _nilpotency_index(proposition_semigroup(5)) == 2
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_adjoined_zero(self, n):
+        # N = {inf}, which is N^1 already
+        assert _nilpotency_index(build_cyclic_with_zero(n)) == 1
+
+    def test_none_without_nilpotent_non_units(self, c2z_squared):
+        for S in (
+            build_cyclic_group(6),  # no zero
+            build_abelian_group([2, 4]),
+            build_quotient_semigroup(3, poly(3, 0, 1, 1)),  # x(x+1): N^2 = N
+            # x^2(x+1): no power of x is 0
+            build_quotient_semigroup(2, poly(2, 0, 1, 1) * poly(2, 0, 1)),
+            c2z_squared,  # (inf, g) is a non-unit whose powers never reach 0
+        ):
+            assert _nilpotency_index(S) is None, S.describe()
+
+    def test_trivial_monoid(self):
+        # identity = zero: no non-unit
+        S = FiniteSemigroup("product", ["e"], [[0]], identity_value="e", zero_value="e")
+        assert _nilpotency_index(S) is None
 
 
 class TestSearchAgainstBruteForce:
@@ -543,6 +616,14 @@ class TestBranchAndBoundOracle:
             assert res.complete
             expected = unpruned_davenport(S)
             assert (res.value, res.witness.indices()) == expected, S.describe()
+
+    def test_both_unit_rules_act_on_the_oracle_universes(self):
+        # the oracle checks each rule where it acts: the split bound wherever
+        # e exists (1, 2 and 3 occur), the floor wherever U is nontrivial
+        # (up to C_26)
+        quotients = list(_small_universes("quotient"))
+        assert {_nilpotency_index(S) for S in quotients} >= {None, 1, 2, 3}
+        assert max(sum(units_of(S).invariant_factors) for S in quotients) == 26
 
     def test_families_cover_the_cap(self):
         sizes = {
