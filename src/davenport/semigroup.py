@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd, prod
-from typing import Optional, Sequence as Seq
+from operator import itemgetter
+from typing import Callable, Optional, Sequence as Seq
 
 from .gfpoly import (
     Factorization,
@@ -413,7 +414,154 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
 
     ug = UnitGroup(S, elements, inverses, invariants, group)
     S._unit_cache = ug
+    # the group is its own unit group, so units_of(group) builds nothing
+    group._unit_cache = UnitGroup(
+        group,
+        tuple(range(len(elements))),
+        {position[i]: position[j] for i, j in inverses.items()},
+        invariants,
+        group,
+    )
     return ug
+
+
+MAX_AUTOMORPHISM_STEPS = 3_000_000
+"""Most steps one ``automorphisms`` call may take: a step is one product
+looked up, while closing a partial map or checking a complete one."""
+
+
+def automorphisms(
+    S: FiniteSemigroup, expired: Optional[Callable[[], bool]] = None
+) -> list[tuple[int, ...]]:
+    """Automorphisms of S as index maps (entry a is the image of a), the
+    identity map first.
+
+    Every automorphism fixes the identity and the zero, and maps each
+    element to one of the same profile: the index and period of its
+    powers and the size of the ideal xS. A map is fixed by its images of a
+    generating set, picked greedily: each generator is an element outside
+    the subsemigroup that the identity, the zero and the earlier
+    generators generate, with the fewest elements of its profile, and then
+    the largest cyclic subsemigroup. A backtracking search tries, for each
+    generator in turn, every image of its profile not taken yet. Once an
+    image is chosen the map is closed under products with the generators
+    so far, phi(a g) = phi(a) phi(g); an element given two images (not
+    well defined) or an image given twice (not injective) ends the branch.
+    Every complete map is then checked against the whole Cayley table: it
+    must be a bijection with phi(a b) = phi(a) phi(b) for all a and b, so
+    no map is returned on the strength of the argument above.
+
+    The search stops after ``MAX_AUTOMORPHISM_STEPS`` steps, or once
+    ``expired()`` is true, which it reads on entry and then about every
+    1024 steps. It then returns the automorphisms found so far: a subset,
+    still with the identity first.
+    """
+    n = S.size
+    rows = S.table
+    identity = tuple(range(n))
+    found = [identity]
+    if expired is not None and expired():
+        return found
+    profile = [_profile(row, x) for x, row in enumerate(rows)]
+    candidates: dict[tuple[int, int, int], list[int]] = {}
+    for x in range(n):
+        candidates.setdefault(profile[x], []).append(x)
+    img = [-1] * n  # the partial map and its inverse, -1 where undefined
+    pre = [-1] * n
+    trail = [x for x in dict.fromkeys((S.identity, S.zero)) if x is not None]
+    for x in trail:
+        img[x] = pre[x] = x
+    fixed = len(trail)
+    gens: list[int] = []
+    steps = 0
+
+    def extend(k: int, y: int) -> bool:
+        # map gens[k] to y and close the map under products with gens[:k+1],
+        # each newly mapped element going on the trail; False on a conflict
+        nonlocal steps
+        g = gens[k]
+        hs = gens[:k + 1]
+        old = len(trail)
+        img[g], pre[y] = y, g
+        trail.append(g)
+        i = 0
+        while i < len(trail):
+            a = trail[i]
+            ra, rfa = rows[a], rows[img[a]]
+            # elements mapped before g met the earlier generators already
+            for h in hs if i >= old else (g,):
+                b, t = ra[h], rfa[img[h]]
+                steps += 1
+                if img[b] < 0:
+                    if pre[t] >= 0:
+                        return False
+                    img[b], pre[t] = t, b
+                    trail.append(b)
+                elif img[b] != t:
+                    return False
+            i += 1
+        return True
+
+    def undo(mark: int) -> None:
+        for x in trail[mark:]:
+            pre[img[x]] = -1
+            img[x] = -1
+        del trail[mark:]
+
+    # closing the identity map on each new generator marks the
+    # subsemigroup the generators so far generate
+    for g in sorted(range(n), key=lambda x: (len(candidates[profile[x]]),
+                                             -profile[x][0] - profile[x][1])):
+        if img[g] < 0:
+            gens.append(g)
+            extend(len(gens) - 1, g)
+    undo(fixed)
+    row_images = [itemgetter(*row) for row in rows]  # phi -> phi(row a)
+    next_read = steps + 1024
+
+    def search(k: int) -> bool:
+        # extend the map to gens[k:] in every way; False once out of work
+        nonlocal steps, next_read
+        if steps >= next_read:
+            if steps >= MAX_AUTOMORPHISM_STEPS or (expired is not None and expired()):
+                return False
+            next_read = steps + 1024
+        if k == len(gens):
+            steps += n * n
+            phi = tuple(img)
+            if phi != identity and sorted(phi) == list(identity):
+                of = itemgetter(*phi)  # row -> its entries at phi(b), b in order
+                # phi(a b) = phi(a) phi(b) for every b, row a by row a
+                if all(lhs(phi) == of(rows[fa]) for lhs, fa in zip(row_images, phi)):
+                    found.append(phi)
+            return True
+        for y in candidates[profile[gens[k]]]:
+            if pre[y] < 0:
+                mark = len(trail)
+                more = not extend(k, y) or search(k + 1)
+                undo(mark)
+                if not more:
+                    return False
+        return True
+
+    try:
+        search(0)
+    finally:
+        search = None  # it refers to itself; this breaks the cycle
+    return found
+
+
+def _profile(row: list[int], x: int) -> tuple[int, int, int]:
+    """(index, period, |xS|) of x, whose Cayley row is ``row``: the least
+    m, and then the least r, with x^m = x^(m+r), and the size of the row's
+    image."""
+    first_seen: dict[int, int] = {}
+    power, k = x, 1
+    while power not in first_seen:
+        first_seen[power] = k
+        power, k = row[power], k + 1
+    m = first_seen[power]
+    return m, k - m, len(set(row))
 
 
 def modulus_factorization(S: FiniteSemigroup) -> Factorization:

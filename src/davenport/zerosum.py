@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .gfpoly import prime_factors
-from .semigroup import FiniteSemigroup, units_of
+from .semigroup import FiniteSemigroup, automorphisms, units_of
 
 
 class Sequence:
@@ -384,6 +384,29 @@ def _translate_mask(chunks: list[list[int]], mask: int) -> int:
     return acc
 
 
+def _lex_leaders(A: list[tuple[int, ...]], n: int):
+    """``(first_terms, second_terms)``: the terms the exact search tries
+    first and second, given automorphisms A of a universe of n elements.
+
+    ``first_terms`` lists the x with phi(x) >= x for every phi in A, and
+    ``second_terms[x]``, for each such x, the y >= x with phi(y) >= y for
+    every phi in A that fixes x; both in increasing order.
+    """
+    moved = 0  # the y that some phi maps below y
+    moved_fixing = [0] * n  # x -> the y that some phi fixing x maps below y
+    for phi in A:
+        down = sum(1 << y for y in range(n) if phi[y] < y)
+        moved |= down
+        for x in range(n):
+            if phi[x] == x:
+                moved_fixing[x] |= down
+    first = [x for x in range(n) if not moved >> x & 1]
+    second = {
+        x: [y for y in range(x, n) if not moved_fixing[x] >> y & 1] for x in first
+    }
+    return first, second
+
+
 @dataclass
 class DavenportResult:
     """Outcome of a Davenport-constant computation."""
@@ -519,6 +542,27 @@ def davenport_exact(
     So k <= |U| - |rp and s| + e - 1, the ideal bound less |N| - (e - 1).
     The bound depends only on the state, so memo entries stay valid. With
     no such e (no zero, no non-unit, or N^k never {0}) the rule is off.
+
+    Symmetry. Let A be the automorphisms of S that ``automorphisms``
+    returns (all of them or, past its work cap or the budget, a subset).
+    The root tries only a first term x with phi(x) >= x for every phi in
+    A, and the state of one term x1 only a second term y with
+    phi(y) >= y for every phi in A that fixes x1 (``_lex_leaders``); no
+    deeper state tests anything. An automorphism maps an irreducible
+    sequence T to an irreducible one of the same length, since it carries
+    the sub-multisets of T and their products onto those of phi(T). Let
+    W = w1 <= w2 <= ... be the lexicographically first longest
+    irreducible sequence. For every phi, sorting phi(W) gives a sequence
+    at least W, so its least term, at most phi(w1), is at least w1; and if
+    phi fixes w1, the rest of sorted phi(W) is sorted phi(w2, ...) and at
+    least (w2, ...), so phi(w2) >= w2. W's first two terms pass both
+    tests, so W is found as before, and the value and the witness do not
+    change. Skipping changes only the memo entries of the root and of the
+    one-term states, and no other path reaches those keys: rp is empty at
+    the root and {identity} after one term, while two or more terms put a
+    term other than the identity in rp (the identity followed by y is
+    reducible, as {y} has its product). Deeper states are reached by
+    several paths and share memo entries, so the tests stop at two terms.
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
@@ -535,6 +579,7 @@ def davenport_exact(
     if e is not None:
         unit_mask = sum(1 << u for u in U.elements)
         split = n - U.order - (e - 1)  # |N| - (e - 1)
+    first_terms, second_terms = _lex_leaders(automorphisms(S, budget.expired), n)
 
     memo: dict[int, tuple[int, bool, int]] = {}  # packed state -> (ub, exact, first)
     nodes = 0
@@ -581,7 +626,11 @@ def davenport_exact(
         best_first = -1
         exact = True
         row = rows[sig]
-        for x in range(min_elem, n):
+        if depth > 1:
+            terms = range(min_elem, n)
+        else:  # only lex leaders (see Symmetry)
+            terms = second_terms[min_elem] if depth else first_terms
+        for x in terms:
             new_sig = row[x]
             if (r_all >> new_sig) & 1 or rp & fiber[x][new_sig]:
                 continue

@@ -368,12 +368,12 @@ GOLDEN_RECORDS = [
     (
         ("davenport", "-p", "3", "-f", "(x+1)^2"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 41, "value": 6, "witness": "x*5"}'
+        '"nodes": 25, "value": 6, "witness": "x*5"}'
     ),
     (
         ("davenport", "-n", "2,4"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 227, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+        '"nodes": 128, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
     ),
     (
         ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),
@@ -381,9 +381,9 @@ GOLDEN_RECORDS = [
         '"unit_invariants": [2, 2], "unit_order": 4, '
         '"units_bound_k_plus_1": true}, "claim": "lemma_product", "lhs": '
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 26, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
+        '"nodes": 18, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
         '"params": {"n_list": [2, 2]}, "rhs": {"complete": true, '
-        '"method": "exact_dfs", "millis": null, "nodes": 7, "value": 3, '
+        '"method": "exact_dfs", "millis": null, "nodes": 3, "value": 3, '
         '"witness": "(g^0, g);(g, g^0)"}, "status": "verified"}'
     ),
     (
@@ -392,10 +392,10 @@ GOLDEN_RECORDS = [
         '"lower_bound": 6, "lower_bound_witness": "x*5", "stress_passed": '
         '50, "stress_sequences": 50, "unit_invariants": [6], '
         '"unit_order": 6}, "claim": "proposition", "lhs": {"complete": '
-        'true, "method": "exact_dfs", "millis": null, "nodes": 41, '
+        'true, "method": "exact_dfs", "millis": null, "nodes": 25, '
         '"value": 6, "witness": "x*5"}, "params": {"f": "x^2+2*x+1", "p": '
         '3}, "rhs": {"complete": true, "method": "exact_dfs", "millis": '
-        'null, "nodes": 18, "value": 6, "witness": "x*5"}, "status": '
+        'null, "nodes": 14, "value": 6, "witness": "x*5"}, "status": '
         '"verified"}'
     ),
     (

@@ -416,6 +416,30 @@ class TestUnits:
         assert is_group(G)
         exhaustive_axioms(G)
 
+    def test_unit_group_is_its_own_unit_group(self, monkeypatch):
+        # units_of keeps a unit group on the group it returns, so a D(U)
+        # search builds no second copy; the kept one is what a fresh census
+        # of the group finds
+        S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
+        G = units_of(S).as_semigroup()
+        built = []
+        init = FiniteSemigroup.__init__
+
+        def spy(self, kind, *args, **kwargs):
+            built.append(kind)
+            init(self, kind, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteSemigroup, "__init__", spy)
+        kept = units_of(G)
+        assert built == []
+        assert kept.group is G and kept.parent is G
+        monkeypatch.undo()
+        G._unit_cache = None
+        fresh = units_of(G)
+        assert (kept.elements, kept.inverses, kept.invariant_factors) == (
+            fresh.elements, fresh.inverses, fresh.invariant_factors
+        )
+
     def test_invariant_merge(self):
         assert invariant_factors_from_cyclic_orders([2, 2]) == (2, 2)
         assert invariant_factors_from_cyclic_orders([2, 6]) == (2, 6)

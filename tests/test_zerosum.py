@@ -5,8 +5,8 @@ import dataclasses
 import gc
 import random
 import tracemalloc
-from itertools import combinations, product as iproduct
-from math import comb
+from itertools import combinations, permutations, product as iproduct
+from math import comb, gcd
 
 import pytest
 
@@ -32,7 +32,11 @@ from davenport import (
     units_of,
 )
 from davenport import semigroup, zerosum
-from davenport.semigroup import FiniteSemigroup, build_adjoined_zero_product
+from davenport.semigroup import (
+    FiniteSemigroup,
+    automorphisms,
+    build_adjoined_zero_product,
+)
 from davenport.verify import (
     assert_valid_reduction,
     build_witness_V,
@@ -54,6 +58,7 @@ from conftest import (
     brute_sumset,
     seq_of,
     unpruned_davenport,
+    value_product,
 )
 
 
@@ -325,6 +330,11 @@ class TestSumset:
                 assert sumset(T) == set(range(1, n))
 
 
+def identity_alone(S, expired=None):
+    """``automorphisms`` cut down to the identity: the search skips nothing."""
+    return [tuple(range(S.size))]
+
+
 class TestDavenportExact:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_cyclic_groups(self, n):
@@ -372,8 +382,9 @@ class TestDavenportExact:
         assert not is_reducible(res.witness)
         assert find_reduction(res.witness) is None
         # the pruning floor D*(U) - 2 = 40 and the unit split bound (e = 2)
-        # take the tree from 692,887 nodes to this
-        assert res.nodes == 16_041
+        # take the tree from 692,887 nodes to 16,041, and the first two
+        # terms' lex-leader test under the 72 automorphisms to this
+        assert res.nodes == 4_771
 
     @pytest.mark.parametrize("p, witness", [(11, "(x+3)*109"), (13, "(x+3)*155")])
     def test_proposition_frontier_p11_p13(self, p, witness):
@@ -400,8 +411,9 @@ class TestDavenportExact:
     def test_capped_run_keeps_a_witnessed_lower_bound(self, monkeypatch):
         # the floor D*(U) - 2 = 154 only cuts branches; a run stopped by its
         # budget reports the longest sequence it has seen, with a witness.
-        # The clock is read on nodes 1, 1025 and 2049; it runs out on the third
-        reads = iter([False, False, True])
+        # The automorphism enumeration reads the clock 105 times, then the
+        # search on nodes 1, 1025 and 2049; it runs out on the last
+        reads = iter([False] * 105 + [False, False, True])
         monkeypatch.setattr(zerosum.Budget, "expired", lambda self: next(reads))
         S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
         res = davenport_exact(S, budget_ms=60_000)
@@ -412,7 +424,7 @@ class TestDavenportExact:
     def test_tree_pinned_x3_x1_3_over_f2(self):
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
         res = davenport_exact(S)
-        assert (res.value, res.nodes, res.complete) == (7, 89_800, True)
+        assert (res.value, res.nodes, res.complete) == (7, 33_478, True)
 
     def test_frontier_x2_x1_2_over_f3(self):
         # n = 81: exact, and D(S) = D(U(S)) = 11 although f is not squarefree
@@ -423,6 +435,27 @@ class TestDavenportExact:
         assert davenport_group_formula(units_of(S).invariant_factors) == 11
         assert len(res.witness) == 10
         assert find_reduction(res.witness) is None
+
+    def test_frontier_x3_x1_over_f3(self):
+        # n = 81: exact once the first two terms are lex leaders, and
+        # D(S) = D(U(S)) = 11 again
+        S = build_quotient_semigroup(3, poly(3, 0, 0, 0, 1) * poly(3, 1, 1))
+        res = davenport_exact(S, budget_ms=60_000)
+        assert res.complete
+        assert res.value == 11
+        assert davenport_group_formula(units_of(S).invariant_factors) == 11
+        assert len(res.witness) == 10
+        assert find_reduction(res.witness) is None
+
+    @pytest.mark.parametrize(
+        "f, nodes",
+        [(poly(7, 1, 2, 1), 16_041), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 89_800)],
+        ids=["(x+1)^2/F7", "x^3(x+1)^3/F2"],
+    )
+    def test_identity_alone_gives_the_unskipped_tree(self, monkeypatch, f, nodes):
+        monkeypatch.setattr(zerosum, "automorphisms", identity_alone)
+        res = davenport_exact(build_quotient_semigroup(f.p, f))
+        assert (res.nodes, res.complete) == (nodes, True)
 
     def test_working_set_freed_on_return(self):
         # explore refers to itself; once that cycle is broken the memo and
@@ -641,6 +674,117 @@ class TestBranchAndBoundOracle:
             (2, 2, 2, 2), (3, 9), (5, 5), (2, 12), (3, 3, 3)
         }
         assert max(S.size for S in _small_universes("adjoined_zero_product")) == 27
+
+
+def _oracle_problems():
+    """Every distinct oracle universe and unit group, each once."""
+    seen = set()
+    for family in ("quotient", "cyclic", "cyclic_with_zero", "abelian",
+                   "adjoined_zero_product"):
+        for S in _small_universes(family):
+            for T in (S, units_of(S).as_semigroup()):
+                problem = (T.identity, tuple(map(tuple, T.table)))
+                if problem not in seen:
+                    seen.add(problem)
+                    yield T
+
+
+class TestSymmetryOnTheOracle:
+    def test_skipping_acts_on_most_oracle_universes(self, monkeypatch):
+        # the oracle above checks values and witnesses with the skipping on;
+        # with the identity alone nothing is skipped, and the tree grows
+        searched = [(S, davenport_exact(S)) for S in _oracle_problems()]
+        monkeypatch.setattr(zerosum, "automorphisms", identity_alone)
+        fewer = 0
+        for S, res in searched:
+            plain = davenport_exact(S)
+            assert (plain.value, plain.witness) == (res.value, res.witness)
+            fewer += res.nodes < plain.nodes
+        assert fewer > 0.9 * len(searched)
+
+
+def euler_phi(n):
+    return sum(gcd(k, n) == 1 for k in range(n))
+
+
+def brute_automorphisms(S):
+    """Every permutation of the universe that preserves products."""
+    t, n = S.table, S.size
+    return {
+        phi
+        for phi in permutations(range(n))
+        if all(phi[t[a][b]] == t[phi[a]][phi[b]] for a in range(n) for b in range(a, n))
+    }
+
+
+def assert_value_automorphisms(S, A):
+    """Each map is a bijection and a homomorphism by value-level products,
+    away from the Cayley table, with the identity map first."""
+    n = S.size
+    assert A[0] == tuple(range(n))
+    assert len(set(A)) == len(A)
+    v = S.values
+    products = [[S.index_of[value_product(S, v[a], v[b])] for b in range(n)]
+                for a in range(n)]
+    for phi in A:
+        assert sorted(phi) == list(range(n))
+        for a in range(n):
+            for b in range(a, n):
+                assert phi[products[a][b]] == products[phi[a]][phi[b]]
+
+
+class TestAutomorphisms:
+    def test_matches_brute_force_up_to_seven_elements(self):
+        checked = 0
+        for S in _oracle_problems():
+            if S.size <= 7:
+                A = automorphisms(S)
+                assert A[0] == tuple(range(S.size))
+                assert len(set(A)) == len(A)
+                assert set(A) == brute_automorphisms(S), S.describe()
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("n", range(1, 28))
+    def test_cyclic_groups(self, n):
+        A = automorphisms(build_cyclic_group(n))
+        assert len(A) == euler_phi(n)
+        assert_value_automorphisms(build_cyclic_group(n), A)
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda: build_abelian_group([3, 3]), 48),
+            (lambda: build_abelian_group([2, 2, 2]), 168),
+            (lambda: build_abelian_group([6, 6]), 288),
+            (lambda: build_adjoined_zero_product([6, 6]), 8),
+            # (C6 ∪ {0})^2 again, and Aut(C_20) times the 4 images of x+1
+            (lambda: build_quotient_semigroup(7, poly(7, 0, 1, 1)), 8),
+            (lambda: build_quotient_semigroup(5, poly(5, 1, 2, 1)), 32),
+        ],
+        ids=["C3^2", "C2^3", "C6^2", "(C6+inf)^2", "x(x+1)/F7", "(x+1)^2/F5"],
+    )
+    def test_known_counts(self, build, count):
+        S = build()
+        A = automorphisms(S)
+        assert len(A) == count
+        assert_value_automorphisms(S, A)
+
+    def test_capped_run_returns_a_verified_subset(self, monkeypatch):
+        G = build_abelian_group([6, 6])
+        every = set(automorphisms(G))
+        monkeypatch.setattr(semigroup, "MAX_AUTOMORPHISM_STEPS", 20_000)
+        A = automorphisms(G)
+        assert 1 < len(A) < len(every)
+        assert set(A) <= every
+        assert_value_automorphisms(G, A)
+
+    def test_expired_budget_keeps_only_the_identity(self):
+        G = build_abelian_group([6, 6])
+        assert automorphisms(G, expired=lambda: True) == [tuple(range(36))]
+        # and the search still explores exactly one node
+        res = davenport_exact(G, budget_ms=0)
+        assert (res.nodes, res.complete) == (1, False)
 
 
 class TestGroupFormula:
