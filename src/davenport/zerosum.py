@@ -384,27 +384,35 @@ def _translate_mask(chunks: list[list[int]], mask: int) -> int:
     return acc
 
 
-def _lex_leaders(A: list[tuple[int, ...]], n: int):
-    """``(first_terms, second_terms)``: the terms the exact search tries
-    first and second, given automorphisms A of a universe of n elements.
-
-    ``first_terms`` lists the x with phi(x) >= x for every phi in A, and
-    ``second_terms[x]``, for each such x, the y >= x with phi(y) >= y for
-    every phi in A that fixes x; both in increasing order.
+def _symmetry_masks(A: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """``(fixed, down)`` bitmask pairs for automorphisms A, one per distinct
+    fixed-point set: ``fixed`` holds the elements those phi fix, and
+    ``down`` the y that one of them maps below y. Pairs with no such y (the
+    identity's) are dropped.
     """
-    moved = 0  # the y that some phi maps below y
-    moved_fixing = [0] * n  # x -> the y that some phi fixing x maps below y
+    down_of: dict[int, int] = {}
     for phi in A:
-        down = sum(1 << y for y in range(n) if phi[y] < y)
-        moved |= down
-        for x in range(n):
-            if phi[x] == x:
-                moved_fixing[x] |= down
-    first = [x for x in range(n) if not moved >> x & 1]
-    second = {
-        x: [y for y in range(x, n) if not moved_fixing[x] >> y & 1] for x in first
-    }
-    return first, second
+        fixed = down = 0
+        for y, z in enumerate(phi):
+            if z == y:
+                fixed |= 1 << y
+            elif z < y:
+                down |= 1 << y
+        if down:
+            down_of[fixed] = down_of.get(fixed, 0) | down
+    return list(down_of.items())
+
+
+def _fixing(entries: list[tuple[int, int]], r_all: int):
+    """``(kept, common, down)``: the entries whose fixed set contains the
+    mask r_all, the AND of their fixed sets (-1 when none) and the OR of
+    their ``down`` masks."""
+    kept = [en for en in entries if not r_all & ~en[0]]
+    common, down = -1, 0
+    for fixed, d in kept:
+        common &= fixed
+        down |= d
+    return kept, common, down
 
 
 @dataclass
@@ -545,24 +553,36 @@ def davenport_exact(
 
     Symmetry. Let A be the automorphisms of S that ``automorphisms``
     returns (all of them or, past its work cap or the budget, a subset).
-    The root tries only a first term x with phi(x) >= x for every phi in
-    A, and the state of one term x1 only a second term y with
-    phi(y) >= y for every phi in A that fixes x1 (``_lex_leaders``); no
-    deeper state tests anything. An automorphism maps an irreducible
-    sequence T to an irreducible one of the same length, since it carries
-    the sub-multisets of T and their products onto those of phi(T). Let
-    W = w1 <= w2 <= ... be the lexicographically first longest
-    irreducible sequence. For every phi, sorting phi(W) gives a sequence
-    at least W, so its least term, at most phi(w1), is at least w1; and if
-    phi fixes w1, the rest of sorted phi(W) is sorted phi(w2, ...) and at
-    least (w2, ...), so phi(w2) >= w2. W's first two terms pass both
-    tests, so W is found as before, and the value and the witness do not
-    change. Skipping changes only the memo entries of the root and of the
-    one-term states, and no other path reaches those keys: rp is empty at
-    the root and {identity} after one term, while two or more terms put a
-    term other than the identity in rp (the identity followed by y is
-    reducible, as {y} has its product). Deeper states are reached by
-    several paths and share memo entries, so the tests stop at two terms.
+    A state with product s and proper products rp, r_all = rp and s, skips
+    a term y when some phi in A fixes every element of r_all and has
+    phi(y) < y. An automorphism maps an irreducible sequence to an
+    irreducible one of the same length, since it carries the
+    sub-multisets of T and their products onto those of phi(T).
+
+    * The skipped terms depend only on the memo key. With two or more
+      terms, each term of T is a proper sub-multiset of T, so it lies in
+      rp; with one term x1, r_all = {identity, x1}; at the root
+      r_all = {identity}. So a phi fixing r_all fixes every term of every
+      path to the key.
+    * W is never skipped. Let W = w1 <= w2 <= ... be the lexicographically
+      first longest irreducible sequence, and w1..wk its prefix at some
+      state. Suppose phi fixes r_all, hence w1..wk, and
+      phi(w_k+1) < w_k+1. No wi equals w_k+1, as phi fixes wi, so W has
+      exactly k terms below w_k+1, while phi(W) holds w1..wk and
+      phi(w_k+1). So sorted phi(W) is lexicographically smaller than W,
+      and it is irreducible and as long: a contradiction.
+
+    The search is therefore the branch-and-bound above over the family of
+    sequences no step of which is skipped. Skipping depends only on the
+    key, so the memo stays valid within that family; the family holds W,
+    and every member is irreducible, so the value and the witness are
+    those of W. Any subset of the automorphisms keeps this true.
+
+    The kernel keeps, per node, ``(entries, common, down)`` from
+    ``_symmetry_masks`` and ``_fixing``: the (fixed, down) pairs whose
+    fixed set contains r_all, the AND of those sets and the OR of their
+    down masks. r_all only grows along a path, so a child re-filters its
+    parent's entries only when its r_all leaves ``common``.
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
@@ -579,7 +599,8 @@ def davenport_exact(
     if e is not None:
         unit_mask = sum(1 << u for u in U.elements)
         split = n - U.order - (e - 1)  # |N| - (e - 1)
-    first_terms, second_terms = _lex_leaders(automorphisms(S, budget.expired), n)
+    # every automorphism fixes the identity, so the root keeps all the masks
+    root_sym = _fixing(_symmetry_masks(automorphisms(S, budget.expired)), 1 << S.identity)
 
     memo: dict[int, tuple[int, bool, int]] = {}  # packed state -> (ub, exact, first)
     nodes = 0
@@ -599,7 +620,7 @@ def davenport_exact(
             rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
             sig, min_elem = rows[sig][first], first
 
-    def explore(sig: int, rp: int, min_elem: int, depth: int) -> tuple[int, bool, int]:
+    def explore(sig: int, rp: int, min_elem: int, depth: int, sym) -> tuple[int, bool, int]:
         nonlocal nodes, best_len, best_path, cut
         key = (rp << w2) | (sig << w) | min_elem
         hit = memo.get(key)
@@ -626,11 +647,12 @@ def davenport_exact(
         best_first = -1
         exact = True
         row = rows[sig]
-        if depth > 1:
-            terms = range(min_elem, n)
-        else:  # only lex leaders (see Symmetry)
-            terms = second_terms[min_elem] if depth else first_terms
-        for x in terms:
+        if r_all & ~sym[1]:  # some entry no longer fixes every product
+            sym = _fixing(sym[0], r_all)
+        down = sym[2]  # the terms an automorphism fixing r_all moves down
+        for x in range(min_elem, n):
+            if down >> x & 1:
+                continue
             new_sig = row[x]
             if (r_all >> new_sig) & 1 or rp & fiber[x][new_sig]:
                 continue
@@ -648,7 +670,7 @@ def davenport_exact(
                 best_path = tuple(path) + (x,)
                 cut = max(cut, best_len)
             path.append(x)
-            ub, sub_exact, _ = explore(new_sig, new_rp, x, depth + 1)
+            ub, sub_exact, _ = explore(new_sig, new_rp, x, depth + 1, sym)
             path.pop()
             if 1 + ub > best_ub:
                 best_ub, best_first, exact = 1 + ub, x, sub_exact
@@ -657,7 +679,7 @@ def davenport_exact(
 
     complete = True
     try:
-        explore(S.identity, 0, 0, 0)
+        explore(S.identity, 0, 0, 0, root_sym)
     except _OutOfBudget:
         complete = False
     finally:

@@ -373,7 +373,7 @@ GOLDEN_RECORDS = [
     (
         ("davenport", "-n", "2,4"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 128, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+        '"nodes": 127, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
     ),
     (
         ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),

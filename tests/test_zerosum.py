@@ -45,6 +45,7 @@ from davenport.verify import (
 from davenport.zerosum import (
     _nilpotency_index,
     _search_tables,
+    _symmetry_masks,
     _translate_mask,
     sigma_index,
 )
@@ -382,9 +383,9 @@ class TestDavenportExact:
         assert not is_reducible(res.witness)
         assert find_reduction(res.witness) is None
         # the pruning floor D*(U) - 2 = 40 and the unit split bound (e = 2)
-        # take the tree from 692,887 nodes to 16,041, and the first two
-        # terms' lex-leader test under the 72 automorphisms to this
-        assert res.nodes == 4_771
+        # take the tree from 692,887 nodes to 16,041, and the lex-leader
+        # test under the 72 automorphisms, at every depth, to this
+        assert res.nodes == 3_786
 
     @pytest.mark.parametrize("p, witness", [(11, "(x+3)*109"), (13, "(x+3)*155")])
     def test_proposition_frontier_p11_p13(self, p, witness):
@@ -424,7 +425,7 @@ class TestDavenportExact:
     def test_tree_pinned_x3_x1_3_over_f2(self):
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
         res = davenport_exact(S)
-        assert (res.value, res.nodes, res.complete) == (7, 33_478, True)
+        assert (res.value, res.nodes, res.complete) == (7, 15_655, True)
 
     def test_frontier_x2_x1_2_over_f3(self):
         # n = 81: exact, and D(S) = D(U(S)) = 11 although f is not squarefree
@@ -437,8 +438,8 @@ class TestDavenportExact:
         assert find_reduction(res.witness) is None
 
     def test_frontier_x3_x1_over_f3(self):
-        # n = 81: exact once the first two terms are lex leaders, and
-        # D(S) = D(U(S)) = 11 again
+        # n = 81: exact once the terms are lex leaders, and D(S) = D(U(S))
+        # = 11 again
         S = build_quotient_semigroup(3, poly(3, 0, 0, 0, 1) * poly(3, 1, 1))
         res = davenport_exact(S, budget_ms=60_000)
         assert res.complete
@@ -446,6 +447,26 @@ class TestDavenportExact:
         assert davenport_group_formula(units_of(S).invariant_factors) == 11
         assert len(res.witness) == 10
         assert find_reduction(res.witness) is None
+
+    def test_frontier_x4_over_f3(self):
+        # n = 81, U = C3 x C18: exact with D(S) = D(U(S)) = 20 once terms
+        # moved down by automorphisms fixing the state's products are
+        # skipped at every depth (1,887,653 nodes)
+        S = build_quotient_semigroup(3, poly(3, 0, 0, 0, 0, 1))
+        res = davenport_exact(S, budget_ms=120_000)
+        assert res.complete
+        assert res.value == 20
+        assert davenport_group_formula(units_of(S).invariant_factors) == 20
+        assert len(res.witness) == 19
+        assert find_reduction(res.witness) is None
+
+    def test_skipping_acts_below_the_second_term(self):
+        # U = C6 x C6 of x(x+1) over F_7: 70,828 nodes when only the first
+        # two terms are tested, 336,355 with nothing skipped
+        U = units_of(build_quotient_semigroup(7, poly(7, 0, 1, 1))).as_semigroup()
+        res = davenport_exact(U)
+        assert (res.value, res.nodes, res.complete) == (11, 30_020, True)
+        assert res.witness.format() == "3*5;(x+3)*5"
 
     @pytest.mark.parametrize(
         "f, nodes",
@@ -701,6 +722,48 @@ class TestSymmetryOnTheOracle:
             assert (plain.value, plain.witness) == (res.value, res.witness)
             fewer += res.nodes < plain.nodes
         assert fewer > 0.9 * len(searched)
+
+    def test_masks_match_brute_force_up_to_seven_elements(self):
+        # one entry per distinct fixed set of a non-identity automorphism,
+        # its down mask the OR over the automorphisms with that fixed set
+        checked = 0
+        for S in _oracle_problems():
+            if S.size > 7:
+                continue
+            expected = {}
+            for phi in brute_automorphisms(S):
+                if phi == tuple(range(S.size)):
+                    continue
+                fixed = sum(1 << y for y, z in enumerate(phi) if z == y)
+                down = sum(1 << y for y, z in enumerate(phi) if z < y)
+                expected[fixed] = expected.get(fixed, 0) | down
+            masks = _symmetry_masks(automorphisms(S))
+            assert len({fixed for fixed, _ in masks}) == len(masks)
+            assert dict(masks) == expected, S.describe()
+            assert all(down for _, down in masks)
+            checked += 1
+        assert checked >= 20
+
+    def test_any_subset_of_the_automorphisms_gives_the_same_result(self, monkeypatch):
+        # the rule is sound for any subset: the identity plus a seeded random
+        # subset of the full list gives the value and the witness of the
+        # full list, which the test above matches with the identity alone
+        rng = random.Random(2014)
+        problems = [(S, automorphisms(S)) for S in _oracle_problems()]
+        searched = [(S, davenport_exact(S)) for S, _ in problems]
+        subsets = {
+            id(S): [A[0]] + [phi for phi in A[1:] if rng.random() < 0.5]
+            for S, A in problems
+        }
+        monkeypatch.setattr(
+            zerosum, "automorphisms", lambda S, expired=None: subsets[id(S)]
+        )
+        for S, full in searched:
+            part = davenport_exact(S)
+            assert (part.value, part.witness) == (full.value, full.witness), S.describe()
+        # most problems get a proper subset that is more than the identity
+        proper = sum(1 < len(subsets[id(S)]) < len(A) for S, A in problems)
+        assert proper > 0.75 * len(problems)
 
 
 def euler_phi(n):
