@@ -228,11 +228,17 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    budget = Budget(args.budget_ms)
     if args.nlist:
         S = _semigroup_from_args(args)
         _maybe_dump(args, S)
         T = parse_sequence(S, args.seq)
-        T_prime = constructive_reduction(S, T)
+        units = davenport_exact(units_of(S).as_semigroup(), budget.remaining_ms())
+        if not units.complete:
+            print(f"error: D(U(S)) not exact within the budget: {units.summary()}",
+                  file=sys.stderr)
+            return EXIT_INCOMPLETE
+        T_prime = constructive_reduction(S, T, units.value)
     else:
         if args.prime is None:
             raise ParseError("reduce needs -p (square modulus) or -n (product)", 0)

@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd, prod
-from operator import itemgetter
 from typing import Callable, Optional, Sequence as Seq
 
 from .gfpoly import (
@@ -447,9 +446,10 @@ def automorphisms(
     image is chosen the map is closed under products with the generators
     so far, phi(a g) = phi(a) phi(g); an element given two images (not
     well defined) or an image given twice (not injective) ends the branch.
-    Every complete map is then checked against the whole Cayley table: it
-    must be a bijection with phi(a b) = phi(a) phi(b) for all a and b, so
-    no map is returned on the strength of the argument above.
+    Every complete map is then proved an automorphism from the table: a
+    bijection fixing the identity and the zero, with phi(a g) = phi(a)
+    phi(g) for all a and each generator g, has phi(a w) = phi(a) phi(w)
+    for each word w in the generators, by induction on the length of w.
 
     The search stops after ``MAX_AUTOMORPHISM_STEPS`` steps, or once
     ``expired()`` is true, which it reads on entry and then about every
@@ -516,7 +516,6 @@ def automorphisms(
             gens.append(g)
             extend(len(gens) - 1, g)
     undo(fixed)
-    row_images = [itemgetter(*row) for row in rows]  # phi -> phi(row a)
     next_read = steps + 1024
 
     def search(k: int) -> bool:
@@ -527,13 +526,13 @@ def automorphisms(
                 return False
             next_read = steps + 1024
         if k == len(gens):
-            steps += n * n
+            steps += n * len(gens)
             phi = tuple(img)
-            if phi != identity and sorted(phi) == list(identity):
-                of = itemgetter(*phi)  # row -> its entries at phi(b), b in order
-                # phi(a b) = phi(a) phi(b) for every b, row a by row a
-                if all(lhs(phi) == of(rows[fa]) for lhs, fa in zip(row_images, phi)):
-                    found.append(phi)
+            if (phi != identity and sorted(phi) == list(identity)
+                    and all(phi[x] == x for x in trail[:fixed])
+                    and all(phi[r[g]] == rows[f][phi[g]]
+                            for r, f in zip(rows, phi) for g in gens)):
+                found.append(phi)
             return True
         for y in candidates[profile[gens[k]]]:
             if pre[y] < 0:

@@ -172,7 +172,7 @@ def _stress(
 
 
 def constructive_reduction(
-    S: FiniteSemigroup, T: Sequence, d_units: Optional[int] = None
+    S: FiniteSemigroup, T: Sequence, d_units: int
 ) -> Sequence:
     """Produce a proper sub-multiset of T with the same product.
 
@@ -181,7 +181,8 @@ def constructive_reduction(
     with identity product; otherwise pick a short subsequence V whose
     product hits the absorbing coordinates of sigma(T), find a nonempty W
     in T minus V whose projection away from those coordinates has identity
-    product, and drop W. Requires |T| >= D(U(S)).
+    product, and drop W. Requires |T| >= D(U(S)); the caller passes D(U(S))
+    as ``d_units``.
     """
     # a product has a zero exactly when every coordinate has one
     if S.kind not in ("product", "cyclic_with_zero") or S.zero is None:
@@ -191,8 +192,6 @@ def constructive_reduction(
         )
     if T.parent is not S:
         raise ValueError("sequence does not live in the given semigroup")
-    if d_units is None:
-        d_units = davenport_exact(units_of(S).as_semigroup()).value
     if len(T) < d_units:
         raise ValueError(
             f"hypothesis |T| >= D(U(S)) not met: {len(T)} < {d_units}"

@@ -207,6 +207,17 @@ class TestReduceVerb:
         assert code == 0
         assert "T' =" in out
 
+    def test_product_units_search_keeps_the_budget(self, capsys):
+        # D(U) of (C2 x C4 x C8 with zeros) is searched under --budget-ms;
+        # an unbudgeted search would run for seconds
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "reduce", "-n", "2,4,8", "--seq", "(g, g, g)*20", "--budget-ms", "100"
+        )
+        assert time.monotonic() - start < 5
+        assert (code, out) == (3, "")
+        assert err.startswith("error: D(U(S)) not exact within the budget")
+
     def test_short_sequence_exits_2(self, capsys):
         code, _, err = run(capsys, "reduce", "-p", "3", "--seq", "2")
         assert code == 2
@@ -422,7 +433,10 @@ GOLDEN_RECORDS = [
 
 
 class TestGoldenRecords:
-    @pytest.mark.parametrize("argv, record", GOLDEN_RECORDS)
+    # ids from argv alone, so re-pinning a record's nodes keeps the test's name
+    @pytest.mark.parametrize(
+        "argv, record", GOLDEN_RECORDS, ids=[" ".join(argv) for argv, _ in GOLDEN_RECORDS]
+    )
     def test_record_unchanged(self, capsys, argv, record):
         code, out, _ = run(capsys, *argv, "--format", "record")
         assert code == 0

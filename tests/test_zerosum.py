@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from itertools import combinations, permutations, product as iproduct
 from math import comb, gcd
+from operator import itemgetter
 
 import pytest
 
@@ -396,6 +397,9 @@ class TestDavenportExact:
         assert res.value == p * (p - 1)
         assert res.witness.format() == witness
         assert find_reduction(res.witness) is None
+        if p == 13:
+            # with all 576 automorphisms listed
+            assert res.nodes == 41_503
 
     def test_floor_above_the_value_is_caught(self, monkeypatch):
         # a unit census claiming C_100 for C_6 puts the floor at 98; the
@@ -412,9 +416,10 @@ class TestDavenportExact:
     def test_capped_run_keeps_a_witnessed_lower_bound(self, monkeypatch):
         # the floor D*(U) - 2 = 154 only cuts branches; a run stopped by its
         # budget reports the longest sequence it has seen, with a witness.
-        # The automorphism enumeration reads the clock 105 times, then the
-        # search on nodes 1, 1025 and 2049; it runs out on the last
-        reads = iter([False] * 105 + [False, False, True])
+        # The automorphisms are listed off the clock, so only the search
+        # reads it, on nodes 1, 1025 and 2049; it runs out on the last
+        monkeypatch.setattr(zerosum, "automorphisms", lambda S, expired=None: automorphisms(S))
+        reads = iter([False, False, True])
         monkeypatch.setattr(zerosum.Budget, "expired", lambda self: next(reads))
         S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
         res = davenport_exact(S, budget_ms=60_000)
@@ -451,13 +456,22 @@ class TestDavenportExact:
     def test_frontier_x4_over_f3(self):
         # n = 81, U = C3 x C18: exact with D(S) = D(U(S)) = 20 once terms
         # moved down by automorphisms fixing the state's products are
-        # skipped at every depth (1,887,653 nodes)
+        # skipped at every depth (1,667,374 nodes)
         S = build_quotient_semigroup(3, poly(3, 0, 0, 0, 0, 1))
         res = davenport_exact(S, budget_ms=120_000)
         assert res.complete
         assert res.value == 20
         assert davenport_group_formula(units_of(S).invariant_factors) == 20
         assert len(res.witness) == 19
+        assert find_reduction(res.witness) is None
+
+    def test_frontier_rank_three_group(self):
+        # C4^3, the unit group of x(x+1)(x+2) over F_5: exact with 4,006 of
+        # its 86,016 automorphisms listed
+        G = build_abelian_group([4, 4, 4])
+        res = davenport_exact(G, budget_ms=60_000)
+        assert (res.value, res.nodes, res.complete) == (10, 285_429, True)
+        assert res.value == davenport_group_formula((4, 4, 4))
         assert find_reduction(res.witness) is None
 
     def test_skipping_acts_below_the_second_term(self):
@@ -796,6 +810,19 @@ def assert_value_automorphisms(S, A):
                 assert phi[products[a][b]] == products[phi[a]][phi[b]]
 
 
+def assert_table_automorphisms(S, A):
+    """Each map is a bijection with phi(a b) = phi(a) phi(b) for every a and
+    b of the Cayley table, with the identity map first."""
+    t, n = S.table, S.size
+    assert A[0] == tuple(range(n))
+    assert len(set(A)) == len(A)
+    row_images = [itemgetter(*row) for row in t]  # phi -> phi(row a)
+    for phi in A:
+        assert sorted(phi) == list(range(n))
+        of = itemgetter(*phi)  # row -> its entries at phi(b), b in order
+        assert all(lhs(phi) == of(t[fa]) for lhs, fa in zip(row_images, phi))
+
+
 class TestAutomorphisms:
     def test_matches_brute_force_up_to_seven_elements(self):
         checked = 0
@@ -832,6 +859,23 @@ class TestAutomorphisms:
         A = automorphisms(S)
         assert len(A) == count
         assert_value_automorphisms(S, A)
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (lambda: build_quotient_semigroup(13, poly(13, 1, 2, 1)), 576),
+            (lambda: build_abelian_group([10, 10]), 2_880),
+            (lambda: build_abelian_group([2, 4, 8]), 2_048),
+        ],
+        ids=["(x+1)^2/F13", "C10^2", "C2xC4xC8"],
+    )
+    def test_whole_groups_within_the_work_cap(self, build, count):
+        # every automorphism fits the work cap: a complete map costs n
+        # lookups per generator to check
+        S = build()
+        A = automorphisms(S)
+        assert len(A) == count
+        assert_table_automorphisms(S, A)
 
     def test_capped_run_returns_a_verified_subset(self, monkeypatch):
         G = build_abelian_group([6, 6])
