@@ -88,6 +88,17 @@ def _nlist_arg(text: str) -> list[int]:
     return ns
 
 
+def _count_arg(text: str) -> int:
+    """The argparse type of the count options: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # reported below, as a negative count is
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _semigroup_from_args(args) -> FiniteSemigroup:
     if getattr(args, "nlist", None):
         return build_adjoined_zero_product(_nlist_arg(args.nlist))
@@ -283,17 +294,17 @@ def _add_common(sub, *, prime=False, poly=False, nlist=False, budget=True,
         )
     if budget:
         sub.add_argument(
-            "--budget-ms", type=int, default=30_000,
+            "--budget-ms", type=_count_arg, default=30_000,
             help="wall-clock budget in milliseconds (default 30000)",
         )
     if stress:
         sub.add_argument(
-            "--stress", type=int, default=1000,
+            "--stress", type=_count_arg, default=1000,
             help="random threshold-length sequences to reduce (default 1000)",
         )
     if samples:
         sub.add_argument(
-            "--samples", type=int, default=10_000,
+            "--samples", type=_count_arg, default=10_000,
             help="Monte-Carlo sample count (default 10000)",
         )
     if seed:

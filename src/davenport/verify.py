@@ -457,7 +457,7 @@ def verify_proposition(
     p: int,
     budget_ms: Optional[int] = 60_000,
     stress: int = 1000,
-    samples: int = 100_000,
+    samples: int = 10_000,
     seed: int = 0,
 ) -> VerificationReport:
     """Check D(S) = D(U(S)) for the square modulus (x+1)^2, p > 2.

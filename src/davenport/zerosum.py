@@ -485,14 +485,19 @@ def davenport_exact(
     an explicit lower bound with ``complete=False``.
 
     ``best_len`` is the length of the longest irreducible sequence found
-    so far (the incumbent). A state's memo value is ``(ub, exact, first)``:
-    ``ub`` bounds the number of terms any irreducible extension of the
-    state can add, and equals that maximum when ``exact`` is set; ``first``
-    is the least next term attaining ``ub`` (-1 when no term extends the
-    state). A state is exact when that first child is: every other child's
-    bound is at most its own, and every earlier one's is smaller. A hit is
-    used when exact, or when ``depth + ub <= best_len`` (nothing longer
-    than the incumbent lies below); otherwise the state is explored again.
+    so far (the incumbent). A state's memo value is one int ``ub``: a cut
+    state stores its bound, an explored one the largest ``1 + ub`` over
+    its children (0 when none). By induction on the order in which values
+    are written, ``ub`` bounds the number of terms any irreducible
+    extension of the state can add: a cut bound does (below), and each
+    extension starts with a child whose returned value bounds the rest.
+    Symmetry skipping depends only on the key, so the bound holds in the
+    skipped family too. A hit is used when ``depth + ub <= best_len``
+    (``cut`` below): nothing longer than the incumbent lies below, so it
+    is skipped for the same reason a cut is. Otherwise the state is
+    explored again. A re-explored state whose ``ub`` was already exact
+    finds a sequence longer than the incumbent, so re-exploring costs at
+    most ``D(S) - 1 - floor`` extra chains per search (floor below).
 
     Ideal bound. Let T have product s and proper-sub-multiset products rp
     (the empty product included), and let T y_1 ... y_k be irreducible.
@@ -501,12 +506,14 @@ def davenport_exact(
     distinct, differ from s and avoid rp: an equality would give a prefix
     a proper sub-multiset with its own product. They all lie in the
     principal ideal s S^1, so k <= |s S^1 minus (rp and s)|. A state whose
-    bound cannot lift ``depth`` past ``best_len`` is stored inexact and
-    not expanded. Every cut branch is thus no longer than the incumbent,
-    so after a complete run ``best_len = D(S) - 1``. The run visits the
-    multisets in lexicographic order and only a strictly longer sequence
-    replaces the incumbent, so the witness is the lexicographically first
-    longest irreducible sequence.
+    bound cannot lift ``depth`` past ``best_len`` is stored with that
+    bound and not expanded. Every cut branch and every used memo hit is
+    thus no longer than the incumbent, so after a complete run
+    ``best_len = D(S) - 1``. The incumbent only grows by a sequence the
+    run has just reached, term by term; the run visits the multisets in
+    lexicographic order and only a strictly longer sequence replaces the
+    incumbent, so the witness is the lexicographically first longest
+    irreducible sequence.
 
     Child test. Appending x to T gives product s x and proper products
     rp' = rp ∪ {s} ∪ rp x, and T x is reducible iff s x lies in rp'. So
@@ -517,7 +524,7 @@ def davenport_exact(
     not a prune: the search tree, node counts, memo and witness are those
     of testing s x against rp' itself.
 
-    Pruning floor. Cuts and inexact memo hits compare against
+    Pruning floor. Cuts and memo hits compare against
     ``cut = max(best_len, floor)``, not ``best_len``, where
     floor = D*(U) - 2, U is the unit group with invariant factors d_i and
     D*(U) = 1 + sum(d_i - 1). A cut branch holds no sequence longer than
@@ -602,37 +609,19 @@ def davenport_exact(
     # every automorphism fixes the identity, so the root keeps all the masks
     root_sym = _fixing(_symmetry_masks(automorphisms(S, budget.expired)), 1 << S.identity)
 
-    memo: dict[int, tuple[int, bool, int]] = {}  # packed state -> (ub, exact, first)
+    memo: dict[int, int] = {}  # packed state -> ub
     nodes = 0
     best_len = 0
     best_path: tuple[int, ...] = ()
-    cut = max(best_len, floor)  # what cuts and inexact memo hits must beat
+    cut = max(best_len, floor)  # what cuts and memo hits must beat
     path: list[int] = []
 
-    def replay(sig: int, rp: int, min_elem: int) -> list[int]:
-        # follow the first-choice chain of an exact state
-        terms = []
-        while True:
-            first = memo[(rp << w2) | (sig << w) | min_elem][2]
-            if first < 0:
-                return terms
-            terms.append(first)
-            rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
-            sig, min_elem = rows[sig][first], first
-
-    def explore(sig: int, rp: int, min_elem: int, depth: int, sym) -> tuple[int, bool, int]:
+    def explore(sig: int, rp: int, min_elem: int, depth: int, sym) -> int:
         nonlocal nodes, best_len, best_path, cut
         key = (rp << w2) | (sig << w) | min_elem
-        hit = memo.get(key)
-        if hit is not None:
-            if hit[1]:
-                if depth + hit[0] > best_len:
-                    best_len = depth + hit[0]
-                    best_path = tuple(path) + tuple(replay(sig, rp, min_elem))
-                    cut = max(cut, best_len)
-                return hit
-            if depth + hit[0] <= cut:
-                return hit
+        ub = memo.get(key)
+        if ub is not None and depth + ub <= cut:
+            return ub
         nodes += 1
         if nodes & 0x3FF == 1 and budget.expired():
             raise _OutOfBudget
@@ -641,11 +630,9 @@ def davenport_exact(
         if (unit_mask >> sig) & 1 and rp:
             bound -= split
         if depth + bound <= cut:
-            entry = memo[key] = (bound, False, -1)
-            return entry
+            memo[key] = bound
+            return bound
         best_ub = 0
-        best_first = -1
-        exact = True
         row = rows[sig]
         if r_all & ~sym[1]:  # some entry no longer fixes every product
             sym = _fixing(sym[0], r_all)
@@ -670,12 +657,12 @@ def davenport_exact(
                 best_path = tuple(path) + (x,)
                 cut = max(cut, best_len)
             path.append(x)
-            ub, sub_exact, _ = explore(new_sig, new_rp, x, depth + 1, sym)
+            ub = 1 + explore(new_sig, new_rp, x, depth + 1, sym)
             path.pop()
-            if 1 + ub > best_ub:
-                best_ub, best_first, exact = 1 + ub, x, sub_exact
-        entry = memo[key] = (best_ub, exact, best_first)
-        return entry
+            if ub > best_ub:
+                best_ub = ub
+        memo[key] = best_ub
+        return best_ub
 
     complete = True
     try:
@@ -686,10 +673,6 @@ def davenport_exact(
         # explore's closure refers to itself; rebinding it breaks that
         # cycle, so the memo and the tables go by refcount on return
         explore = None
-    if len(best_path) != best_len:
-        raise AssertionError(
-            f"witness replay found {len(best_path)} terms, the search {best_len}"
-        )
     if complete and best_len <= floor:
         raise AssertionError(
             f"complete search found {best_len} terms, not above the floor {floor}"

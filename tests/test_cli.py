@@ -270,6 +270,32 @@ class TestUsageErrors:
         assert code == 2
         assert err.endswith(f"(at offset {offset})\n")
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("verify", "lemma", "-n", "2,4", "--stress", "-3"), "--stress"),
+            (("verify", "proposition", "-p", "5", "--budget-ms", "0", "--samples", "-1"), "--samples"),
+            (("davenport", "-n", "2,4", "--budget-ms", "-5"), "--budget-ms"),
+            (("verify", "lemma", "-n", "2,4", "--stress", "ten"), "--stress"),
+        ],
+    )
+    def test_negative_or_malformed_count_exits_2(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {option}: expected a non-negative integer" in err
+
+    def test_zero_counts_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "proposition", "-p", "5", "--budget-ms", "0",
+            "--stress", "0", "--samples", "0", "--format", "record",
+        )
+        # a zero budget leaves the search incomplete, so the run exits 3
+        assert code == 3
+        assert json.loads(out)["artifacts"]["montecarlo"]["samples"] == 0
+
     def test_composite_modulus(self, capsys):
         code, _, err = run(capsys, "factor", "-p", "9", "-f", "x")
         assert code == 2

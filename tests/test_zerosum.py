@@ -427,10 +427,18 @@ class TestDavenportExact:
         assert 1 < res.value == 1 + len(res.witness) <= 156
         assert find_reduction(res.witness) is None
 
-    def test_tree_pinned_x3_x1_3_over_f2(self):
-        S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
-        res = davenport_exact(S)
-        assert (res.value, res.nodes, res.complete) == (7, 15_655, True)
+    @pytest.mark.parametrize(
+        "f, pinned",
+        [
+            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 15_655, True)),
+            # one memo hit here re-explores a state whose bound is exact
+            (poly(3, 1, 1) ** 3, (8, 1_343, True)),
+        ],
+        ids=["x^3(x+1)^3/F2", "(x+1)^3/F3"],
+    )
+    def test_tree_pinned(self, f, pinned):
+        res = davenport_exact(build_quotient_semigroup(f.p, f))
+        assert (res.value, res.nodes, res.complete) == pinned
 
     def test_frontier_x2_x1_2_over_f3(self):
         # n = 81: exact, and D(S) = D(U(S)) = 11 although f is not squarefree
@@ -477,9 +485,13 @@ class TestDavenportExact:
     def test_skipping_acts_below_the_second_term(self):
         # U = C6 x C6 of x(x+1) over F_7: 70,828 nodes when only the first
         # two terms are tested, 336,355 with nothing skipped
-        U = units_of(build_quotient_semigroup(7, poly(7, 0, 1, 1))).as_semigroup()
-        res = davenport_exact(U)
+        S = build_quotient_semigroup(7, poly(7, 0, 1, 1))
+        res = davenport_exact(units_of(S).as_semigroup())
         assert (res.value, res.nodes, res.complete) == (11, 30_020, True)
+        assert res.witness.format() == "3*5;(x+3)*5"
+        # and S itself, under its 8 automorphisms
+        res = davenport_exact(S)
+        assert (res.value, res.nodes, res.complete) == (11, 159_740, True)
         assert res.witness.format() == "3*5;(x+3)*5"
 
     @pytest.mark.parametrize(
