@@ -316,35 +316,9 @@ def is_zero_sum_free(T: Sequence) -> bool:
 # -- Davenport constant ------------------------------------------------------
 
 
-def _nilpotency_index(S: FiniteSemigroup) -> Optional[int]:
-    """Least e with N^e = {0}, N the non-units of S; None when there is none.
-
-    N^e is the set of products of e non-units. N is an ideal, so
-    N ⊇ N^2 ⊇ ... and each step is read off the Cayley rows. None when S
-    has no zero or no non-unit, or when the chain stops shrinking before
-    it reaches {0}. For F_p[x]/<g^m>, g irreducible, e = m; a modulus with
-    two distinct irreducible factors has none.
-    """
-    if S.zero is None:
-        return None
-    inverses = units_of(S).inverses
-    N = [b for b in range(S.size) if b not in inverses]
-    if not N:
-        return None
-    rows = S.table
-    P = set(N)
-    e = 1
-    while len(P) > 1:
-        nxt = {rows[a][b] for a in P for b in N}
-        if len(nxt) == len(P):
-            return None
-        P = nxt
-        e += 1
-    return e
-
-
-def _search_tables(S: FiniteSemigroup):
-    """The tables the exact search reads: ``(translate, ideal, fiber)``.
+def _search_tables(rows: list[list[int]]):
+    """The tables the exact search reads from the Cayley rows:
+    ``(translate, ideal, fiber)``.
 
     translate[x] maps a product-set bitmask R to {r*x : r in R} chunkwise:
     one table per 8-element chunk of the universe, indexed by that chunk's
@@ -352,12 +326,12 @@ def _search_tables(S: FiniteSemigroup):
     filled symmetrically), and each chunk is built by doubling, so a chunk
     of w elements has 2^w entries. ideal[s] is the principal ideal s S^1
     and fiber[x][t] the set of r with r*x = t, both as bitmasks.
-    ``davenport_exact`` builds them once per call and drops them on return.
+    Each search run builds them once and drops them on return.
     """
-    n = S.size
+    n = len(rows)
     translate = []
     fiber = []
-    for row in S.table:
+    for row in rows:
         bits = [1 << t for t in row]
         chunks = []
         for base in range(0, n, 8):
@@ -469,6 +443,10 @@ class _OutOfBudget(Exception):
     pass
 
 
+class _Reached(Exception):
+    pass
+
+
 def davenport_exact(
     S: FiniteSemigroup, budget_ms: Optional[int] = None
 ) -> DavenportResult:
@@ -478,26 +456,63 @@ def davenport_exact(
     irreducible prefixes are extended, and search states that coincide in
     (product, proper-product set, minimum next index) are merged through a
     memo table, whose key packs the product and the minimum next index into
-    fields of ``(n - 1).bit_length()`` bits. The budget covers building the
-    search tables too; the clock is read on the first node and then every
-    1024 nodes, so ``budget_ms=0`` explores exactly one node. On budget
-    exhaustion the result downgrades to the longest sequence found so far,
-    an explicit lower bound with ``complete=False``.
+    fields of ``(n - 1).bit_length()`` bits. One budget covers every run
+    below, building their tables included; each run reads the clock on its
+    first node and then every 1024 nodes, so ``budget_ms=0`` explores
+    exactly one node. On budget exhaustion the result downgrades to the
+    longest sequence found so far, an explicit lower bound with
+    ``complete=False``. ``nodes`` is the sum over the runs of the call.
 
-    ``best_len`` is the length of the longest irreducible sequence found
-    so far (the incumbent). A state's memo value is one int ``ub``: a cut
-    state stores its bound, an explored one the largest ``1 + ub`` over
+    Split at the unit group. A group is searched whole, by one run with the
+    census floor (below). Otherwise let U be the unit group and N the
+    non-units. A sequence of units is irreducible over S exactly when it is
+    irreducible over U, its sub-multisets having the same products in
+    both; every other sequence has a non-unit term (it is mixed). So
+    D(S) - 1 = max(D(U) - 1, L_N), L_N the length of the longest
+    irreducible mixed sequence, and up to three runs share the budget:
+
+    1. U, as the group ``units_of(S).as_semigroup()``: D(U) and its
+       lexicographically first longest sequence W_U;
+    2. a mixed run on S relabeled with the non-units first (the Cayley rows
+       permuted by pi, each automorphism phi conjugated to
+       pi^-1 phi pi), where only a non-unit may be the first term. In that
+       order a sorted sequence is mixed iff its first term is a non-unit,
+       so the run covers the mixed sequences and no other. N is an ideal,
+       so every product below the root is a non-unit and its ideal bound
+       counts a proper ideal. The floor is D(U) - 2, which run 1 certifies;
+    3. only when the mixed run reaches D(U) - 1 or more, so that its length
+       is L = D(S) - 1, a witness run on S in its own order with the floor
+       L - 1, stopped at the first sequence of length L. The run meets the
+       sequences of one length in lexicographic order and the floor cuts
+       only branches that cannot reach L, so that sequence is S's
+       lexicographically first longest one. A witness run that ends
+       anywhere else raises ``AssertionError``.
+
+    If the mixed run ends at or below D(U) - 2, every longest sequence over
+    S consists of units, and W_U mapped through ``U.elements`` (a sorted
+    tuple, so the map keeps the order) is S's lexicographically first
+    longest sequence. Either way the value and the witness are those of one
+    run over all of S. A run cut short by the budget ends the call with the
+    longest sequence the runs have witnessed, mapped into S; a cut U run
+    ends it before S's automorphisms are listed or the mixed tables built.
+
+    ``best_len`` is the length of the longest irreducible sequence a run has
+    found so far (the incumbent). A state's memo value is one int ``ub``: a
+    cut state stores its bound, an explored one the largest ``1 + ub`` over
     its children (0 when none). By induction on the order in which values
     are written, ``ub`` bounds the number of terms any irreducible
     extension of the state can add: a cut bound does (below), and each
     extension starts with a child whose returned value bounds the rest.
     Symmetry skipping depends only on the key, so the bound holds in the
-    skipped family too. A hit is used when ``depth + ub <= best_len``
-    (``cut`` below): nothing longer than the incumbent lies below, so it
-    is skipped for the same reason a cut is. Otherwise the state is
-    explored again. A re-explored state whose ``ub`` was already exact
-    finds a sequence longer than the incumbent, so re-exploring costs at
-    most ``D(S) - 1 - floor`` extra chains per search (floor below).
+    skipped family too. The mixed run's first-term bound acts only at the
+    root, and no other state has the root's key (below the root rp holds
+    the empty product), so it leaves every entry valid. A hit is used when
+    ``depth + ub <= cut`` (``cut`` below): nothing longer than the
+    incumbent lies below, so it is skipped for the same reason a cut is.
+    Otherwise the state is explored again. A re-explored state whose ``ub``
+    was already exact finds a sequence longer than the incumbent, so
+    re-exploring costs at most ``D(S) - 1 - floor`` extra chains per run
+    (floor below).
 
     Ideal bound. Let T have product s and proper-sub-multiset products rp
     (the empty product included), and let T y_1 ... y_k be irreducible.
@@ -508,12 +523,12 @@ def davenport_exact(
     principal ideal s S^1, so k <= |s S^1 minus (rp and s)|. A state whose
     bound cannot lift ``depth`` past ``best_len`` is stored with that
     bound and not expanded. Every cut branch and every used memo hit is
-    thus no longer than the incumbent, so after a complete run
-    ``best_len = D(S) - 1``. The incumbent only grows by a sequence the
-    run has just reached, term by term; the run visits the multisets in
-    lexicographic order and only a strictly longer sequence replaces the
-    incumbent, so the witness is the lexicographically first longest
-    irreducible sequence.
+    thus no longer than the incumbent, so after a complete run without a
+    floor ``best_len`` is the longest length. The incumbent only grows by a
+    sequence the run has just reached, term by term; the run visits the
+    multisets in lexicographic order and only a strictly longer sequence
+    replaces the incumbent, so the witness is the lexicographically first
+    longest irreducible sequence.
 
     Child test. Appending x to T gives product s x and proper products
     rp' = rp ∪ {s} ∪ rp x, and T x is reducible iff s x lies in rp'. So
@@ -525,41 +540,31 @@ def davenport_exact(
     of testing s x against rp' itself.
 
     Pruning floor. Cuts and memo hits compare against
-    ``cut = max(best_len, floor)``, not ``best_len``, where
-    floor = D*(U) - 2, U is the unit group with invariant factors d_i and
-    D*(U) = 1 + sum(d_i - 1). A cut branch holds no sequence longer than
-    ``cut``. Let L = D(S) - 1 be the longest length. Until the incumbent
-    reaches L, the branch holding the lexicographically first sequence of
-    length L is cut only if floor >= L. But D*(U) <= D(U) <= D(S) (a
-    sequence irreducible over U is irreducible over S, its sub-multisets
-    having the same products), so floor <= L - 1: that sequence is still
-    found first, and the value and the witness are those of the search
-    without the floor. The floor never enters the result: ``best_len`` and
-    ``best_path`` still record every longer prefix, so a capped run reports
-    a witnessed lower bound. The argument needs only floor < L, which a
-    complete run ending with best_len > floor proves whatever the census
-    says; one ending at or below the floor (a wrong census) raises
-    ``AssertionError``.
+    ``cut = max(best_len, floor)``, not ``best_len``. A cut branch holds no
+    sequence longer than ``cut``, and ``best_len`` records only sequences
+    the run has reached, so with L the longest length of the run's family,
+    a complete run ends with L <= max(best_len, floor), and with
+    best_len = L when best_len > floor. Until the incumbent reaches L, the
+    branch holding the lexicographically first sequence of length L is cut
+    only if floor >= L; so when floor < L that sequence is still found
+    first, and the value and the witness are those of the run without the
+    floor. The floor never enters the result: ``best_len`` and the
+    incumbent's path still record every longer prefix, so a capped run
+    reports a witnessed lower bound. The floors are:
 
-    Unit split bound. Let N be the non-units, an ideal, and e the least
-    with N^e = {0} (``_nilpotency_index``). Take a state whose product s
-    is a unit and which has at least one term; every term of T is then a
-    unit, so rp and s lie in U, and s S^1 = S. If T y_1 ... y_k is
-    irreducible, its a unit terms and b non-unit terms obey:
+    * for a group, floor = D*(U) - 2, where U has invariant factors d_i and
+      D*(U) = 1 + sum(d_i - 1) comes from the census. D*(U) <= D(U) = L + 1,
+      so floor < L; and a complete run ending with best_len > floor proves
+      floor < L whatever the census says, while one ending at or below the
+      floor (a wrong census) raises ``AssertionError``;
+    * for the mixed run, D(U) - 2, which run 1 found by a complete search.
+      A mixed run ending at or below it proves L_N <= D(U) - 2, so
+      D(S) = D(U); one ending above it has found L_N;
+    * for the witness run, L - 1 < L.
 
-    * a <= |U minus (rp and s)|: T times the unit terms is irreducible
-      (downward closed), so as in the ideal bound its partial products
-      past T are distinct units outside rp and s;
-    * b <= e - 1: e non-unit terms multiply to 0, so the whole product is
-      0, and dropping one term of T leaves a proper sub-multiset whose
-      product is still 0.
-
-    So k <= |U| - |rp and s| + e - 1, the ideal bound less |N| - (e - 1).
-    The bound depends only on the state, so memo entries stay valid. With
-    no such e (no zero, no non-unit, or N^k never {0}) the rule is off.
-
-    Symmetry. Let A be the automorphisms of S that ``automorphisms``
-    returns (all of them or, past its work cap or the budget, a subset).
+    Symmetry. Let A be the automorphisms of the run's semigroup that
+    ``automorphisms`` returns (all of them or, past its work cap or the
+    budget, a subset).
     A state with product s and proper products rp, r_all = rp and s, skips
     a term y when some phi in A fixes every element of r_all and has
     phi(y) < y. An automorphism maps an irreducible sequence to an
@@ -572,14 +577,18 @@ def davenport_exact(
       r_all = {identity}. So a phi fixing r_all fixes every term of every
       path to the key.
     * W is never skipped. Let W = w1 <= w2 <= ... be the lexicographically
-      first longest irreducible sequence, and w1..wk its prefix at some
-      state. Suppose phi fixes r_all, hence w1..wk, and
+      first longest sequence of the run's family, and w1..wk its prefix at
+      some state. Suppose phi fixes r_all, hence w1..wk, and
       phi(w_k+1) < w_k+1. No wi equals w_k+1, as phi fixes wi, so W has
       exactly k terms below w_k+1, while phi(W) holds w1..wk and
       phi(w_k+1). So sorted phi(W) is lexicographically smaller than W,
-      and it is irreducible and as long: a contradiction.
+      and it is irreducible, as long, and in the family: a contradiction.
+      The family is all irreducible sequences, except in the mixed run.
+      There the conjugated maps are the automorphisms of the relabeled
+      copy, and they map units to units, so they map mixed sequences to
+      mixed ones: the family is closed under them.
 
-    The search is therefore the branch-and-bound above over the family of
+    A run is therefore the branch-and-bound above over the family of
     sequences no step of which is skipped. Skipping depends only on the
     key, so the memo stays valid within that family; the family holds W,
     and every member is irreducible, so the value and the witness are
@@ -594,20 +603,74 @@ def davenport_exact(
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
     budget = Budget(budget_ms)
-    translate, ideal, fiber = _search_tables(S)
-    n = S.size
+    U = units_of(S)
+    G = S if U.order == S.size else U.as_semigroup()
+    floor = sum(d - 1 for d in U.invariant_factors) - 1  # D*(U) - 2
+    path, nodes, complete = _branch_and_bound(
+        G.table, G.identity, automorphisms(G, budget.expired), budget, floor
+    )
+    if complete and len(path) <= floor:
+        raise AssertionError(
+            f"complete search found {len(path)} terms, not above the floor {floor}"
+        )
+    unit_path = tuple(U.elements[i] for i in path)  # the same path when G is S
+    if G is S or not complete:
+        return _result(S, unit_path, nodes, complete, budget)
+    maps = automorphisms(S, budget.expired)
+    # pi: the non-units in index order, then the units
+    order = [x for x in range(S.size) if x not in U.inverses] + list(U.elements)
+    pos = {x: i for i, x in enumerate(order)}
     rows = S.table
+    path, more, complete = _branch_and_bound(
+        [[pos[rows[x][y]] for y in order] for x in order],
+        pos[S.identity],
+        [tuple(pos[phi[x]] for x in order) for phi in maps],
+        budget,
+        floor=len(unit_path) - 1,  # D(U) - 2
+        first_stop=S.size - U.order,
+    )
+    nodes += more
+    mixed_path = tuple(sorted(order[i] for i in path))
+    if not complete:
+        return _result(S, max(unit_path, mixed_path, key=len), nodes, False, budget)
+    if len(mixed_path) < len(unit_path):
+        return _result(S, unit_path, nodes, True, budget)
+    longest = len(mixed_path)
+    path, more, complete = _branch_and_bound(
+        rows, S.identity, maps, budget, floor=longest - 1, stop_at=longest
+    )
+    nodes += more
+    if not complete:
+        return _result(S, mixed_path, nodes, False, budget)
+    if len(path) != longest:
+        raise AssertionError(
+            f"witness run found {len(path)} terms, not the {longest} of the mixed run"
+        )
+    return _result(S, path, nodes, True, budget)
+
+
+def _branch_and_bound(
+    rows: list[list[int]],
+    identity: int,
+    maps: list[tuple[int, ...]],
+    budget: Budget,
+    floor: int,
+    first_stop: Optional[int] = None,
+    stop_at: Optional[int] = None,
+) -> tuple[tuple[int, ...], int, bool]:
+    """One search run as ``davenport_exact`` describes it: the Cayley rows,
+    the identity, the automorphisms as index maps and the pruning floor
+    give ``(path, nodes, complete)``, path the incumbent's indices. Only a
+    term below ``first_stop`` (default: any) may be the first, and the run
+    ends, complete, at the first sequence of ``stop_at`` terms."""
+    translate, ideal, fiber = _search_tables(rows)
+    n = len(rows)
+    if first_stop is None:
+        first_stop = n
     w = max(1, (n - 1).bit_length())  # memo-key field width: indices < n
     w2 = 2 * w
-    U = units_of(S)
-    floor = sum(d - 1 for d in U.invariant_factors) - 1  # D*(U) - 2
-    e = _nilpotency_index(S)
-    unit_mask = split = 0  # with no e the split bound is off: its test never fires
-    if e is not None:
-        unit_mask = sum(1 << u for u in U.elements)
-        split = n - U.order - (e - 1)  # |N| - (e - 1)
     # every automorphism fixes the identity, so the root keeps all the masks
-    root_sym = _fixing(_symmetry_masks(automorphisms(S, budget.expired)), 1 << S.identity)
+    root_sym = _fixing(_symmetry_masks(maps), 1 << identity)
 
     memo: dict[int, int] = {}  # packed state -> ub
     nodes = 0
@@ -627,8 +690,6 @@ def davenport_exact(
             raise _OutOfBudget
         r_all = rp | (1 << sig)
         bound = (ideal[sig] & ~r_all).bit_count()
-        if (unit_mask >> sig) & 1 and rp:
-            bound -= split
         if depth + bound <= cut:
             memo[key] = bound
             return bound
@@ -637,7 +698,7 @@ def davenport_exact(
         if r_all & ~sym[1]:  # some entry no longer fixes every product
             sym = _fixing(sym[0], r_all)
         down = sym[2]  # the terms an automorphism fixing r_all moves down
-        for x in range(min_elem, n):
+        for x in range(min_elem, n if depth else first_stop):
             if down >> x & 1:
                 continue
             new_sig = row[x]
@@ -656,6 +717,8 @@ def davenport_exact(
                 best_len = depth + 1
                 best_path = tuple(path) + (x,)
                 cut = max(cut, best_len)
+                if best_len == stop_at:
+                    raise _Reached
             path.append(x)
             ub = 1 + explore(new_sig, new_rp, x, depth + 1, sym)
             path.pop()
@@ -666,21 +729,23 @@ def davenport_exact(
 
     complete = True
     try:
-        explore(S.identity, 0, 0, 0, root_sym)
+        explore(identity, 0, 0, 0, root_sym)
     except _OutOfBudget:
         complete = False
+    except _Reached:
+        pass
     finally:
         # explore's closure refers to itself; rebinding it breaks that
         # cycle, so the memo and the tables go by refcount on return
         explore = None
-    if complete and best_len <= floor:
-        raise AssertionError(
-            f"complete search found {best_len} terms, not above the floor {floor}"
-        )
-    witness = Sequence.from_indices(S, best_path)
+    return best_path, nodes, complete
+
+
+def _result(S, indices, nodes: int, complete: bool, budget: Budget) -> DavenportResult:
+    witness = Sequence.from_indices(S, indices)
     _check_witness(witness)
     return DavenportResult(
-        value=1 + best_len,
+        value=1 + len(witness),
         witness=witness,
         method="exact_dfs",
         nodes=nodes,

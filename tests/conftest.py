@@ -127,7 +127,7 @@ def unpruned_davenport(S):
     irreducible sequence. It shares only the translate tables, which
     ``TestTranslateTables`` checks against the Cayley table.
     """
-    translate = _search_tables(S)[0]
+    translate = _search_tables(S.table)[0]
     rows = S.table
     memo = {}
 

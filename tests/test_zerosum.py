@@ -3,8 +3,10 @@ brute-force enumeration."""
 
 import dataclasses
 import gc
+import json
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations, product as iproduct
 from math import comb, gcd
 from operator import itemgetter
@@ -32,7 +34,7 @@ from davenport import (
     sumset,
     units_of,
 )
-from davenport import semigroup, zerosum
+from davenport import cli, semigroup, zerosum
 from davenport.semigroup import (
     FiniteSemigroup,
     automorphisms,
@@ -44,7 +46,6 @@ from davenport.verify import (
     proposition_semigroup,
 )
 from davenport.zerosum import (
-    _nilpotency_index,
     _search_tables,
     _symmetry_masks,
     _translate_mask,
@@ -201,7 +202,7 @@ class TestTranslateTables:
     def test_masks_match_products(self, build):
         S = build()
         n = S.size
-        tables, ideal, fiber = _search_tables(S)
+        tables, ideal, fiber = _search_tables(S.table)
         rng = random.Random(n)
         masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
         for x in range(n):
@@ -383,10 +384,9 @@ class TestDavenportExact:
         assert len(res.witness) == 41
         assert not is_reducible(res.witness)
         assert find_reduction(res.witness) is None
-        # the pruning floor D*(U) - 2 = 40 and the unit split bound (e = 2)
-        # take the tree from 692,887 nodes to 16,041, and the lex-leader
-        # test under the 72 automorphisms, at every depth, to this
-        assert res.nodes == 3_786
+        # 692,887 nodes for the whole of S with no pruning floor; split at
+        # the unit group, the C42 run and the mixed run take this many
+        assert res.nodes == 1_601
 
     @pytest.mark.parametrize("p, witness", [(11, "(x+3)*109"), (13, "(x+3)*155")])
     def test_proposition_frontier_p11_p13(self, p, witness):
@@ -398,8 +398,9 @@ class TestDavenportExact:
         assert res.witness.format() == witness
         assert find_reduction(res.witness) is None
         if p == 13:
-            # with all 576 automorphisms listed
-            assert res.nodes == 41_503
+            # the C156 run and the mixed run, with all 576 automorphisms
+            # of S listed
+            assert res.nodes == 13_602
 
     def test_floor_above_the_value_is_caught(self, monkeypatch):
         # a unit census claiming C_100 for C_6 puts the floor at 98; the
@@ -413,26 +414,75 @@ class TestDavenportExact:
         with pytest.raises(AssertionError, match="not above the floor 98"):
             davenport_exact(G)
 
-    def test_capped_run_keeps_a_witnessed_lower_bound(self, monkeypatch):
+    def test_capped_run_keeps_a_witnessed_lower_bound(self, monkeypatch, capsys):
         # the floor D*(U) - 2 = 154 only cuts branches; a run stopped by its
         # budget reports the longest sequence it has seen, with a witness.
-        # The automorphisms are listed off the clock, so only the search
-        # reads it, on nodes 1, 1025 and 2049; it runs out on the last
-        monkeypatch.setattr(zerosum, "automorphisms", lambda S, expired=None: automorphisms(S))
+        # U = C156 is listed off the clock, so only the search reads it, on
+        # nodes 1, 1025 and 2049 of the U run; it runs out on the last, and
+        # the call ends before S's automorphisms are listed
+        S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
+
+        def listing(T, expired=None):
+            assert T is not S, "S's automorphisms listed"
+            return automorphisms(T)
+
+        monkeypatch.setattr(zerosum, "automorphisms", listing)
         reads = iter([False, False, True])
         monkeypatch.setattr(zerosum.Budget, "expired", lambda self: next(reads))
-        S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
         res = davenport_exact(S, budget_ms=60_000)
         assert (res.nodes, res.complete) == (2049, False)
+        assert res.witness.parent is S
         assert 1 < res.value == 1 + len(res.witness) <= 156
+        assert all(i in units_of(S).inverses for i in res.witness.indices())
         assert find_reduction(res.witness) is None
+        # the same cut through the CLI is a lower bound: exit 3
+        reads = iter([False, False, True])
+        monkeypatch.setattr(cli, "build_quotient_semigroup", lambda p, f: S)
+        assert cli.main(["davenport", "-p", "13", "-f", "(x+1)^2", "--format", "record"]) == 3
+        record = json.loads(capsys.readouterr().out)
+        assert (record["nodes"], record["complete"]) == (2049, False)
+        assert record["witness"] == res.witness.format()
+
+    @pytest.mark.parametrize(
+        "capped, witness", [("first_stop", "(x^2+x+1)*3;(x^3+x+1)*3"), ("stop_at", "x*6")]
+    )
+    def test_capped_later_run_keeps_the_longest_witness(self, monkeypatch, capped, witness):
+        # x^3(x+1)^3 over F_2, a tie at 6 terms: a mixed run cut at its first
+        # node leaves U's witness, a witness run cut there the mixed run's
+        kernel = zerosum._branch_and_bound
+
+        def cut(*args, **kwargs):
+            if kwargs.get(capped) is not None:
+                args = args[:3] + (zerosum.Budget(0),) + args[4:]
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(zerosum, "_branch_and_bound", cut)
+        S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
+        res = davenport_exact(S)
+        assert (res.value, res.complete) == (7, False)
+        assert res.witness.format() == witness
+        assert find_reduction(res.witness) is None
+
+    def test_witness_run_short_of_the_mixed_run_is_caught(self, monkeypatch, capsys):
+        # the witness run must end at the mixed run's length; a shorter end
+        # is an internal error, exit 4 through the CLI
+        kernel = zerosum._branch_and_bound
+
+        def short(*args, **kwargs):
+            path, nodes, complete = kernel(*args, **kwargs)
+            return (path[:-1] if kwargs.get("stop_at") else path), nodes, complete
+
+        monkeypatch.setattr(zerosum, "_branch_and_bound", short)
+        S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
+        with pytest.raises(AssertionError, match="witness run found 5 terms, not the 6"):
+            davenport_exact(S)
+        assert cli.main(["davenport", "-p", "2", "-f", "x^3*(x+1)^3"]) == 4
 
     @pytest.mark.parametrize(
         "f, pinned",
         [
-            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 15_655, True)),
-            # one memo hit here re-explores a state whose bound is exact
-            (poly(3, 1, 1) ** 3, (8, 1_343, True)),
+            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 10_718, True)),
+            (poly(3, 1, 1) ** 3, (8, 655, True)),
         ],
         ids=["x^3(x+1)^3/F2", "(x+1)^3/F3"],
     )
@@ -464,7 +514,7 @@ class TestDavenportExact:
     def test_frontier_x4_over_f3(self):
         # n = 81, U = C3 x C18: exact with D(S) = D(U(S)) = 20 once terms
         # moved down by automorphisms fixing the state's products are
-        # skipped at every depth (1,667,374 nodes)
+        # skipped at every depth (1,630,011 nodes, most of them in U)
         S = build_quotient_semigroup(3, poly(3, 0, 0, 0, 0, 1))
         res = davenport_exact(S, budget_ms=120_000)
         assert res.complete
@@ -482,6 +532,16 @@ class TestDavenportExact:
         assert res.value == davenport_group_formula((4, 4, 4))
         assert find_reduction(res.witness) is None
 
+    def test_frontier_rank_three_quotient(self):
+        # x(x+1)(x+2) over F_5, n = 125: the C4^3 run above, then a mixed
+        # run that ends below D(U) - 1, so D(S) = D(U) = 10
+        S = build_quotient_semigroup(5, poly(5, 0, 1) * poly(5, 1, 1) * poly(5, 2, 1))
+        res = davenport_exact(S, budget_ms=120_000)
+        assert res.complete
+        assert res.value == 10 == davenport_group_formula((4, 4, 4))
+        assert len(res.witness) == 9
+        assert find_reduction(res.witness) is None
+
     def test_skipping_acts_below_the_second_term(self):
         # U = C6 x C6 of x(x+1) over F_7: 70,828 nodes when only the first
         # two terms are tested, 336,355 with nothing skipped
@@ -489,14 +549,14 @@ class TestDavenportExact:
         res = davenport_exact(units_of(S).as_semigroup())
         assert (res.value, res.nodes, res.complete) == (11, 30_020, True)
         assert res.witness.format() == "3*5;(x+3)*5"
-        # and S itself, under its 8 automorphisms
+        # and S itself: that U run plus 6 mixed nodes
         res = davenport_exact(S)
-        assert (res.value, res.nodes, res.complete) == (11, 159_740, True)
+        assert (res.value, res.nodes, res.complete) == (11, 30_026, True)
         assert res.witness.format() == "3*5;(x+3)*5"
 
     @pytest.mark.parametrize(
         "f, nodes",
-        [(poly(7, 1, 2, 1), 16_041), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 89_800)],
+        [(poly(7, 1, 2, 1), 2_371), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 76_408)],
         ids=["(x+1)^2/F7", "x^3(x+1)^3/F2"],
     )
     def test_identity_alone_gives_the_unskipped_tree(self, monkeypatch, f, nodes):
@@ -561,39 +621,6 @@ class TestDavenportExact:
             dS = davenport_exact(S).value
             dU = davenport_exact(units_of(S).as_semigroup()).value
             assert dU <= dS
-
-
-class TestNilpotencyIndex:
-    """The least e with N^e = {0}, N the non-units, behind the split bound."""
-
-    @pytest.mark.parametrize("p, e", [(2, 1), (2, 3), (2, 8), (3, 2), (5, 3), (7, 1)])
-    def test_power_of_x(self, p, e):
-        S = build_quotient_semigroup(p, poly(p, *[0] * e, 1))
-        assert _nilpotency_index(S) == e
-
-    def test_square_modulus(self):
-        assert _nilpotency_index(proposition_semigroup(5)) == 2
-
-    @pytest.mark.parametrize("n", [2, 5, 12])
-    def test_adjoined_zero(self, n):
-        # N = {inf}, which is N^1 already
-        assert _nilpotency_index(build_cyclic_with_zero(n)) == 1
-
-    def test_none_without_nilpotent_non_units(self, c2z_squared):
-        for S in (
-            build_cyclic_group(6),  # no zero
-            build_abelian_group([2, 4]),
-            build_quotient_semigroup(3, poly(3, 0, 1, 1)),  # x(x+1): N^2 = N
-            # x^2(x+1): no power of x is 0
-            build_quotient_semigroup(2, poly(2, 0, 1, 1) * poly(2, 0, 1)),
-            c2z_squared,  # (inf, g) is a non-unit whose powers never reach 0
-        ):
-            assert _nilpotency_index(S) is None, S.describe()
-
-    def test_trivial_monoid(self):
-        # identity = zero: no non-unit
-        S = FiniteSemigroup("product", ["e"], [[0]], identity_value="e", zero_value="e")
-        assert _nilpotency_index(S) is None
 
 
 class TestSearchAgainstBruteForce:
@@ -697,13 +724,37 @@ class TestBranchAndBoundOracle:
             expected = unpruned_davenport(S)
             assert (res.value, res.witness.indices()) == expected, S.describe()
 
-    def test_both_unit_rules_act_on_the_oracle_universes(self):
-        # the oracle checks each rule where it acts: the split bound wherever
-        # e exists (1, 2 and 3 occur), the floor wherever U is nontrivial
-        # (up to C_26)
+    def test_both_unit_rules_act_on_the_oracle_universes(self, monkeypatch):
+        # the oracle checks each unit rule where it acts: the census floor
+        # wherever U is nontrivial (up to C_26), and the split at the unit
+        # group on both witness paths. A group is one run; otherwise U's
+        # witness serves when the mixed run ends below D(U) - 1 (two runs),
+        # and a witness run gives it when the mixed run reaches that (three)
         quotients = list(_small_universes("quotient"))
-        assert {_nilpotency_index(S) for S in quotients} >= {None, 1, 2, 3}
         assert max(sum(units_of(S).invariant_factors) for S in quotients) == 26
+        kernel = zerosum._branch_and_bound
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(zerosum, "_branch_and_bound", counted)
+        paths = Counter()
+        for S in _oracle_problems():
+            runs.clear()
+            davenport_exact(S)
+            paths[len(runs)] += 1
+        assert paths[1] > 100 and paths[2] > 50 and paths[3] > 30
+        # a tie: over F_2, x^3(x+1)^3 has D(U) = D(S) = 7, and its first
+        # longest sequence x*6 has a non-unit term, so only the witness run
+        # can give it
+        S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
+        runs.clear()
+        res = davenport_exact(S)
+        assert [run.get("stop_at") for run in runs] == [None, None, 6]
+        assert davenport_exact(units_of(S).as_semigroup()).value == res.value == 7
+        assert res.witness.format() == "x*6"
 
     def test_families_cover_the_cap(self):
         sizes = {
@@ -775,11 +826,19 @@ class TestSymmetryOnTheOracle:
         # subset of the full list gives the value and the witness of the
         # full list, which the test above matches with the identity alone
         rng = random.Random(2014)
-        problems = [(S, automorphisms(S)) for S in _oracle_problems()]
-        searched = [(S, davenport_exact(S)) for S, _ in problems]
+        problems = list(_oracle_problems())
+        searched = [(S, davenport_exact(S)) for S in problems]
+        # every semigroup whose automorphisms a search lists: each problem
+        # and, unless it is a group, the unit group its search runs first,
+        # each with a subset of its own
+        listed = {}
+        for S in problems:
+            U = units_of(S)
+            for T in (S,) if U.order == S.size else (S, U.as_semigroup()):
+                listed[id(T)] = automorphisms(T)
         subsets = {
-            id(S): [A[0]] + [phi for phi in A[1:] if rng.random() < 0.5]
-            for S, A in problems
+            key: [A[0]] + [phi for phi in A[1:] if rng.random() < 0.5]
+            for key, A in listed.items()
         }
         monkeypatch.setattr(
             zerosum, "automorphisms", lambda S, expired=None: subsets[id(S)]
@@ -787,9 +846,9 @@ class TestSymmetryOnTheOracle:
         for S, full in searched:
             part = davenport_exact(S)
             assert (part.value, part.witness) == (full.value, full.witness), S.describe()
-        # most problems get a proper subset that is more than the identity
-        proper = sum(1 < len(subsets[id(S)]) < len(A) for S, A in problems)
-        assert proper > 0.75 * len(problems)
+        # most get a proper subset that is more than the identity
+        proper = sum(1 < len(subsets[key]) < len(A) for key, A in listed.items())
+        assert proper > 0.75 * len(listed)
 
 
 def euler_phi(n):
