@@ -264,9 +264,9 @@ def verify_lemma_product(
 ) -> VerificationReport:
     """Check D(S) = D(U(S)) for S = product of C_{n_i} with adjoined zeros.
 
-    Both constants are computed by exact search; the constructive
-    reduction is then exercised on ``stress`` random sequences of the
-    threshold length D(U(S)), within what is left of the budget.
+    One exact search of S gives both constants, D(U(S)) as its first run
+    (``lhs.units``); the constructive reduction then runs on ``stress``
+    random sequences of length D(U(S)), within what is left of the budget.
     """
     n_list = [int(n) for n in n_list]
     if not n_list or any(n < 2 for n in n_list):
@@ -275,12 +275,12 @@ def verify_lemma_product(
     S = build_adjoined_zero_product(n_list)
     U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = davenport_exact(U.as_semigroup(), budget.remaining_ms())
+    rhs = lhs.units
 
     artifacts = {
         "unit_order": U.order,
         "unit_invariants": list(U.invariant_factors),
-        "units_bound_k_plus_1": rhs.value >= len(n_list) + 1,
+        "units_bound_k_plus_1": rhs.value >= len(n_list) + 1 if rhs.complete else None,
     }
     if stress > 0 and rhs.complete:
         reduce = partial(constructive_reduction, S, d_units=rhs.value)
@@ -323,7 +323,7 @@ def verify_theorem1(
     S = crt.source
     U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = davenport_exact(U.as_semigroup(), budget.remaining_ms())
+    rhs = lhs.units
 
     orders = crt.cyclic_orders
     if all(n >= 2 for n in orders):
@@ -345,7 +345,9 @@ def verify_theorem1(
         "unit_invariants": list(U.invariant_factors),
         "crt_route_value": route.value if route.complete else None,
         "crt_route_model": model_note,
-        "units_le_semigroup": rhs.value <= lhs.value,
+        "units_le_semigroup": (
+            rhs.value <= lhs.value if lhs.complete and rhs.complete else None
+        ),
     }
     return VerificationReport(
         claim=CLAIM_THEOREM1,
@@ -462,13 +464,13 @@ def verify_proposition(
 ) -> VerificationReport:
     """Check D(S) = D(U(S)) for the square modulus (x+1)^2, p > 2.
 
-    The unit group is cyclic of order p(p-1); both sides are searched
-    exactly within the budget. A timed-out side degrades to the structural
-    value (units) or to a Monte-Carlo reducibility sample plus the
-    exhibited length-(p(p-1)-1) irreducible witness (semigroup side),
-    and the report turns ``incomplete``. The sampling and the stress loop
-    draw on the same budget; cut short, they report how many sequences
-    they ran, and the report turns ``incomplete`` too.
+    The unit group is cyclic of order p(p-1). One exact search of S gives
+    both sides, D(U) as its first run (``lhs.units``). If the budget cuts
+    that run, D(U) falls back to the structural value p(p-1); if it cuts
+    the search of S, a Monte-Carlo reducibility sample at length p(p-1) is
+    added. The sampling and the stress loop draw on the same budget and,
+    cut short, report how many sequences they ran. Any cut turns the
+    report ``incomplete``.
     """
     if p <= 2:
         raise ValueError("the claim needs p > 2")
@@ -485,14 +487,12 @@ def verify_proposition(
     # a generator of the cyclic unit group repeated d-1 times is
     # irreducible (checked below), so D(S) >= D(U) always holds explicitly
     gen = _cyclic_generator(U)
-    G = U.as_semigroup()
-    # the unit census already fixes D(U), so the side in doubt goes first
     lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = davenport_exact(G, budget.remaining_ms())
+    rhs = lhs.units
     if not rhs.complete:
         rhs = DavenportResult(
             value=d_formula,
-            witness=Sequence(G, [(U.elements.index(gen), d_formula - 1)]),
+            witness=Sequence(U.as_semigroup(), [(U.elements.index(gen), d_formula - 1)]),
             method="formula",
             nodes=rhs.nodes,
             millis=rhs.millis,
@@ -562,7 +562,7 @@ def conjecture_probe(
     S = build_quotient_semigroup(p, f)
     U = units_of(S)
     lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = davenport_exact(U.as_semigroup(), budget.remaining_ms())
+    rhs = lhs.units
     artifacts = {
         "factorization": str(modulus_factorization(S)),
         "unit_order": U.order,

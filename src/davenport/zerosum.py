@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .gfpoly import prime_factors
@@ -399,6 +399,7 @@ class DavenportResult:
     nodes: int
     millis: int
     complete: bool
+    units: Optional[DavenportResult] = field(default=None, repr=False, compare=False)
 
     def to_record(self) -> dict:
         return {
@@ -495,6 +496,9 @@ def davenport_exact(
     run over all of S. A run cut short by the budget ends the call with the
     longest sequence the runs have witnessed, mapped into S; a cut U run
     ends it before S's automorphisms are listed or the mixed tables built.
+    The result keeps run 1's own result, its witness re-checked, as
+    ``units``: ``units.nodes`` counts run 1 alone, ``nodes`` every run.
+    ``units`` is None for a group, whose one run is the whole search.
 
     ``best_len`` is the length of the longest irreducible sequence a run has
     found so far (the incumbent). A state's memo value is one int ``ub``: a
@@ -613,9 +617,10 @@ def davenport_exact(
         raise AssertionError(
             f"complete search found {len(path)} terms, not above the floor {floor}"
         )
+    units = None if G is S else _result(G, path, nodes, complete, budget)
     unit_path = tuple(U.elements[i] for i in path)  # the same path when G is S
     if G is S or not complete:
-        return _result(S, unit_path, nodes, complete, budget)
+        return _result(S, unit_path, nodes, complete, budget, units)
     maps = automorphisms(S, budget.expired)
     # pi: the non-units in index order, then the units
     order = [x for x in range(S.size) if x not in U.inverses] + list(U.elements)
@@ -632,21 +637,21 @@ def davenport_exact(
     nodes += more
     mixed_path = tuple(sorted(order[i] for i in path))
     if not complete:
-        return _result(S, max(unit_path, mixed_path, key=len), nodes, False, budget)
+        return _result(S, max(unit_path, mixed_path, key=len), nodes, False, budget, units)
     if len(mixed_path) < len(unit_path):
-        return _result(S, unit_path, nodes, True, budget)
+        return _result(S, unit_path, nodes, True, budget, units)
     longest = len(mixed_path)
     path, more, complete = _branch_and_bound(
         rows, S.identity, maps, budget, floor=longest - 1, stop_at=longest
     )
     nodes += more
     if not complete:
-        return _result(S, mixed_path, nodes, False, budget)
+        return _result(S, mixed_path, nodes, False, budget, units)
     if len(path) != longest:
         raise AssertionError(
             f"witness run found {len(path)} terms, not the {longest} of the mixed run"
         )
-    return _result(S, path, nodes, True, budget)
+    return _result(S, path, nodes, True, budget, units)
 
 
 def _branch_and_bound(
@@ -741,7 +746,8 @@ def _branch_and_bound(
     return best_path, nodes, complete
 
 
-def _result(S, indices, nodes: int, complete: bool, budget: Budget) -> DavenportResult:
+def _result(S, indices, nodes: int, complete: bool, budget: Budget,
+            units=None) -> DavenportResult:
     witness = Sequence.from_indices(S, indices)
     _check_witness(witness)
     return DavenportResult(
@@ -751,6 +757,7 @@ def _result(S, indices, nodes: int, complete: bool, budget: Budget) -> Davenport
         nodes=nodes,
         millis=budget.elapsed_ms(),
         complete=complete,
+        units=units,
     )
 
 

@@ -49,15 +49,15 @@ class TestVerifyVerb:
         assert "stress_passed: 1000" in out
 
     def test_theorem1_refuted_exits_1(self, capsys, monkeypatch):
-        # only the unit-group side comes back complete, with another value
+        # the search of S comes back with another D(U), its unit-group side
         import davenport.verify
 
         search = davenport.verify.davenport_exact
 
         def units_off_by_one(S, budget_ms=None):
             result = search(S, budget_ms)
-            if "units_of" in S.params:
-                result.value += 1
+            if S.kind == "quotient":
+                result.units.value += 1
             return result
 
         monkeypatch.setattr(davenport.verify, "davenport_exact", units_off_by_one)
@@ -434,6 +434,29 @@ GOLDEN_RECORDS = [
         '3}, "rhs": {"complete": true, "method": "exact_dfs", "millis": '
         'null, "nodes": 14, "value": 6, "witness": "x*5"}, "status": '
         '"verified"}'
+    ),
+    (
+        ("verify", "theorem1", "-p", "3", "-f", "x*(x+1)"),
+        '{"artifacts": {"crt_route_model": "adjoined-zero cyclic orders '
+        '[2, 2]", "crt_route_value": 3, "factorization": "(x)*(x+1)", '
+        '"unit_invariants": [2, 2], "unit_order": 4, '
+        '"units_le_semigroup": true}, "claim": "theorem1", "lhs": '
+        '{"complete": true, "method": "exact_dfs", "millis": null, '
+        '"nodes": 18, "value": 3, "witness": "2;x"}, "params": {"f": '
+        '"x^2+x", "p": 3}, "rhs": {"complete": true, "method": '
+        '"exact_dfs", "millis": null, "nodes": 3, "value": 3, "witness": '
+        '"2;x+2"}, "status": "verified"}'
+    ),
+    (
+        ("probe", "-p", "3", "-f", "x^2"),
+        '{"artifacts": {"factorization": "(x)^2", "interpretation": '
+        '"conjecture evidence only, nothing is asserted", "sides_equal": '
+        'true, "unit_invariants": [6], "unit_order": 6}, "claim": '
+        '"conjecture_probe", "lhs": {"complete": true, "method": '
+        '"exact_dfs", "millis": null, "nodes": 18, "value": 6, "witness": '
+        '"(x+2)*5"}, "params": {"f": "x^2", "p": 3}, "rhs": {"complete": '
+        'true, "method": "exact_dfs", "millis": null, "nodes": 15, '
+        '"value": 6, "witness": "(x+2)*5"}, "status": "verified"}'
     ),
     (
         ("reduce", "-p", "3", "--seq", "x*5;2*x+2"),

@@ -129,6 +129,13 @@ class TestTheorem1:
         verify_theorem1(7, poly(7, 0, 1, 1), budget_ms=0)
         assert factored == ["x^2+x"]
 
+    def test_budget_zero_leaves_the_comparison_open(self):
+        # the search stops on its first node, inside the U run
+        report = verify_theorem1(3, poly(3, 0, 1) * poly(3, 1, 1), budget_ms=0)
+        assert not (report.lhs.complete or report.rhs.complete)
+        assert report.artifacts["units_le_semigroup"] is None
+        assert report.status == STATUS_INCOMPLETE
+
 
 def reduction_digest() -> str:
     """SHA-256 of input -> output lines of both reduction procedures on
@@ -256,6 +263,13 @@ class TestLemmaProduct:
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):
             verify_lemma_product([1, 2])
+
+    def test_budget_zero_leaves_the_units_bound_open(self):
+        # the search stops on its first node, inside the U run
+        report = verify_lemma_product([2, 2], budget_ms=0, stress=5)
+        assert not report.rhs.complete
+        assert report.artifacts["units_bound_k_plus_1"] is None
+        assert report.status == STATUS_INCOMPLETE
 
 
 class TestWitnessFamily:
@@ -397,22 +411,6 @@ class TestProposition:
         verify_proposition(3, stress=5, samples=10)
         assert moduli == [quadratic_modulus(3)]
 
-    def test_semigroup_side_searched_first(self, monkeypatch):
-        # D(U) is fixed by the unit census, so the budget goes to D(S) first
-        import davenport.verify
-
-        searched = []
-
-        def recording(S, budget_ms=None):
-            searched.append(S.kind)
-            return davenport_exact(S, budget_ms)
-
-        monkeypatch.setattr(davenport.verify, "davenport_exact", recording)
-        report = verify_proposition(7, stress=0, samples=1)
-        assert searched == ["quotient", "abelian_group"]
-        assert report.lhs.value == report.rhs.value == 42
-        assert report.status == STATUS_VERIFIED
-
     def test_incomplete_when_budget_zero(self):
         report = verify_proposition(5, budget_ms=0, stress=10, samples=50)
         assert report.status == STATUS_INCOMPLETE
@@ -446,7 +444,7 @@ class TestProposition:
         ],
     )
     def test_stress_cut_short_is_not_verified(self, monkeypatch, reduction, report):
-        # both searches finish; the budget runs out after the second reduction
+        # both sides finish; the budget runs out after the second reduction
         from davenport import verify as verify_module
 
         reduce = getattr(verify_module, reduction)
@@ -489,6 +487,36 @@ class TestConjectureProbe:
         report = conjecture_probe(3, poly(3, 0, 0, 1))
         assert factored == ["x^2"]
         assert report.artifacts["factorization"] == str(factor(poly(3, 0, 0, 1)))
+
+
+class TestOneUnitSearch:
+    @pytest.mark.parametrize(
+        "report, searched_kinds, d",
+        [
+            (lambda: verify_theorem1(3, poly(3, 0, 1) * poly(3, 1, 1)),
+             ["quotient", "product"], 3),
+            (lambda: verify_lemma_product([2, 2], stress=5), ["product"], 3),
+            (lambda: verify_proposition(7, stress=0, samples=1), ["quotient"], 42),
+            (lambda: conjecture_probe(3, poly(3, 0, 0, 1)), ["quotient"], 6),
+        ],
+        ids=["theorem1", "lemma", "proposition", "probe"],
+    )
+    def test_units_come_from_the_search_of_s(self, monkeypatch, report, searched_kinds, d):
+        # D(U) is run 1 of the search of S; theorem1 also searches its CRT model
+        import davenport.verify
+
+        searched = []
+
+        def recording(S, budget_ms=None):
+            searched.append(S.kind)
+            return davenport_exact(S, budget_ms)
+
+        monkeypatch.setattr(davenport.verify, "davenport_exact", recording)
+        rep = report()
+        assert searched == searched_kinds
+        assert rep.rhs is rep.lhs.units
+        assert rep.lhs.value == rep.rhs.value == d
+        assert rep.status == STATUS_VERIFIED
 
 
 class TestValidator:

@@ -723,6 +723,15 @@ class TestBranchAndBoundOracle:
             assert res.complete
             expected = unpruned_davenport(S)
             assert (res.value, res.witness.indices()) == expected, S.describe()
+            U = units_of(S).as_semigroup()
+            if U.size == S.size:
+                assert res.units is None
+                continue
+            # D(U) as the split's run 1 is the standalone search of U
+            alone = davenport_exact(U)
+            assert res.units.to_record() == alone.to_record(), S.describe()
+            expected = unpruned_davenport(U)
+            assert (res.units.value, res.units.witness.indices()) == expected
 
     def test_both_unit_rules_act_on_the_oracle_universes(self, monkeypatch):
         # the oracle checks each unit rule where it acts: the census floor
