@@ -403,7 +403,7 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
         params={"units_of": S.kind},
     )
 
-    invariants = _invariants_by_census(group)
+    invariants = invariants_by_census(group)
     closed_form = _closed_form_invariants(S)
     if closed_form is not None and closed_form != invariants:
         raise AssertionError(
@@ -586,7 +586,7 @@ def _closed_form_invariants(S: FiniteSemigroup):
     return None
 
 
-def _invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
+def invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
     """Abelian group structure from the multiset of element orders.
 
     For each prime q dividing |G|, counting elements of q-power order

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .gfpoly import prime_factors
-from .semigroup import FiniteSemigroup, automorphisms, units_of
+from .semigroup import FiniteSemigroup, automorphisms, invariants_by_census, units_of
 
 
 class Sequence:
@@ -470,18 +470,23 @@ def davenport_exact(
     irreducible over U, its sub-multisets having the same products in
     both; every other sequence has a non-unit term (it is mixed). So
     D(S) - 1 = max(D(U) - 1, L_N), L_N the length of the longest
-    irreducible mixed sequence, and up to three runs share the budget:
+    irreducible mixed sequence, and these runs share the budget:
 
     1. U, as the group ``units_of(S).as_semigroup()``: D(U) and its
        lexicographically first longest sequence W_U;
-    2. a mixed run on S relabeled with the non-units first (the Cayley rows
-       permuted by pi, each automorphism phi conjugated to
-       pi^-1 phi pi), where only a non-unit may be the first term. In that
-       order a sorted sequence is mixed iff its first term is a non-unit,
-       so the run covers the mixed sequences and no other. N is an ideal,
-       so every product below the root is a non-unit and its ideal bound
-       counts a proper ideal. The floor is D(U) - 2, which run 1 certifies;
-    3. only when the mixed run reaches D(U) - 1 or more, so that its length
+    2. one group run per isomorphism type of the class groups (below),
+       each with its census floor, which give the class bound B >= L_N. A
+       class group with U's census invariants takes D(U) from run 1;
+    3. unless B <= D(U) - 2, a mixed run on S relabeled with the non-units
+       first (the Cayley rows permuted by pi, each automorphism phi
+       conjugated to pi^-1 phi pi), where only a non-unit may be the first
+       term. In that order a sorted sequence is mixed iff its first term is
+       a non-unit, so the run covers the mixed sequences and no other. N is
+       an ideal, so every product below the root is a non-unit and its
+       ideal bound counts a proper ideal. The floor is D(U) - 2, which
+       run 1 certifies, and the run ends, complete, at its first sequence
+       of B terms, since then L_N = B;
+    4. only when the mixed run reaches D(U) - 1 or more, so that its length
        is L = D(S) - 1, a witness run on S in its own order with the floor
        L - 1, stopped at the first sequence of length L. The run meets the
        sequences of one length in lexicographic order and the floor cuts
@@ -489,16 +494,51 @@ def davenport_exact(
        lexicographically first longest one. A witness run that ends
        anywhere else raises ``AssertionError``.
 
-    If the mixed run ends at or below D(U) - 2, every longest sequence over
-    S consists of units, and W_U mapped through ``U.elements`` (a sorted
-    tuple, so the map keeps the order) is S's lexicographically first
-    longest sequence. Either way the value and the witness are those of one
-    run over all of S. A run cut short by the budget ends the call with the
-    longest sequence the runs have witnessed, mapped into S; a cut U run
-    ends it before S's automorphisms are listed or the mixed tables built.
-    The result keeps run 1's own result, its witness re-checked, as
-    ``units``: ``units.nodes`` counts run 1 alone, ``nodes`` every run.
-    ``units`` is None for a group, whose one run is the whole search.
+    If B <= D(U) - 2, or the mixed run ends at or below it, every longest
+    sequence over S consists of units, and W_U mapped through
+    ``U.elements`` (a sorted tuple, so the map keeps the order) is S's
+    lexicographically first longest sequence. Either way the value and the
+    witness are those of one run over all of S. A run cut short by the
+    budget ends the call with the longest sequence the runs have
+    witnessed, mapped into S; a cut U run ends it before the class groups
+    are built or S's automorphisms listed. A cut class-group run leaves B
+    unknown, and the mixed run then runs without a stop. The result keeps
+    run 1's own result, its witness re-checked, as ``units``:
+    ``units.nodes`` counts run 1 alone, ``nodes`` every run. ``units`` is
+    None for a group, whose one run is the whole search.
+
+    Class bound. Let H be an H-class of S: the elements with one principal
+    ideal s S^1, the set of row s of the table. The classes are ordered by
+    inclusion of their ideals; the units form the top class, whose ideal
+    is S. c(H) is the number of steps of the longest chain of classes from
+    the units down to H. In a finite commutative monoid, s y in the class
+    of s makes x -> x y a bijection of that class (Green's lemma). So,
+    with s0 fixed in H and some y(h) with s0 y(h) = h for each h in H,
+    h1 * h2 = h1 y(h2) is an abelian group on H with identity s0, its
+    Schützenberger group Gamma_H (Howie, *Fundamentals of Semigroup
+    Theory*, 1995). Claim: an irreducible T with product in H has
+    |T| <= c(H) + D(Gamma_H) - 1. Proof sketch:
+
+    * take terms of T into V, one at a time, each moving the product of V
+      into a strictly smaller ideal, while one does. When none does, each
+      remaining term maps the class of sigma(V) onto itself, so sigma(T)
+      lies in that class and it is H. The classes of the products of V's
+      prefixes form a chain from the units down to H, so |V| <= c(H);
+    * every other term t has sigma(V) t in H, so x -> x t maps H onto
+      itself and acts there as the element s0 t of Gamma_H:
+      h t = s0 t y(h) = h * (s0 t);
+    * if |T| - |V| >= D(Gamma_H), those elements have a nonempty zero-sum
+      subsequence: a nonempty Z outside V with s0 sigma(Z) = s0, so
+      sigma(Z) fixes every element of H. T minus Z contains V, so its
+      product lies in H, and sigma(T) = sigma(T minus Z) sigma(Z) =
+      sigma(T minus Z): T is reducible.
+
+    A mixed sequence has a non-unit product, so
+    L_N <= B = max over the non-unit classes H of c(H) + D(Gamma_H) - 1.
+    Each D(Gamma_H) comes from a complete group run, never a closed form;
+    isomorphic groups have equal census invariants and equal D. For
+    F_p[x]/<f> with f squarefree the classes are the zero patterns of the
+    CRT coordinates, and this is the paper's argument.
 
     ``best_len`` is the length of the longest irreducible sequence a run has
     found so far (the incumbent). A state's memo value is one int ``ub``: a
@@ -556,7 +596,8 @@ def davenport_exact(
     incumbent's path still record every longer prefix, so a capped run
     reports a witnessed lower bound. The floors are:
 
-    * for a group, floor = D*(U) - 2, where U has invariant factors d_i and
+    * for a group U (S itself, its unit group or a class group),
+      floor = D*(U) - 2, where U has invariant factors d_i and
       D*(U) = 1 + sum(d_i - 1) comes from the census. D*(U) <= D(U) = L + 1,
       so floor < L; and a complete run ending with best_len > floor proves
       floor < L whatever the census says, while one ending at or below the
@@ -609,40 +650,27 @@ def davenport_exact(
     budget = Budget(budget_ms)
     U = units_of(S)
     G = S if U.order == S.size else U.as_semigroup()
-    floor = sum(d - 1 for d in U.invariant_factors) - 1  # D*(U) - 2
-    path, nodes, complete = _branch_and_bound(
-        G.table, G.identity, automorphisms(G, budget.expired), budget, floor
-    )
-    if complete and len(path) <= floor:
-        raise AssertionError(
-            f"complete search found {len(path)} terms, not above the floor {floor}"
-        )
+    path, nodes, complete = _group_run(G, U.invariant_factors, budget)
     units = None if G is S else _result(G, path, nodes, complete, budget)
     unit_path = tuple(U.elements[i] for i in path)  # the same path when G is S
     if G is S or not complete:
         return _result(S, unit_path, nodes, complete, budget, units)
+    bound, more = _class_bound(S, U, len(unit_path) + 1, budget)
+    nodes += more
+    if bound is not None and bound <= len(unit_path) - 1:  # B <= D(U) - 2
+        return _result(S, unit_path, nodes, True, budget, units)
     maps = automorphisms(S, budget.expired)
-    # pi: the non-units in index order, then the units
-    order = [x for x in range(S.size) if x not in U.inverses] + list(U.elements)
-    pos = {x: i for i, x in enumerate(order)}
-    rows = S.table
-    path, more, complete = _branch_and_bound(
-        [[pos[rows[x][y]] for y in order] for x in order],
-        pos[S.identity],
-        [tuple(pos[phi[x]] for x in order) for phi in maps],
-        budget,
-        floor=len(unit_path) - 1,  # D(U) - 2
-        first_stop=S.size - U.order,
+    mixed_path, more, complete = _mixed_run(
+        S, U, maps, budget, floor=len(unit_path) - 1, stop_at=bound  # floor D(U) - 2
     )
     nodes += more
-    mixed_path = tuple(sorted(order[i] for i in path))
     if not complete:
         return _result(S, max(unit_path, mixed_path, key=len), nodes, False, budget, units)
     if len(mixed_path) < len(unit_path):
         return _result(S, unit_path, nodes, True, budget, units)
     longest = len(mixed_path)
     path, more, complete = _branch_and_bound(
-        rows, S.identity, maps, budget, floor=longest - 1, stop_at=longest
+        S.table, S.identity, maps, budget, floor=longest - 1, stop_at=longest
     )
     nodes += more
     if not complete:
@@ -652,6 +680,78 @@ def davenport_exact(
             f"witness run found {len(path)} terms, not the {longest} of the mixed run"
         )
     return _result(S, path, nodes, True, budget, units)
+
+
+def _group_run(G: FiniteSemigroup, invariants, budget: Budget):
+    """The run over a group G with invariant factors ``invariants``, floored
+    at the census bound D*(G) - 2: ``(path, nodes, complete)``."""
+    floor = sum(d - 1 for d in invariants) - 1
+    path, nodes, complete = _branch_and_bound(
+        G.table, G.identity, automorphisms(G, budget.expired), budget, floor
+    )
+    if complete and len(path) <= floor:
+        raise AssertionError(
+            f"complete search found {len(path)} terms, not above the floor {floor}"
+        )
+    return path, nodes, complete
+
+
+def _mixed_run(S, U, maps, budget: Budget, floor: int, stop_at: Optional[int] = None):
+    """The mixed run over S, units U and automorphisms ``maps``:
+    ``(path, nodes, complete)``, path the incumbent's sorted indices in S."""
+    # pi: the non-units in index order, then the units
+    order = [x for x in range(S.size) if x not in U.inverses] + list(U.elements)
+    pos = {x: i for i, x in enumerate(order)}
+    rows = S.table
+    path, nodes, complete = _branch_and_bound(
+        [[pos[rows[x][y]] for y in order] for x in order],
+        pos[S.identity],
+        [tuple(pos[phi[x]] for x in order) for phi in maps],
+        budget,
+        floor,
+        first_stop=S.size - U.order,
+        stop_at=stop_at,
+    )
+    return tuple(sorted(order[i] for i in path)), nodes, complete
+
+
+def _class_bound(S, U, d_units: int, budget: Budget) -> tuple[Optional[int], int]:
+    """``(B, nodes)``: the class bound of S, whose unit group U has
+    D(U) = ``d_units``, and the nodes of its class-group runs. B is None
+    when one of those runs is cut by the budget."""
+    rows = S.table
+    classes: dict[int, list[int]] = {}  # principal ideal mask -> its H-class
+    for s, row in enumerate(rows):
+        classes.setdefault(sum(1 << t for t in set(row)), []).append(s)
+    # a strictly larger ideal has more elements, so it comes first
+    ideals = sorted(classes, key=lambda m: -m.bit_count())
+    chain = {ideals[0]: 0}  # the units' ideal is S
+    d_of = {U.invariant_factors: d_units}
+    nodes = 0
+    bound = 0
+    for m in ideals[1:]:
+        chain[m] = 1 + max(c for a, c in chain.items() if not m & ~a)
+        H = classes[m]
+        s0 = H[0]
+        y = {}  # y[h]: some y with s0 y = h
+        for x, h in enumerate(rows[s0]):
+            y.setdefault(h, x)
+        pos = {h: k for k, h in enumerate(H)}
+        gamma = FiniteSemigroup(
+            "abelian_group",
+            [S.values[h] for h in H],
+            [[pos[rows[h1][y[h2]]] for h2 in H] for h1 in H],
+            identity_value=S.values[s0],
+        )
+        invariants = invariants_by_census(gamma)
+        if invariants not in d_of:
+            path, more, complete = _group_run(gamma, invariants, budget)
+            nodes += more
+            if not complete:
+                return None, nodes
+            d_of[invariants] = len(path) + 1
+        bound = max(bound, chain[m] + d_of[invariants] - 1)
+    return bound, nodes
 
 
 def _branch_and_bound(

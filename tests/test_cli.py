@@ -410,7 +410,7 @@ GOLDEN_RECORDS = [
     (
         ("davenport", "-n", "2,4"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 107, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+        '"nodes": 39, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
     ),
     (
         ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),
@@ -418,7 +418,7 @@ GOLDEN_RECORDS = [
         '"unit_invariants": [2, 2], "unit_order": 4, '
         '"units_bound_k_plus_1": true}, "claim": "lemma_product", "lhs": '
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 18, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
+        '"nodes": 10, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
         '"params": {"n_list": [2, 2]}, "rhs": {"complete": true, '
         '"method": "exact_dfs", "millis": null, "nodes": 3, "value": 3, '
         '"witness": "(g^0, g);(g, g^0)"}, "status": "verified"}'
@@ -442,7 +442,7 @@ GOLDEN_RECORDS = [
         '"unit_invariants": [2, 2], "unit_order": 4, '
         '"units_le_semigroup": true}, "claim": "theorem1", "lhs": '
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 18, "value": 3, "witness": "2;x"}, "params": {"f": '
+        '"nodes": 12, "value": 3, "witness": "2;x"}, "params": {"f": '
         '"x^2+x", "p": 3}, "rhs": {"complete": true, "method": '
         '"exact_dfs", "millis": null, "nodes": 3, "value": 3, "witness": '
         '"2;x+2"}, "status": "verified"}'

@@ -338,6 +338,15 @@ def identity_alone(S, expired=None):
     return [tuple(range(S.size))]
 
 
+def run_kind(kwargs):
+    """The run of ``davenport_exact`` that a kernel call with these keyword
+    arguments makes: only the mixed run passes ``first_stop``, and the
+    witness run passes ``stop_at`` alone."""
+    if "first_stop" in kwargs:
+        return "mixed"
+    return "witness" if "stop_at" in kwargs else "group"
+
+
 class TestDavenportExact:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_cyclic_groups(self, n):
@@ -385,8 +394,9 @@ class TestDavenportExact:
         assert not is_reducible(res.witness)
         assert find_reduction(res.witness) is None
         # 692,887 nodes for the whole of S with no pruning floor; split at
-        # the unit group, the C42 run and the mixed run take this many
-        assert res.nodes == 1_601
+        # the unit group, the C42 run and the class-group runs take this
+        # many, the class bound 6 <= D(U) - 2 leaving no mixed run
+        assert res.nodes == 1_616
 
     @pytest.mark.parametrize("p, witness", [(11, "(x+3)*109"), (13, "(x+3)*155")])
     def test_proposition_frontier_p11_p13(self, p, witness):
@@ -398,9 +408,9 @@ class TestDavenportExact:
         assert res.witness.format() == witness
         assert find_reduction(res.witness) is None
         if p == 13:
-            # the C156 run and the mixed run, with all 576 automorphisms
-            # of S listed
-            assert res.nodes == 13_602
+            # the C156 run and the class-group runs; the class bound proves
+            # the mixed run empty
+            assert res.nodes == 13_661
 
     def test_floor_above_the_value_is_caught(self, monkeypatch):
         # a unit census claiming C_100 for C_6 puts the floor at 98; the
@@ -448,11 +458,14 @@ class TestDavenportExact:
     )
     def test_capped_later_run_keeps_the_longest_witness(self, monkeypatch, capped, witness):
         # x^3(x+1)^3 over F_2, a tie at 6 terms: a mixed run cut at its first
-        # node leaves U's witness, a witness run cut there the mixed run's
+        # node leaves U's witness, a witness run cut there the mixed run's.
+        # That run stopped at its first sequence of B = 6 terms, which is
+        # witnessed and irreducible like any incumbent
         kernel = zerosum._branch_and_bound
+        run = {"first_stop": "mixed", "stop_at": "witness"}[capped]
 
         def cut(*args, **kwargs):
-            if kwargs.get(capped) is not None:
+            if run_kind(kwargs) == run:
                 args = args[:3] + (zerosum.Budget(0),) + args[4:]
             return kernel(*args, **kwargs)
 
@@ -470,7 +483,7 @@ class TestDavenportExact:
 
         def short(*args, **kwargs):
             path, nodes, complete = kernel(*args, **kwargs)
-            return (path[:-1] if kwargs.get("stop_at") else path), nodes, complete
+            return (path[:-1] if run_kind(kwargs) == "witness" else path), nodes, complete
 
         monkeypatch.setattr(zerosum, "_branch_and_bound", short)
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
@@ -481,8 +494,8 @@ class TestDavenportExact:
     @pytest.mark.parametrize(
         "f, pinned",
         [
-            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 10_718, True)),
-            (poly(3, 1, 1) ** 3, (8, 655, True)),
+            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 210, True)),
+            (poly(3, 1, 1) ** 3, (8, 571, True)),
         ],
         ids=["x^3(x+1)^3/F2", "(x+1)^3/F3"],
     )
@@ -533,11 +546,13 @@ class TestDavenportExact:
         assert find_reduction(res.witness) is None
 
     def test_frontier_rank_three_quotient(self):
-        # x(x+1)(x+2) over F_5, n = 125: the C4^3 run above, then a mixed
-        # run that ends below D(U) - 1, so D(S) = D(U) = 10
+        # x(x+1)(x+2) over F_5, n = 125: the C4^3 run of S's units (278,555
+        # nodes), then 188 nodes of class-group runs, whose class bound
+        # 7 <= D(U) - 2 proves D(S) = D(U) = 10 with no mixed run. That run
+        # took 3,994,950 nodes, so its return would move the count
         S = build_quotient_semigroup(5, poly(5, 0, 1) * poly(5, 1, 1) * poly(5, 2, 1))
         res = davenport_exact(S, budget_ms=120_000)
-        assert res.complete
+        assert (res.nodes, res.units.nodes, res.complete) == (278_743, 278_555, True)
         assert res.value == 10 == davenport_group_formula((4, 4, 4))
         assert len(res.witness) == 9
         assert find_reduction(res.witness) is None
@@ -549,14 +564,15 @@ class TestDavenportExact:
         res = davenport_exact(units_of(S).as_semigroup())
         assert (res.value, res.nodes, res.complete) == (11, 30_020, True)
         assert res.witness.format() == "3*5;(x+3)*5"
-        # and S itself: that U run plus 6 mixed nodes
+        # and S itself: that U run plus 18 nodes of class-group runs, which
+        # prove the mixed run empty
         res = davenport_exact(S)
-        assert (res.value, res.nodes, res.complete) == (11, 30_026, True)
+        assert (res.value, res.nodes, res.complete) == (11, 30_038, True)
         assert res.witness.format() == "3*5;(x+3)*5"
 
     @pytest.mark.parametrize(
         "f, nodes",
-        [(poly(7, 1, 2, 1), 2_371), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 76_408)],
+        [(poly(7, 1, 2, 1), 2_383), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 1_870)],
         ids=["(x+1)^2/F7", "x^3(x+1)^3/F2"],
     )
     def test_identity_alone_gives_the_unskipped_tree(self, monkeypatch, f, nodes):
@@ -736,9 +752,9 @@ class TestBranchAndBoundOracle:
     def test_both_unit_rules_act_on_the_oracle_universes(self, monkeypatch):
         # the oracle checks each unit rule where it acts: the census floor
         # wherever U is nontrivial (up to C_26), and the split at the unit
-        # group on both witness paths. A group is one run; otherwise U's
-        # witness serves when the mixed run ends below D(U) - 1 (two runs),
-        # and a witness run gives it when the mixed run reaches that (three)
+        # group on each witness path. A group is one run. Otherwise U's
+        # witness serves when the class bound proves the mixed run empty,
+        # and a witness run gives it when the mixed run reaches D(U) - 1
         quotients = list(_small_universes("quotient"))
         assert max(sum(units_of(S).invariant_factors) for S in quotients) == 26
         kernel = zerosum._branch_and_bound
@@ -748,22 +764,42 @@ class TestBranchAndBoundOracle:
             runs.append(kwargs)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(zerosum, "_branch_and_bound", counted)
-        paths = Counter()
-        for S in _oracle_problems():
+        def path_of(S):
             runs.clear()
-            davenport_exact(S)
-            paths[len(runs)] += 1
-        assert paths[1] > 100 and paths[2] > 50 and paths[3] > 30
+            res = davenport_exact(S)
+            kinds = {run_kind(run) for run in runs}
+            if units_of(S).order == S.size:
+                return res, "group"
+            if "mixed" not in kinds:
+                return res, "class bound"
+            return res, "witness" if "witness" in kinds else "mixed"
+
+        monkeypatch.setattr(zerosum, "_branch_and_bound", counted)
+        searched = [(S, *path_of(S)) for S in _oracle_problems()]
+        paths = Counter(path for _, _, path in searched)
+        assert paths["group"] > 100 and paths["class bound"] > 50 and paths["witness"] > 30
         # a tie: over F_2, x^3(x+1)^3 has D(U) = D(S) = 7, and its first
         # longest sequence x*6 has a non-unit term, so only the witness run
-        # can give it
+        # can give it; the mixed run stops at the class bound B = 6
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
-        runs.clear()
-        res = davenport_exact(S)
-        assert [run.get("stop_at") for run in runs] == [None, None, 6]
+        res, path = path_of(S)
+        assert path == "witness"
+        assert [run["stop_at"] for run in runs if "stop_at" in run] == [6, 6]
         assert davenport_exact(units_of(S).as_semigroup()).value == res.value == 7
         assert res.witness.format() == "x*6"
+        # the mixed run that ends below D(U) - 1 is left to an unknown class
+        # bound (a class-group run cut by the budget): with every bound
+        # unknown, it serves the problems the bound skipped, with the same
+        # value and witness
+        monkeypatch.setattr(zerosum, "_class_bound", lambda *args: (None, 0))
+        unknown = Counter()
+        for S, res, path in searched:
+            if path != "group":
+                plain, path = path_of(S)
+                assert (plain.value, plain.witness) == (res.value, res.witness)
+                unknown[path] += 1
+        assert unknown["mixed"] == paths["class bound"] + paths["mixed"] > 50
+        assert unknown["witness"] == paths["witness"]
 
     def test_families_cover_the_cap(self):
         sizes = {
@@ -794,6 +830,47 @@ def _oracle_problems():
                 if problem not in seen:
                     seen.add(problem)
                     yield T
+
+
+class TestClassBound:
+    def test_bound_holds_on_the_oracle(self):
+        # B >= L_N on every oracle semigroup that is not a group, L_N from a
+        # mixed run with no floor, no stop and nothing skipped; B is tight on
+        # each of them, so a bound one lower anywhere fails here
+        checked = 0
+        for S in _oracle_problems():
+            U = units_of(S)
+            if U.order == S.size:
+                continue
+            d_units = davenport_exact(U.as_semigroup()).value
+            bound, _ = zerosum._class_bound(S, U, d_units, zerosum.Budget(None))
+            path, _, complete = zerosum._mixed_run(
+                S, U, identity_alone(S), zerosum.Budget(None), floor=0
+            )
+            assert complete
+            assert bound >= len(path), S.describe()
+            checked += 1
+        assert checked > 100
+
+    def test_bound_at_d_u_keeps_the_mixed_run(self, monkeypatch):
+        # x^4 + x over F_2: U = C_3, so D(U) = 3, but B = L_N = 4, and
+        # D(S) = 5 needs the mixed run and the witness run
+        S = build_quotient_semigroup(2, poly(2, 0, 1, 0, 0, 1))
+        U = units_of(S)
+        assert zerosum._class_bound(S, U, 3, zerosum.Budget(None))[0] == 4
+        kernel = zerosum._branch_and_bound
+        kinds = []
+
+        def counted(*args, **kwargs):
+            kinds.append(run_kind(kwargs))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(zerosum, "_branch_and_bound", counted)
+        res = davenport_exact(S)
+        assert (res.value, res.units.value, res.complete) == (5, 3, True)
+        assert kinds[-2:] == ["mixed", "witness"]
+        assert res.witness.format() == "x*3;x+1"
+        assert find_reduction(res.witness) is None
 
 
 class TestSymmetryOnTheOracle:
@@ -835,29 +912,28 @@ class TestSymmetryOnTheOracle:
         # subset of the full list gives the value and the witness of the
         # full list, which the test above matches with the identity alone
         rng = random.Random(2014)
-        problems = list(_oracle_problems())
-        searched = [(S, davenport_exact(S)) for S in problems]
+        searched = [(S, davenport_exact(S)) for S in _oracle_problems()]
         # every semigroup whose automorphisms a search lists: each problem
-        # and, unless it is a group, the unit group its search runs first,
-        # each with a subset of its own
+        # and, unless it is a group, its unit group and its class groups.
+        # Each table gets a subset of its own the first time it is listed
         listed = {}
-        for S in problems:
-            U = units_of(S)
-            for T in (S,) if U.order == S.size else (S, U.as_semigroup()):
-                listed[id(T)] = automorphisms(T)
-        subsets = {
-            key: [A[0]] + [phi for phi in A[1:] if rng.random() < 0.5]
-            for key, A in listed.items()
-        }
-        monkeypatch.setattr(
-            zerosum, "automorphisms", lambda S, expired=None: subsets[id(S)]
-        )
+        subsets = {}
+
+        def subset(T, expired=None):
+            key = (T.identity, tuple(map(tuple, T.table)))
+            if key not in listed:
+                A = listed[key] = automorphisms(T)
+                subsets[key] = [A[0]] + [phi for phi in A[1:] if rng.random() < 0.5]
+            return subsets[key]
+
+        monkeypatch.setattr(zerosum, "automorphisms", subset)
         for S, full in searched:
             part = davenport_exact(S)
             assert (part.value, part.witness) == (full.value, full.witness), S.describe()
-        # most get a proper subset that is more than the identity
+        # most of those with more than two automorphisms (129 of 143) get a
+        # proper subset that is more than the identity
         proper = sum(1 < len(subsets[key]) < len(A) for key, A in listed.items())
-        assert proper > 0.75 * len(listed)
+        assert proper > 0.75 * sum(len(A) > 2 for A in listed.values())
 
 
 def euler_phi(n):
