@@ -271,6 +271,8 @@ def verify_lemma_product(
     n_list = [int(n) for n in n_list]
     if not n_list or any(n < 2 for n in n_list):
         raise ValueError("need cyclic orders n_i >= 2")
+    if stress < 0:
+        raise ValueError("stress count must be >= 0")
     budget = Budget(budget_ms)
     S = build_adjoined_zero_product(n_list)
     U = units_of(S)
@@ -474,6 +476,8 @@ def verify_proposition(
     """
     if p <= 2:
         raise ValueError("the claim needs p > 2")
+    if stress < 0 or samples < 0:
+        raise ValueError("stress and sample counts must be >= 0")
     budget = Budget(budget_ms)
     S = proposition_semigroup(p)
     U = units_of(S)

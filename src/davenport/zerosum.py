@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterable, Optional
 
 from .gfpoly import prime_factors
@@ -898,15 +899,23 @@ def davenport_group_formula(invariant_factors) -> Optional[int]:
 
 
 def random_sequence(S: FiniteSemigroup, length: int, rng: random.Random) -> Sequence:
-    """Uniformly random multiset of the given length over the universe.
+    """Uniformly random multiset of the given length over the universe."""
+    return Sequence.from_indices(S, _draw(S.size, length, rng)())
+
+
+def _draw(size: int, length: int, rng: random.Random):
+    """Draw a uniform multiset of ``length`` indices below ``size``.
 
     Stars and bars: the i-th smallest of ``length`` distinct picks from
     ``range(size + length - 1)``, minus i, is the i-th term. The shift is a
     bijection from subsets onto multisets, so uniform subsets give uniform
-    multisets.
+    multisets. Returns a function that gives a fresh iterator over the
+    sorted terms on each call, so a caller can fold them and still rebuild
+    them afterwards without storing a shifted copy. Only ``rng.sample`` is
+    called.
     """
-    picks = sorted(rng.sample(range(S.size + length - 1), length))
-    return Sequence.from_indices(S, (c - i for i, c in enumerate(picks)))
+    picks = sorted(rng.sample(range(size + length - 1), length))
+    return lambda: map(sub, picks, range(length))
 
 
 @dataclass
@@ -947,13 +956,19 @@ def davenport_montecarlo_upper(
 ) -> MonteCarloReport:
     """Sample length-d sequences; any irreducible one disproves D(S) <= d.
 
-    Sampling is uniform over multisets (``random_sequence``) with a seeded
-    generator, so reports are reproducible. The clock of ``budget``
-    (default: none) is read before each sample; once it has run out the
-    report stops with ``checked < samples``.
+    Sampling is uniform over multisets: the draws are exactly those of
+    ``random_sequence`` for the same generator, so reports are reproducible
+    from ``seed``. Each draw is folded through the Cayley rows as
+    ``is_reducible`` does, without building a ``Sequence``; one is built
+    only for the counterexample, and for each draw over a semigroup
+    without an identity, which ``find_reduction`` decides. The clock of
+    ``budget`` (default: none) is read before each sample; once it has run
+    out the report stops with ``checked < samples``.
     """
     if d < 1:
         raise ValueError("sequence length must be >= 1")
+    if samples < 0:
+        raise ValueError("sample count must be >= 0")
     if budget is None:
         budget = Budget(None)
     rng = random.Random(seed)
@@ -962,10 +977,15 @@ def davenport_montecarlo_upper(
     for _ in range(samples):
         if budget.expired():
             break
-        T = random_sequence(S, d, rng)
+        terms = _draw(S.size, d, rng)
         checked += 1
-        if is_reducible(T):
+        if S.identity is None:
+            reduces = find_reduction(Sequence.from_indices(S, terms())) is not None
+        else:
+            reduces = _reducible_incremental(S, terms())
+        if reduces:
             reducible += 1
         else:
+            T = Sequence.from_indices(S, terms())
             return MonteCarloReport(d, samples, checked, reducible, T, seed)
     return MonteCarloReport(d, samples, checked, reducible, None, seed)

@@ -264,6 +264,10 @@ class TestLemmaProduct:
         with pytest.raises(ValueError):
             verify_lemma_product([1, 2])
 
+    def test_negative_stress_rejected(self):
+        with pytest.raises(ValueError, match="stress"):
+            verify_lemma_product([2, 2], stress=-1)
+
     def test_budget_zero_leaves_the_units_bound_open(self):
         # the search stops on its first node, inside the U run
         report = verify_lemma_product([2, 2], budget_ms=0, stress=5)
@@ -405,6 +409,11 @@ class TestProposition:
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
             verify_proposition(2)
+
+    @pytest.mark.parametrize("counts", [{"stress": -1}, {"samples": -1}])
+    def test_negative_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            verify_proposition(3, **counts)
 
     def test_builds_the_quotient_once(self, monkeypatch):
         moduli = count_quotient_builds(monkeypatch)

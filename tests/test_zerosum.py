@@ -1119,6 +1119,63 @@ class TestMonteCarlo:
                 next(rng.subsets)
             assert sorted(images) == list(all_multisets(n, k))
 
+    @staticmethod
+    def reference_record(S, d, samples, seed):
+        """The sampler as a plain loop: ``random_sequence``, then ``is_reducible``."""
+        rng = random.Random(seed)
+        reducible = 0
+        for checked in range(1, samples + 1):
+            T = random_sequence(S, d, rng)
+            if not is_reducible(T):
+                return zerosum.MonteCarloReport(d, samples, checked, reducible, T, seed)
+            reducible += 1
+        return zerosum.MonteCarloReport(d, samples, samples, reducible, None, seed)
+
+    @pytest.mark.parametrize("case", ["quotient", "cyclic3", "cyclic2_zero", "null"])
+    def test_matches_the_reference_loop(self, case, quotient_p3_sq):
+        S, lengths = {
+            "quotient": (quotient_p3_sq, (2, 4, 6)),
+            "cyclic3": (build_cyclic_group(3), (2,)),
+            "cyclic2_zero": (build_cyclic_with_zero(2), (1, 2)),
+            "null": (FiniteSemigroup("null", [0, 1, 2], [[0] * 3] * 3, zero_value=0),
+                     (1, 2, 3)),
+        }[case]
+        counterexamples = 0
+        for d in lengths:
+            for seed in range(10):
+                got = davenport_montecarlo_upper(S, d, samples=200, seed=seed).to_record()
+                assert got == self.reference_record(S, d, 200, seed).to_record()
+                counterexamples += got["counterexample"] is not None
+        # the counterexample records are compared too, not only the counts
+        assert counterexamples > 0
+
+    def test_expired_budget_checks_nothing(self):
+        rep = davenport_montecarlo_upper(
+            build_cyclic_group(3), 2, samples=50, budget=zerosum.Budget(0)
+        )
+        assert rep.checked == 0 and rep.all_reducible
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="sample count"):
+            davenport_montecarlo_upper(build_cyclic_group(3), 2, samples=-5)
+
+    def test_builds_a_sequence_only_for_the_counterexample(self, monkeypatch):
+        built = []
+        init = Sequence.__init__
+
+        def counting_init(self, parent, pairs):
+            built.append(parent)
+            init(self, parent, pairs)
+
+        monkeypatch.setattr(Sequence, "__init__", counting_init)
+        rep = davenport_montecarlo_upper(build_cyclic_with_zero(2), 2, samples=500, seed=1)
+        assert rep.all_reducible and rep.checked == 500
+        assert built == []
+        # seed 4 folds five reducible draws before the sixth is irreducible
+        rep = davenport_montecarlo_upper(build_cyclic_group(3), 2, samples=500, seed=4)
+        assert rep.counterexample is not None and rep.checked == 6
+        assert len(built) == 1
+
 
 class TestResultRecord:
     def test_record_shape_and_determinism(self, quotient_p3_sq):
