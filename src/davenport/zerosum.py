@@ -131,9 +131,10 @@ def product_index(S: FiniteSemigroup, pairs) -> int:
     return acc
 
 
-def _dp_layers(S: FiniteSemigroup, pairs):
+def _dp_layers(S: FiniteSemigroup, pairs, stop=None):
     """Forward pass of the layered DP over distinct elements, given as
-    (index, positive count) pairs.
+    (index, positive count) pairs; it ends after the first layer whose
+    partial products hold ``stop``, if one does.
 
     A selection from the first k pairs is empty, full, or partial
     (neither). Layer k is (the partial products, in insertion order, as
@@ -168,6 +169,8 @@ def _dp_layers(S: FiniteSemigroup, pairs):
             full = powers[-1]
         parts = dict.fromkeys(out)
         layers.append((parts, full, powers))
+        if stop in parts:
+            break
     return layers
 
 
@@ -208,17 +211,25 @@ def dp_select(S, pairs, target: int, *, proper: bool) -> Optional[dict[int, int]
     induction the partial products are ordered by the least take vector
     reaching them, compared lexicographically; the empty selection's
     vector is the least and the full one's the largest.
+
+    Why the forward pass may stop at the first layer k* whose partial
+    products hold the target: layer k re-inserts each partial product of
+    layer k-1 (times x^0), so the partial sets only grow with k. Walking
+    back from the last layer, ``t in prev`` therefore skips down to exactly
+    k*, and from there the walk reads only layers up to k*. The full
+    selection is read only when no layer holds the target, and then every
+    layer is built.
     """
-    layers = _dp_layers(S, pairs)
-    parts, full, _ = layers[-1]
     if proper and target == S.identity:
         return {}
+    layers = _dp_layers(S, pairs, stop=target)
+    parts, full, _ = layers[-1]
     if target not in parts:
         return dict(pairs) if not proper and pairs and full == target else None
     rows = S.table
     counts: dict[int, int] = {}
     t = target
-    for k in range(len(pairs), 1, -1):
+    for k in range(len(layers) - 1, 1, -1):
         x, c = pairs[k - 1]
         prev, prev_full, _ = layers[k - 1]
         if t in prev:  # take 0 of a partial selection

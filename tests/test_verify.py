@@ -171,6 +171,28 @@ def reduction_digest() -> str:
     return h.hexdigest()
 
 
+def stress_digest() -> str:
+    """SHA-256 of the output pairs of both reductions on seeded sequences of
+    exactly the threshold length, over the shapes the stress-reduce
+    benchmark draws from: C16 ∪ {0}, two and three adjoined-zero factors,
+    and F_p[x]/<(x+1)^2> for p = 3, 5."""
+    h = hashlib.sha256()
+    for n_list in ([16], [2, 7], [2, 2, 3]):
+        S = build_adjoined_zero_product(n_list)
+        d = davenport_exact(units_of(S).as_semigroup()).value
+        rng = random.Random(f"stress {n_list}")
+        for _ in range(200):
+            T = random_sequence(S, d, rng)
+            h.update(f"{constructive_reduction(S, T, d_units=d).pairs}\n".encode())
+    for p in (3, 5):
+        S = proposition_semigroup(p)
+        rng = random.Random(f"stress proposition {p}")
+        for _ in range(200):
+            T = random_sequence(S, p * (p - 1), rng)
+            h.update(f"{reduce_quadratic_case(p, T).pairs}\n".encode())
+    return h.hexdigest()
+
+
 class TestConstructiveReduction:
     def test_all_units_zero_sum_gives_empty(self, c2z_squared):
         P = c2z_squared
@@ -206,6 +228,12 @@ class TestConstructiveReduction:
         # the digest of the outputs before the reductions moved to index pairs
         assert reduction_digest() == (
             "9a8dd7007eaeee42dd07e353bba9c135aecfa08f87ddae1f2989ce5588baef48"
+        )
+
+    def test_stress_shape_outputs_pinned(self):
+        # the digest of the outputs while the DP still built every layer
+        assert stress_digest() == (
+            "fbdfdc13e823d34f3fd4a175416a0e86240800a92bd2ff5a5ab44cc33b991da8"
         )
 
     def test_coordinate_tables_built_once_per_semigroup(self, monkeypatch):

@@ -254,6 +254,71 @@ class TestLayeredDP:
                             S, pairs, target, proper=proper
                         ) == backpointer_dp_select(S, pairs, target, proper=proper)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_cyclic_with_zero(16),
+            lambda: build_product([build_cyclic_with_zero(3), build_cyclic_with_zero(5)]),
+            lambda: build_quotient_semigroup(5, poly(5, 1, 2, 1)),
+            lambda: FiniteSemigroup(
+                "nilpotent", [0, 1, 2], [[0, 0, 0], [0, 2, 0], [0, 0, 0]]
+            ),
+        ],
+        ids=["c16z", "c3z*c5z", "p5sq", "nil3"],
+    )
+    def test_deep_stops_match_backpointer_oracle(self, monkeypatch, build):
+        # 5-12 terms, so the forward pass can stop past layer 4
+        S = build()
+        built = record_dp_layers(monkeypatch)
+        rng = random.Random(f"deep stops {S.size}")
+        for _ in range(12):
+            pairs = random_sequence(S, rng.randrange(5, 13), rng).pairs
+            for proper in (True, False):
+                for target in range(S.size):
+                    assert zerosum.dp_select(
+                        S, pairs, target, proper=proper
+                    ) == backpointer_dp_select(S, pairs, target, proper=proper)
+        if S.size > 3:  # nil3 has too few elements for 5 distinct terms
+            # some pass stopped past layer 4 and short of the last layer
+            assert any(4 < k < n for k, n in built)
+
+    def test_stop_at_the_first_layer_holding_the_target(self, monkeypatch):
+        G = build_cyclic_group(7)
+        built = record_dp_layers(monkeypatch)
+        # 1 + 2 is partial in layer 2: 1 taken once, 2 once of twice
+        pairs = [(1, 1), (2, 2), (3, 1), (4, 1)]
+        assert zerosum.dp_select(G, pairs, 3, proper=False) == {1: 1, 2: 1}
+        assert built == [(2, 4)]
+
+    def test_irreducible_input_builds_every_layer(self, monkeypatch):
+        G = build_abelian_group([2, 2, 2, 2])
+        T = seq_of(G, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        built = record_dp_layers(monkeypatch)
+        assert find_reduction(T) is None
+        assert built == [(4, 4)]
+
+    def test_proper_identity_target_builds_no_layer(self, monkeypatch):
+        S = build_quotient_semigroup(3, poly(3, 1, 2, 1))
+        built = record_dp_layers(monkeypatch)
+        pairs = random_sequence(S, 6, random.Random(5)).pairs
+        assert zerosum.dp_select(S, pairs, S.identity, proper=True) == {}
+        assert built == []
+
+
+def record_dp_layers(monkeypatch) -> list:
+    """Wrap ``zerosum._dp_layers``; each call appends (the last layer it
+    built, the number of pairs), so a full pass appends (k, k)."""
+    built = []
+    layers_of = zerosum._dp_layers
+
+    def wrapper(S, pairs, stop=None):
+        layers = layers_of(S, pairs, stop)
+        built.append((len(layers) - 1, len(pairs)))
+        return layers
+
+    monkeypatch.setattr(zerosum, "_dp_layers", wrapper)
+    return built
+
 
 class TestZeroSumFree:
     def test_generator_powers(self):
