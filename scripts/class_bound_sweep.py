@@ -11,7 +11,13 @@ non-unit term. This sweep computes both on
 
 L_N from a mixed run with no floor and no stop, and D(U) from a separate
 search of the unit group, once per isomorphism type. It prints one summary line per family and exits 1
-if B < L_N anywhere. Run it from the repository root:
+if B < L_N anywhere.
+
+Every group run these searches make (each unit group and each class
+group, keyed by the subsum set alone) is also run once per distinct Cayley
+table with the product kept in the key, as the mixed and witness runs keep
+it. The sweep prints a summary line for those and exits 1 if the two differ
+in value or witness anywhere. Run it from the repository root:
 
     PYTHONPATH=src python scripts/class_bound_sweep.py
 """
@@ -72,9 +78,32 @@ def check(S, d_of: dict) -> tuple[int, int]:
     return bound, len(path)
 
 
+def cross_checked(kernel, seen: dict, mismatches: list):
+    """``kernel`` that reruns each group run once per distinct table with
+    the product kept in the key, recording ``(keyed nodes, kept nodes)`` in
+    ``seen`` and any value or witness mismatch in ``mismatches``."""
+
+    def run(rows, identity, maps, budget, floor, *args, group=False, **kwargs):
+        result = kernel(rows, identity, maps, budget, floor, *args, group=group, **kwargs)
+        table = (identity, tuple(map(tuple, rows)))
+        if group and table not in seen:
+            kept = kernel(rows, identity, maps, zerosum.Budget(None), floor, *args, **kwargs)
+            seen[table] = (result[1], kept[1])
+            if (result[0], result[2]) != (kept[0], kept[2]):
+                mismatches.append(
+                    f"{len(rows)} elements: keyed {result[0]}, with the product {kept[0]}"
+                )
+        return result
+
+    return run
+
+
 def main() -> int:
     failed = False
     d_of: dict = {}
+    seen: dict = {}
+    mismatches: list = []
+    zerosum._branch_and_bound = cross_checked(zerosum._branch_and_bound, seen, mismatches)
     for family, problems in (("quotient", quotients()),
                              ("adjoined_zero_product", adjoined_zero_products())):
         start = time.monotonic()
@@ -89,7 +118,14 @@ def main() -> int:
         print(f"{family}: {count} semigroups, B < L_N on {violations}, "
               f"B = L_N on {tight}, {time.monotonic() - start:.1f} s")
         failed = failed or violations > 0
-    return 1 if failed else 0
+    keyed = sum(k for k, _ in seen.values())
+    kept = sum(k for _, k in seen.values())
+    for line in mismatches:
+        print(f"MISMATCH group run, {line}")
+    print(f"group runs: {len(seen)} tables, value or witness mismatch on "
+          f"{len(mismatches)}, {keyed} nodes keyed by the subsum set, "
+          f"{kept} with the product in the key")
+    return 1 if failed or mismatches else 0
 
 
 if __name__ == "__main__":

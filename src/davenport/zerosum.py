@@ -328,46 +328,49 @@ def is_zero_sum_free(T: Sequence) -> bool:
 # -- Davenport constant ------------------------------------------------------
 
 
-def _search_tables(rows: list[list[int]]):
-    """The tables the exact search reads from the Cayley rows:
-    ``(translate, ideal, fiber)``.
-
-    translate[x] maps a product-set bitmask R to {r*x : r in R} chunkwise:
-    one table per 8-element chunk of the universe, indexed by that chunk's
-    bits of R. Row x of the Cayley table is column x too (the table is
-    filled symmetrically), and each chunk is built by doubling, so a chunk
-    of w elements has 2^w entries. ideal[s] is the principal ideal s S^1
-    and fiber[x][t] the set of r with r*x = t, both as bitmasks.
-    Each search run builds them once and drops them on return.
-    """
-    n = len(rows)
-    translate = []
-    fiber = []
-    for row in rows:
-        bits = [1 << t for t in row]
-        chunks = []
-        for base in range(0, n, 8):
-            tab = [0]
-            for b in bits[base:base + 8]:
-                tab += [t | b for t in tab]
-            chunks.append(tab)
-        translate.append(chunks)
-        col = [0] * n
-        for r, t in enumerate(row):
-            col[t] |= 1 << r
-        fiber.append(col)
-    ideal = [_translate_mask(translate[s], (1 << n) - 1) | (1 << s) for s in range(n)]
-    return translate, ideal, fiber
+# the positions of the set bits of each byte, in increasing order
+_BIT_POSITIONS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
-def _translate_mask(chunks: list[list[int]], mask: int) -> int:
-    acc = 0
-    ci = 0
-    while mask:
-        acc |= chunks[ci][mask & 255]
-        mask >>= 8
-        ci += 1
-    return acc
+def _translate_row(images: list[int]) -> list[list[int]]:
+    """The map r -> images[r] on bitmasks, chunkwise: one table per
+    8-element chunk of the universe, indexed by that chunk's bits of a mask
+    R and holding {images[r] : r in R} for those bits. Each chunk is built
+    by doubling, so a chunk of w elements has 2^w entries. On Cayley row x
+    it is translate row x, R -> R x (row x is column x too, as the table is
+    filled symmetrically)."""
+    bits = [1 << t for t in images]
+    chunks = []
+    for base in range(0, len(bits), 8):
+        tab = [0]
+        for b in bits[base:base + 8]:
+            tab += [t | b for t in tab]
+        chunks.append(tab)
+    return chunks
+
+
+def _inverse_table(rows: list[list[int]], identity: int) -> list[list[int]]:
+    """x -> x^-1 in a group with these Cayley rows, chunkwise as
+    ``_translate_row`` lays it out: it maps a mask R to R^-1."""
+    return _translate_row([row.index(identity) for row in rows])
+
+
+def _ideal_row(row: list[int]) -> int:
+    """The principal ideal s S^1 as a bitmask, from Cayley row s: the set
+    of the row, which holds s itself in a monoid."""
+    mask = 0
+    for t in set(row):
+        mask |= 1 << t
+    return mask
+
+
+def _fiber_row(row: list[int]) -> list[int]:
+    """Fiber row x from Cayley row x: entry t is the bitmask of the r with
+    r x = t."""
+    col = [0] * len(row)
+    for r, t in enumerate(row):
+        col[t] |= 1 << r
+    return col
 
 
 def _symmetry_masks(A: list[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -469,11 +472,15 @@ def davenport_exact(
     irreducible prefixes are extended, and search states that coincide in
     (product, proper-product set, minimum next index) are merged through a
     memo table, whose key packs the product and the minimum next index into
-    fields of ``(n - 1).bit_length()`` bits. One budget covers every run
-    below, building their tables included; each run reads the clock on its
-    first node and then every 1024 nodes, so ``budget_ms=0`` explores
-    exactly one node. On budget exhaustion the result downgrades to the
-    longest sequence found so far, an explicit lower bound with
+    fields of ``(n - 1).bit_length()`` bits. A group run drops the product:
+    its key is (subsum set, minimum next index), see Group key. One budget
+    covers every run below, building their tables included. A run builds
+    each row of its tables when it first reads it. Every state it enters
+    and does not end at a memo hit is a node, a child cut by the bound
+    included. It reads the clock on its first node, before any row is
+    built, and then every 1024 nodes, so ``budget_ms=0`` explores exactly
+    one node and builds no row. On budget exhaustion the result downgrades
+    to the longest sequence found so far, an explicit lower bound with
     ``complete=False``. ``nodes`` is the sum over the runs of the call.
 
     Split at the unit group. A group is searched whole, by one run with the
@@ -595,6 +602,32 @@ def davenport_exact(
     not a prune: the search tree, node counts, memo and witness are those
     of testing s x against rp' itself.
 
+    Group key. In a group, T is irreducible iff it is zero-sum free: a
+    proper T' has the product of T iff the nonempty rest has product e
+    (Gao & Geroldinger, *Zero-sum problems in finite abelian groups: a
+    survey*, Expo. Math. 2006). Then r_all = rp ∪ {s} holds the products
+    of all sub-multisets of T, r_all = {e} ∪ Σ(T), and everything a run
+    reads at a state is a function of r_all and the minimum next index:
+
+    * the child test: T x is zero-sum free iff no sub-multiset Z of T, the
+      empty one included, has σ(Z) x = e, that is iff x^-1 is not in
+      r_all. So the children are one mask: the terms from the minimum
+      next index on, minus those an automorphism fixing r_all moves down
+      (Symmetry, below), minus r_all^-1, read through one chunk table of
+      the inversion map; a blocked term costs no loop step;
+    * the new set: a sub-multiset of T x is one of T, with or without x,
+      so r_all' = r_all ∪ r_all x;
+    * the bound: s S^1 is the whole group, so it is n - |r_all|;
+    * the symmetry rule reads r_all alone.
+
+    So two states with one r_all and one minimum next index have the same
+    subtree, and one memo entry bounds both. ``_group_run`` runs the
+    kernel with the product held at the identity and r_all carried in
+    place of rp, so the key is (r_all, minimum next index). The run is
+    the branch-and-bound above with more states merged: each memo entry is
+    still a bound, so the value and the witness are those of the
+    product-keyed run.
+
     Pruning floor. Cuts and memo hits compare against
     ``cut = max(best_len, floor)``, not ``best_len``. A cut branch holds no
     sequence longer than ``cut``, and ``best_len`` records only sequences
@@ -699,7 +732,7 @@ def _group_run(G: FiniteSemigroup, invariants, budget: Budget):
     at the census bound D*(G) - 2: ``(path, nodes, complete)``."""
     floor = sum(d - 1 for d in invariants) - 1
     path, nodes, complete = _branch_and_bound(
-        G.table, G.identity, automorphisms(G, budget.expired), budget, floor
+        G.table, G.identity, automorphisms(G, budget.expired), budget, floor, group=True
     )
     if complete and len(path) <= floor:
         raise AssertionError(
@@ -774,79 +807,129 @@ def _branch_and_bound(
     floor: int,
     first_stop: Optional[int] = None,
     stop_at: Optional[int] = None,
+    group: bool = False,
 ) -> tuple[tuple[int, ...], int, bool]:
     """One search run as ``davenport_exact`` describes it: the Cayley rows,
     the identity, the automorphisms as index maps and the pruning floor
     give ``(path, nodes, complete)``, path the incumbent's indices. Only a
     term below ``first_stop`` (default: any) may be the first, and the run
-    ends, complete, at the first sequence of ``stop_at`` terms."""
-    translate, ideal, fiber = _search_tables(rows)
+    ends, complete, at the first sequence of ``stop_at`` terms. ``group``
+    says the rows are a group's: the run then keys its states by the
+    subsum set alone (Group key in ``davenport_exact``).
+
+    The tables are lists with one slot per element, each row built from
+    its Cayley row the first time the run reads it: translate row x
+    (``_translate_row``) when a child x passes the child test, fiber row x
+    (``_fiber_row``) when x first reaches the fiber test, and ideal[s]
+    (``_ideal_row``) when a child with product s is entered; a group run
+    builds its inverse table at its first expansion, and reads one ideal,
+    the whole group, and no fiber row. The run enters each child in its
+    parent's loop: a usable memo hit or a cut by the bound ends the child
+    there, and only a child left to expand costs a call of ``explore``.
+    The tables, the memo and ``explore`` itself go by refcount on
+    return."""
     n = len(rows)
-    if first_stop is None:
-        first_stop = n
+    # rows built on first use: translate[x] (R -> R x, chunkwise),
+    # ideal[s] (s S^1) and fiber[x] (t -> {r : r x = t})
+    translate: list = [None] * n
+    ideal: list = [None] * n
+    fiber: list = [None] * n
+    inverse = None  # a group run's x -> x^-1, chunkwise: R -> R^-1
+    full = (1 << n) - 1
+    width = (n + 7) // 8  # bytes per mask
+    first = (1 << (n if first_stop is None else first_stop)) - 1  # root's terms
     w = max(1, (n - 1).bit_length())  # memo-key field width: indices < n
     w2 = 2 * w
     # every automorphism fixes the identity, so the root keeps all the masks
     root_sym = _fixing(_symmetry_masks(maps), 1 << identity)
 
     memo: dict[int, int] = {}  # packed state -> ub
-    nodes = 0
+    nodes = 1  # the root
     best_len = 0
     best_path: tuple[int, ...] = ()
     cut = max(best_len, floor)  # what cuts and memo hits must beat
     path: list[int] = []
 
-    def explore(sig: int, rp: int, min_elem: int, depth: int, sym) -> int:
-        nonlocal nodes, best_len, best_path, cut
-        key = (rp << w2) | (sig << w) | min_elem
-        ub = memo.get(key)
-        if ub is not None and depth + ub <= cut:
-            return ub
-        nodes += 1
-        if nodes & 0x3FF == 1 and budget.expired():
-            raise _OutOfBudget
-        r_all = rp | (1 << sig)
-        bound = (ideal[sig] & ~r_all).bit_count()
-        if depth + bound <= cut:
-            memo[key] = bound
-            return bound
+    def explore(sig: int, rp: int, r_all: int, min_elem: int, depth: int, sym) -> int:
+        # a state the caller has counted and its bound has not cut
+        nonlocal nodes, best_len, best_path, cut, inverse
         best_ub = 0
-        row = rows[sig]
         if r_all & ~sym[1]:  # some entry no longer fixes every product
             sym = _fixing(sym[0], r_all)
-        down = sym[2]  # the terms an automorphism fixing r_all moves down
-        for x in range(min_elem, n if depth else first_stop):
-            if down >> x & 1:
-                continue
-            new_sig = row[x]
-            if (r_all >> new_sig) & 1 or rp & fiber[x][new_sig]:
-                continue
-            acc = 0
-            m = rp
-            ci = 0
-            chunks = translate[x]
-            while m:
-                acc |= chunks[ci][m & 255]
-                m >>= 8
-                ci += 1
-            new_rp = r_all | acc
-            if depth + 1 > best_len:
-                best_len = depth + 1
-                best_path = tuple(path) + (x,)
-                cut = max(cut, best_len)
-                if best_len == stop_at:
-                    raise _Reached
-            path.append(x)
-            ub = 1 + explore(new_sig, new_rp, x, depth + 1, sym)
-            path.pop()
-            if ub > best_ub:
-                best_ub = ub
-        memo[key] = best_ub
+        # the terms from min_elem on that no automorphism fixing r_all
+        # moves down
+        kids = ((full >> min_elem << min_elem) if depth else first) & ~sym[2]
+        if group:  # x is a child iff x^-1 is not in r_all
+            if inverse is None:
+                inverse = _inverse_table(rows, identity)
+            blocked = 0
+            for chunk, byte in zip(inverse, r_all.to_bytes(width, "little")):
+                blocked |= chunk[byte]
+            kids &= ~blocked
+        else:
+            row = rows[sig]
+        depth += 1  # the children's
+        base = min_elem & ~7
+        kids >>= base
+        while kids:
+            for x in _BIT_POSITIONS[kids & 255]:
+                x += base
+                if group:
+                    new_sig = sig
+                else:
+                    new_sig = row[x]
+                    if (r_all >> new_sig) & 1:
+                        continue
+                    col = fiber[x]
+                    if col is None:
+                        col = fiber[x] = _fiber_row(rows[x])
+                    if rp & col[new_sig]:
+                        continue
+                chunks = translate[x]
+                if chunks is None:
+                    chunks = translate[x] = _translate_row(rows[x])
+                new_rp = r_all
+                for chunk, byte in zip(chunks, rp.to_bytes(width, "little")):
+                    new_rp |= chunk[byte]
+                if depth > best_len:
+                    best_len = depth
+                    best_path = tuple(path) + (x,)
+                    cut = max(cut, best_len)
+                    if best_len == stop_at:
+                        raise _Reached
+                # enter the child: a memo hit or a cut ends it here
+                key = (new_rp << w2) | (new_sig << w) | x
+                ub = memo.get(key)
+                if ub is None or depth + ub > cut:
+                    nodes += 1
+                    if nodes & 0x3FF == 1 and budget.expired():
+                        raise _OutOfBudget
+                    new_all = new_rp | (1 << new_sig)
+                    mask = ideal[new_sig]
+                    if mask is None:
+                        mask = ideal[new_sig] = _ideal_row(rows[new_sig])
+                    ub = (mask & ~new_all).bit_count()
+                    if depth + ub > cut:
+                        path.append(x)
+                        ub = explore(new_sig, new_rp, new_all, x, depth, sym)
+                        path.pop()
+                    memo[key] = ub
+                if ub >= best_ub:
+                    best_ub = ub + 1
+            kids >>= 8
+            base += 8
         return best_ub
 
     complete = True
     try:
-        explore(identity, 0, 0, 0, root_sym)
+        # the root, node 1: a group run holds the product at the identity
+        # and carries r_all as rp, so its key and its tables read the
+        # subsum set alone. Its bound is n - 1, its ideal being S
+        if budget.expired():
+            raise _OutOfBudget
+        if n - 1 > cut:
+            rp = 1 << identity if group else 0
+            explore(identity, rp, 1 << identity, 0, 0, root_sym)
     except _OutOfBudget:
         complete = False
     except _Reached:

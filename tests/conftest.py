@@ -8,7 +8,7 @@ import pytest
 
 from davenport import INF, Sequence, monic_polys
 from davenport.gfpoly import Poly
-from davenport.zerosum import _search_tables, _translate_mask, sigma_index
+from davenport.zerosum import _translate_row, sigma_index
 
 
 # Polynomial oracles for ``factor``: the package itself needs none of them.
@@ -124,10 +124,11 @@ def unpruned_davenport(S):
     and its least first term; the tuple keeps the oracle off the search's
     packed key. No pruning and no budget; the witness is the memo's
     first-choice chain from the root, the lexicographically first longest
-    irreducible sequence. It shares only the translate tables, which
-    ``TestTranslateTables`` checks against the Cayley table.
+    irreducible sequence. It shares only the translate row builder, which
+    ``TestTranslateTables`` checks against the Cayley table, and builds
+    every row up front.
     """
-    translate = _search_tables(S.table)[0]
+    translate = [_translate_row(row) for row in S.table]
     rows = S.table
     memo = {}
 
@@ -138,7 +139,7 @@ def unpruned_davenport(S):
             r_all = rp | (1 << sig)
             for x in range(min_elem, S.size):
                 new_sig = rows[sig][x]
-                new_rp = r_all | _translate_mask(translate[x], rp)
+                new_rp = r_all | translate_mask(translate[x], rp)
                 if (new_rp >> new_sig) & 1:
                     continue
                 extra = 1 + explore(new_sig, new_rp, x)
@@ -152,9 +153,20 @@ def unpruned_davenport(S):
     terms = []
     while (first := memo[(sig, rp, min_elem)][1]) >= 0:
         terms.append(first)
-        rp = rp | (1 << sig) | _translate_mask(translate[first], rp)
+        rp = rp | (1 << sig) | translate_mask(translate[first], rp)
         sig, min_elem = rows[sig][first], first
     return 1 + len(terms), tuple(terms)
+
+
+def translate_mask(chunks, mask):
+    """The image of a bitmask under a chunk table of ``_translate_row``."""
+    acc = 0
+    ci = 0
+    while mask:
+        acc |= chunks[ci][mask & 255]
+        mask >>= 8
+        ci += 1
+    return acc
 
 
 def all_multisets(n_elements, length):

@@ -410,7 +410,7 @@ GOLDEN_RECORDS = [
     (
         ("davenport", "-n", "2,4"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 39, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+        '"nodes": 37, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
     ),
     (
         ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),

@@ -46,9 +46,11 @@ from davenport.verify import (
     proposition_semigroup,
 )
 from davenport.zerosum import (
-    _search_tables,
+    _fiber_row,
+    _ideal_row,
+    _inverse_table,
     _symmetry_masks,
-    _translate_mask,
+    _translate_row,
     sigma_index,
 )
 
@@ -60,6 +62,7 @@ from conftest import (
     brute_proper_subsums,
     brute_sumset,
     seq_of,
+    translate_mask,
     unpruned_davenport,
     value_product,
 )
@@ -157,11 +160,13 @@ class TestReducibility:
         assert find_reduction(Sequence(S, [(1, 3)])) == Sequence(S, [(1, 2)])
 
     def test_builds_no_search_tables(self, monkeypatch):
-        # reducibility folds Cayley rows; only the exact search builds tables
-        def refuse(S):
+        # reducibility folds Cayley rows; only the exact search builds rows
+        # of its tables
+        def refuse(row):
             raise AssertionError("search tables built")
 
-        monkeypatch.setattr(zerosum, "_search_tables", refuse)
+        for builder in ("_translate_row", "_ideal_row", "_fiber_row"):
+            monkeypatch.setattr(zerosum, builder, refuse)
         S = proposition_semigroup(5)
         assert is_reducible(Sequence(S, [(S.index_of[poly(5, 2)], 4)]))
         assert not is_reducible(seq_of(S, poly(5, 0, 1), poly(5, 2)))
@@ -184,33 +189,35 @@ class TestReducibility:
 
 
 class TestTranslateTables:
-    """The search tables against the table product: translates mask by
-    mask, principal ideals and fibers element by element."""
+    """The search-table rows against the table product: each row as the
+    search builds it on first use, translates mask by mask, principal
+    ideals and fibers element by element, and a group's inverse table."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_cyclic_group(1),
-            lambda: build_cyclic_with_zero(2),
-            lambda: build_abelian_group([2, 4]),
-            lambda: build_quotient_semigroup(3, poly(3, 1, 2, 1)),
-            lambda: build_cyclic_with_zero(16),
-            lambda: build_cyclic_with_zero(242),
-        ],
-        ids=["n1", "n3", "n8", "n9", "n17", "n243"],
-    )
+    UNIVERSES = [
+        lambda: build_cyclic_group(1),
+        lambda: build_cyclic_with_zero(2),
+        lambda: build_abelian_group([2, 4]),
+        lambda: build_quotient_semigroup(3, poly(3, 1, 2, 1)),
+        lambda: build_cyclic_with_zero(16),
+        lambda: build_cyclic_with_zero(242),
+    ]
+    IDS = ["n1", "n3", "n8", "n9", "n17", "n243"]
+
+    @pytest.mark.parametrize("build", UNIVERSES, ids=IDS)
     def test_masks_match_products(self, build):
         S = build()
         n = S.size
-        tables, ideal, fiber = _search_tables(S.table)
         rng = random.Random(n)
         masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]
         for x in range(n):
-            assert ideal[x] == sum({1 << t for t in [x] + S.table[x]})
+            row = S.table[x]
+            ideal = _ideal_row(row)
+            assert ideal == sum({1 << t for t in row}) and ideal >> x & 1
             # every r sits in the fiber of r*x, and the fibers hold n bits
-            assert all(fiber[x][S.op(r, x)] >> r & 1 for r in range(n))
-            assert sum(m.bit_count() for m in fiber[x]) == n
-            chunks = tables[x]
+            fiber = _fiber_row(row)
+            assert all(fiber[S.op(r, x)] >> r & 1 for r in range(n))
+            assert sum(m.bit_count() for m in fiber) == n
+            chunks = _translate_row(row)
             assert [len(c) for c in chunks] == [
                 1 << min(8, n - base) for base in range(0, n, 8)
             ]
@@ -219,7 +226,52 @@ class TestTranslateTables:
                 for r in range(n):
                     if (R >> r) & 1:
                         expected |= 1 << S.op(r, x)
-                assert _translate_mask(chunks, R) == expected
+                assert translate_mask(chunks, R) == expected
+
+    @pytest.mark.parametrize("build", UNIVERSES, ids=IDS)
+    def test_inverse_table_matches_products(self, build):
+        # the mask of the x with x^-1 in R, on the unit group of each
+        # universe (n8 and n1 are groups already)
+        G = units_of(build()).as_semigroup()
+        n, e = G.size, G.identity
+        inverse = _inverse_table(G.table, e)
+        rng = random.Random(n)
+        for R in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]:
+            expected = sum(
+                1 << x for x in range(n)
+                if any(R >> r & 1 and G.op(x, r) == e for r in range(n))
+            )
+            assert translate_mask(inverse, R) == expected
+
+    @pytest.mark.parametrize("build", UNIVERSES, ids=IDS)
+    def test_rows_built_on_first_use(self, monkeypatch, build):
+        # a run over all of S, and a group run over its unit group, build
+        # each row at most once, each from the Cayley row of the element
+        # the run reads; the group run also builds its inverse table once
+        S = build()
+        U = units_of(S).as_semigroup()
+        # the census floor D*(U) - 2 is below the longest length of both
+        floor = sum(d - 1 for d in units_of(S).invariant_factors) - 1
+        calls = spy_on_row_builders(monkeypatch)
+        for T, group in ((S, False), (U, True)):
+            calls.clear()
+            _, _, complete = zerosum._branch_and_bound(
+                T.table, T.identity, automorphisms(T), zerosum.Budget(None), floor,
+                group=group,
+            )
+            assert complete
+            index = {id(row): x for x, row in enumerate(T.table)}
+            built = Counter((name, index.get(id(row), "inverse")) for name, row in calls)
+            assert all(count == 1 for count in built.values())
+            # a group run reads no fiber row and one principal ideal, the
+            # whole group, unless its root is cut (C1)
+            names = {name for name, _ in built}
+            if group:
+                assert names <= {"_translate_row", "_ideal_row"}
+                ideals = [x for name, x in built if name == "_ideal_row"]
+                assert ideals == ([T.identity] if T.size > 1 else [])
+            else:
+                assert "inverse" not in {x for _, x in built}
 
 
 class TestLayeredDP:
@@ -403,6 +455,18 @@ def identity_alone(S, expired=None):
     return [tuple(range(S.size))]
 
 
+def spy_on_row_builders(monkeypatch):
+    """Patch the search-table row builders to log each call: the list of
+    ``(builder name, argument)`` pairs, in call order."""
+    calls = []
+    for name in ("_translate_row", "_ideal_row", "_fiber_row"):
+        def build_row(row, name=name, builder=getattr(zerosum, name)):
+            calls.append((name, row))
+            return builder(row)
+        monkeypatch.setattr(zerosum, name, build_row)
+    return calls
+
+
 def run_kind(kwargs):
     """The run of ``davenport_exact`` that a kernel call with these keyword
     arguments makes: only the mixed run passes ``first_stop``, and the
@@ -448,6 +512,40 @@ class TestDavenportExact:
             if len(res.witness):
                 assert not is_reducible(res.witness)
 
+    def test_zero_budget_builds_no_row(self, monkeypatch, capsys):
+        # the rows of the search tables are built on first use and the
+        # clock is read on node 1, before any expansion, so a zero budget
+        # at n = 256 builds none of them
+        built = spy_on_row_builders(monkeypatch)
+        S = build_quotient_semigroup(2, poly(2, *[0] * 8, 1))
+        res = davenport_exact(S, budget_ms=0)
+        assert (res.nodes, res.complete) == (1, False)
+        assert built == []
+        # the same run through the CLI is a lower bound: exit 3
+        monkeypatch.setattr(cli, "build_quotient_semigroup", lambda p, f: S)
+        assert cli.main(["davenport", "-p", "2", "-f", "x^8", "--budget-ms", "0"]) == 3
+        assert "nodes=1 " in capsys.readouterr().out
+        assert built == []
+
+    def test_later_runs_build_only_the_rows_they_read(self, monkeypatch):
+        # x^3(x+1)^3 over F_2: the mixed and the witness run each expand a
+        # single chain, and build 2 of the 64 translate and fiber rows
+        calls = spy_on_row_builders(monkeypatch)
+        kernel = zerosum._branch_and_bound
+        runs = []
+
+        def counted(*args, **kwargs):
+            calls.clear()
+            path, nodes, complete = kernel(*args, **kwargs)
+            runs.append((run_kind(kwargs), len(args[0]), Counter(name for name, _ in calls)))
+            return path, nodes, complete
+
+        monkeypatch.setattr(zerosum, "_branch_and_bound", counted)
+        S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
+        assert davenport_exact(S).value == 7
+        later = [(n, rows) for kind, n, rows in runs if kind != "group"]
+        assert later == [(64, {"_ideal_row": 6, "_fiber_row": 2, "_translate_row": 2})] * 2
+
     def test_proposition_frontier_p7(self):
         # D = p(p-1) = 42 for (x+1)^2 over F_7; the ideal bound makes the
         # search finish well inside the budget
@@ -460,8 +558,9 @@ class TestDavenportExact:
         assert find_reduction(res.witness) is None
         # 692,887 nodes for the whole of S with no pruning floor; split at
         # the unit group, the C42 run and the class-group runs take this
-        # many, the class bound 6 <= D(U) - 2 leaving no mixed run
-        assert res.nodes == 1_616
+        # many, the class bound 6 <= D(U) - 2 leaving no mixed run (1,616
+        # with the product in the group runs' key)
+        assert res.nodes == 1_604
 
     @pytest.mark.parametrize("p, witness", [(11, "(x+3)*109"), (13, "(x+3)*155")])
     def test_proposition_frontier_p11_p13(self, p, witness):
@@ -474,8 +573,8 @@ class TestDavenportExact:
         assert find_reduction(res.witness) is None
         if p == 13:
             # the C156 run and the class-group runs; the class bound proves
-            # the mixed run empty
-            assert res.nodes == 13_661
+            # the mixed run empty (13,661 with the product in the key)
+            assert res.nodes == 13_655
 
     def test_floor_above_the_value_is_caught(self, monkeypatch):
         # a unit census claiming C_100 for C_6 puts the floor at 98; the
@@ -559,8 +658,8 @@ class TestDavenportExact:
     @pytest.mark.parametrize(
         "f, pinned",
         [
-            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 210, True)),
-            (poly(3, 1, 1) ** 3, (8, 571, True)),
+            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 167, True)),
+            (poly(3, 1, 1) ** 3, (8, 423, True)),
         ],
         ids=["x^3(x+1)^3/F2", "(x+1)^3/F3"],
     )
@@ -603,41 +702,43 @@ class TestDavenportExact:
 
     def test_frontier_rank_three_group(self):
         # C4^3, the unit group of x(x+1)(x+2) over F_5: exact with 4,006 of
-        # its 86,016 automorphisms listed
+        # its 86,016 automorphisms listed (285,429 nodes with the product
+        # in the key)
         G = build_abelian_group([4, 4, 4])
         res = davenport_exact(G, budget_ms=60_000)
-        assert (res.value, res.nodes, res.complete) == (10, 285_429, True)
+        assert (res.value, res.nodes, res.complete) == (10, 249_539, True)
         assert res.value == davenport_group_formula((4, 4, 4))
         assert find_reduction(res.witness) is None
 
     def test_frontier_rank_three_quotient(self):
-        # x(x+1)(x+2) over F_5, n = 125: the C4^3 run of S's units (278,555
-        # nodes), then 188 nodes of class-group runs, whose class bound
+        # x(x+1)(x+2) over F_5, n = 125: the C4^3 run of S's units (244,251
+        # nodes), then 142 nodes of class-group runs, whose class bound
         # 7 <= D(U) - 2 proves D(S) = D(U) = 10 with no mixed run. That run
         # took 3,994,950 nodes, so its return would move the count
         S = build_quotient_semigroup(5, poly(5, 0, 1) * poly(5, 1, 1) * poly(5, 2, 1))
         res = davenport_exact(S, budget_ms=120_000)
-        assert (res.nodes, res.units.nodes, res.complete) == (278_743, 278_555, True)
+        assert (res.nodes, res.units.nodes, res.complete) == (244_393, 244_251, True)
         assert res.value == 10 == davenport_group_formula((4, 4, 4))
         assert len(res.witness) == 9
         assert find_reduction(res.witness) is None
 
     def test_skipping_acts_below_the_second_term(self):
         # U = C6 x C6 of x(x+1) over F_7: 70,828 nodes when only the first
-        # two terms are tested, 336,355 with nothing skipped
+        # two terms are tested, 336,355 with nothing skipped, and 30,020
+        # with the product in the key
         S = build_quotient_semigroup(7, poly(7, 0, 1, 1))
         res = davenport_exact(units_of(S).as_semigroup())
-        assert (res.value, res.nodes, res.complete) == (11, 30_020, True)
+        assert (res.value, res.nodes, res.complete) == (11, 25_205, True)
         assert res.witness.format() == "3*5;(x+3)*5"
-        # and S itself: that U run plus 18 nodes of class-group runs, which
+        # and S itself: that U run plus 17 nodes of class-group runs, which
         # prove the mixed run empty
         res = davenport_exact(S)
-        assert (res.value, res.nodes, res.complete) == (11, 30_038, True)
+        assert (res.value, res.nodes, res.complete) == (11, 25_222, True)
         assert res.witness.format() == "3*5;(x+3)*5"
 
     @pytest.mark.parametrize(
         "f, nodes",
-        [(poly(7, 1, 2, 1), 2_383), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 1_870)],
+        [(poly(7, 1, 2, 1), 2_296), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 1_429)],
         ids=["(x+1)^2/F7", "x^3(x+1)^3/F2"],
     )
     def test_identity_alone_gives_the_unskipped_tree(self, monkeypatch, f, nodes):
@@ -648,23 +749,29 @@ class TestDavenportExact:
     def test_working_set_freed_on_return(self):
         # explore refers to itself; once that cycle is broken the memo and
         # the search tables, both built inside the call, go by refcount,
-        # with no cyclic garbage left
-        S = build_quotient_semigroup(5, poly(5, 1, 2, 1))
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            res = davenport_exact(S)
-            after, peak = tracemalloc.get_traced_memory()
-            garbage = gc.collect()
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert res.value == 20
-        # what stays is interpreter free lists, not the memo
-        assert after - before < (peak - before) // 4
-        assert garbage == 0
+        # with no cyclic garbage left. The rows built on first use and a
+        # group run's inverse table go the same way: (x+1)^2 over F_5 runs
+        # on its unit group C20 and then on S, and C6^2 is a group run alone
+        cases = [
+            (build_quotient_semigroup(5, poly(5, 1, 2, 1)), 20),
+            (units_of(build_quotient_semigroup(7, poly(7, 0, 1, 1))).as_semigroup(), 11),
+        ]
+        for S, value in cases:
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                res = davenport_exact(S)
+                after, peak = tracemalloc.get_traced_memory()
+                garbage = gc.collect()
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert res.value == value
+            # what stays is interpreter free lists, not the memo
+            assert after - before < (peak - before) // 4
+            assert garbage == 0
 
     def test_key_fields_wider_than_a_byte(self, monkeypatch):
         # n = 257: element indices need 9 bits in the memo key
@@ -936,6 +1043,52 @@ class TestClassBound:
         assert kinds[-2:] == ["mixed", "witness"]
         assert res.witness.format() == "x*3;x+1"
         assert find_reduction(res.witness) is None
+
+
+class TestGroupKey:
+    """A group run keys its states by the subsum set r_all alone. Against
+    the same kernel on the same table with the product kept in the key, it
+    gives the same value and witness, with no more nodes."""
+
+    @staticmethod
+    def both_keys(G):
+        maps = automorphisms(G)
+        floor = sum(d - 1 for d in units_of(G).invariant_factors) - 1
+        return [
+            zerosum._branch_and_bound(
+                G.table, G.identity, maps, zerosum.Budget(None), floor, group=group
+            )
+            for group in (True, False)
+        ]
+
+    def test_every_oracle_group(self):
+        checked = fewer = 0
+        for G in _oracle_problems():
+            if units_of(G).order != G.size:
+                continue
+            (path, nodes, complete), (kept, kept_nodes, kept_complete) = self.both_keys(G)
+            assert complete and kept_complete
+            assert path == kept, G.describe()
+            assert nodes <= kept_nodes, G.describe()
+            checked += 1
+            fewer += nodes < kept_nodes
+        assert checked > 100 and fewer > 40
+
+    @pytest.mark.parametrize(
+        "build, value, nodes",
+        [
+            (lambda: units_of(build_quotient_semigroup(7, poly(7, 0, 1, 1))).as_semigroup(),
+             11, (25_205, 30_020)),
+            (lambda: build_abelian_group([4, 4, 4]), 10, (249_539, 285_429)),
+        ],
+        ids=["C6^2", "C4^3"],
+    )
+    def test_larger_groups(self, build, value, nodes):
+        G = build()
+        (path, keyed, complete), (kept, kept_nodes, kept_complete) = self.both_keys(G)
+        assert complete and kept_complete
+        assert path == kept and len(path) + 1 == value
+        assert (keyed, kept_nodes) == nodes
 
 
 class TestSymmetryOnTheOracle:
