@@ -19,7 +19,8 @@ Sequence literals are semicolon-separated element literals, each with an
 optional top-level ``*m`` multiplicity suffix (``2*4`` is four copies of
 the constant 2; write ``(x*2)`` or ``2*x`` for the polynomial). Elements
 of adjoined-zero cyclic semigroups are written ``g^k`` / ``g`` / ``inf``,
-product elements as parenthesized comma-separated tuples.
+product elements as parenthesized comma-separated tuples. A sequence
+longer than ``MAX_SEQUENCE_LENGTH`` in total is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from .zerosum import Sequence
 
 MAX_DEGREE = 1024
 """Largest degree a product or power may reach while an expression is parsed."""
+
+MAX_SEQUENCE_LENGTH = 1 << 16
+"""Largest total length of a sequence literal. Universes have at most 256
+elements, so a longer sequence has two equal prefix products and is
+reducible: the cap loses no sequence of interest."""
 
 
 class ParseError(ValueError):
@@ -266,11 +272,17 @@ def parse_sequence(S: FiniteSemigroup, text: str) -> Sequence:
     if not t:
         return Sequence.empty(S)
     pairs = []
+    length = 0
     with _at(len(text) - len(text.lstrip())):
         for at, item in _parts_at(t, ";"):
             with _at(at):
                 if not item:
                     raise ParseError("empty sequence item", 0)
                 lit, mult = _split_multiplicity(item)
+                length += mult
+                if length > MAX_SEQUENCE_LENGTH:
+                    raise ParseError(
+                        f"sequence length {length} exceeds the cap of {MAX_SEQUENCE_LENGTH}", 0
+                    )
                 pairs.append((parse_element(S, lit), mult))
     return Sequence(S, pairs)

@@ -496,35 +496,24 @@ def davenport_exact(
     2. one group run per isomorphism type of the class groups (below),
        each with its census floor, which give the class bound B >= L_N. A
        class group with U's census invariants takes D(U) from run 1;
-    3. unless B <= D(U) - 2, a mixed run on S relabeled with the non-units
-       first (the Cayley rows permuted by pi, each automorphism phi
-       conjugated to pi^-1 phi pi), where only a non-unit may be the first
-       term. In that order a sorted sequence is mixed iff its first term is
-       a non-unit, so the run covers the mixed sequences and no other. N is
-       an ideal, so every product below the root is a non-unit and its
-       ideal bound counts a proper ideal. The floor is D(U) - 2, which
-       run 1 certifies, and the run ends, complete, at its first sequence
-       of B terms, since then L_N = B;
-    4. only when the mixed run reaches D(U) - 1 or more, so that its length
-       is L = D(S) - 1, a witness run on S in its own order with the floor
-       L - 1, stopped at the first sequence of length L. The run meets the
-       sequences of one length in lexicographic order and the floor cuts
-       only branches that cannot reach L, so that sequence is S's
-       lexicographically first longest one. A witness run that ends
-       anywhere else raises ``AssertionError``.
+    3. unless B <= D(U) - 2, one run over S with the floor D(U) - 2, which
+       run 1 certifies, ended, complete, at its first sequence of B terms.
 
-    If B <= D(U) - 2, or the mixed run ends at or below it, every longest
-    sequence over S consists of units, and W_U mapped through
-    ``U.elements`` (a sorted tuple, so the map keeps the order) is S's
-    lexicographically first longest sequence. Either way the value and the
-    witness are those of one run over all of S. A run cut short by the
-    budget ends the call with the longest sequence the runs have
-    witnessed, mapped into S; a cut U run ends it before the class groups
-    are built or S's automorphisms listed. A cut class-group run leaves B
-    unknown, and the mixed run then runs without a stop. The result keeps
-    run 1's own result, its witness re-checked, as ``units``:
-    ``units.nodes`` counts run 1 alone, ``nodes`` every run. ``units`` is
-    None for a group, whose one run is the whole search.
+    If B <= D(U) - 2, every longest sequence over S consists of units, and
+    W_U mapped through ``U.elements`` (a sorted tuple, so the map keeps the
+    order) is S's lexicographically first longest sequence. Otherwise
+    D(S) - 1 <= max(D(U) - 1, B) = B, so reaching B terms proves
+    L = D(S) - 1 = B. The floor lies below L, so by Pruning floor (below)
+    run 3 reaches the sequences of L terms in the order of the run over S
+    without the floor, whose incumbent ends at the first of them (Ideal
+    bound). Either way the value and the witness are those of one run over
+    all of S. A run cut short by the budget ends the call with the longest
+    sequence the runs have witnessed, mapped into S; a cut U run ends it
+    before the class groups are built or S's automorphisms listed. A cut
+    class-group run leaves B unknown, and run 3 then runs without a stop.
+    The result keeps run 1's own result, its witness re-checked, as
+    ``units``: ``units.nodes`` counts run 1 alone, ``nodes`` every run.
+    ``units`` is None for a group, whose one run is the whole search.
 
     Class bound. Let H be an H-class of S: the elements with one principal
     ideal s S^1, the set of row s of the table. The classes are ordered by
@@ -567,15 +556,12 @@ def davenport_exact(
     extension of the state can add: a cut bound does (below), and each
     extension starts with a child whose returned value bounds the rest.
     Symmetry skipping depends only on the key, so the bound holds in the
-    skipped family too. The mixed run's first-term bound acts only at the
-    root, and no other state has the root's key (below the root rp holds
-    the empty product), so it leaves every entry valid. A hit is used when
-    ``depth + ub <= cut`` (``cut`` below): nothing longer than the
-    incumbent lies below, so it is skipped for the same reason a cut is.
-    Otherwise the state is explored again. A re-explored state whose ``ub``
-    was already exact finds a sequence longer than the incumbent, so
-    re-exploring costs at most ``D(S) - 1 - floor`` extra chains per run
-    (floor below).
+    skipped family too. A hit is used when ``depth + ub <= cut`` (``cut``
+    below): nothing longer than the incumbent lies below, so it is skipped
+    for the same reason a cut is. Otherwise the state is explored again. A
+    re-explored state whose ``ub`` was already exact finds a sequence
+    longer than the incumbent, so re-exploring costs at most
+    ``D(S) - 1 - floor`` extra chains per run (floor below).
 
     Ideal bound. Let T have product s and proper-sub-multiset products rp
     (the empty product included), and let T y_1 ... y_k be irreducible.
@@ -644,13 +630,13 @@ def davenport_exact(
     * for a group U (S itself, its unit group or a class group),
       floor = D*(U) - 2, where U has invariant factors d_i and
       D*(U) = 1 + sum(d_i - 1) comes from the census. D*(U) <= D(U) = L + 1,
-      so floor < L; and a complete run ending with best_len > floor proves
-      floor < L whatever the census says, while one ending at or below the
-      floor (a wrong census) raises ``AssertionError``;
-    * for the mixed run, D(U) - 2, which run 1 found by a complete search.
-      A mixed run ending at or below it proves L_N <= D(U) - 2, so
-      D(S) = D(U); one ending above it has found L_N;
-    * for the witness run, L - 1 < L.
+      so floor < L;
+    * for run 3 over S, D(U) - 2: W_U is irreducible over S, so
+      L >= D(U) - 1.
+
+    A complete run ending with best_len > floor proves floor < L whatever
+    the census or run 1 says, and one ending at or below its floor raises
+    ``AssertionError``.
 
     Symmetry. Let A be the automorphisms of the run's semigroup that
     ``automorphisms`` returns (all of them or, past its work cap or the
@@ -667,16 +653,12 @@ def davenport_exact(
       r_all = {identity}. So a phi fixing r_all fixes every term of every
       path to the key.
     * W is never skipped. Let W = w1 <= w2 <= ... be the lexicographically
-      first longest sequence of the run's family, and w1..wk its prefix at
-      some state. Suppose phi fixes r_all, hence w1..wk, and
-      phi(w_k+1) < w_k+1. No wi equals w_k+1, as phi fixes wi, so W has
+      first longest irreducible sequence over the run's semigroup, and
+      w1..wk its prefix at some state. Suppose phi fixes r_all, hence
+      w1..wk, and phi(w_k+1) < w_k+1. No wi equals w_k+1, as phi fixes wi, so W has
       exactly k terms below w_k+1, while phi(W) holds w1..wk and
       phi(w_k+1). So sorted phi(W) is lexicographically smaller than W,
-      and it is irreducible, as long, and in the family: a contradiction.
-      The family is all irreducible sequences, except in the mixed run.
-      There the conjugated maps are the automorphisms of the relabeled
-      copy, and they map units to units, so they map mixed sequences to
-      mixed ones: the family is closed under them.
+      and it is irreducible and as long: a contradiction.
 
     A run is therefore the branch-and-bound above over the family of
     sequences no step of which is skipped. Skipping depends only on the
@@ -704,60 +686,35 @@ def davenport_exact(
     nodes += more
     if bound is not None and bound <= len(unit_path) - 1:  # B <= D(U) - 2
         return _result(S, unit_path, nodes, True, budget, units)
-    maps = automorphisms(S, budget.expired)
-    mixed_path, more, complete = _mixed_run(
-        S, U, maps, budget, floor=len(unit_path) - 1, stop_at=bound  # floor D(U) - 2
+    path, more, complete = _checked_run(
+        S.table, S.identity, automorphisms(S, budget.expired), budget,
+        len(unit_path) - 1, stop_at=bound,  # floor D(U) - 2
     )
     nodes += more
     if not complete:
-        return _result(S, max(unit_path, mixed_path, key=len), nodes, False, budget, units)
-    if len(mixed_path) < len(unit_path):
-        return _result(S, unit_path, nodes, True, budget, units)
-    longest = len(mixed_path)
-    path, more, complete = _branch_and_bound(
-        S.table, S.identity, maps, budget, floor=longest - 1, stop_at=longest
-    )
-    nodes += more
-    if not complete:
-        return _result(S, mixed_path, nodes, False, budget, units)
-    if len(path) != longest:
-        raise AssertionError(
-            f"witness run found {len(path)} terms, not the {longest} of the mixed run"
-        )
-    return _result(S, path, nodes, True, budget, units)
+        path = max(unit_path, path, key=len)
+    return _result(S, path, nodes, complete, budget, units)
 
 
 def _group_run(G: FiniteSemigroup, invariants, budget: Budget):
     """The run over a group G with invariant factors ``invariants``, floored
     at the census bound D*(G) - 2: ``(path, nodes, complete)``."""
     floor = sum(d - 1 for d in invariants) - 1
-    path, nodes, complete = _branch_and_bound(
+    return _checked_run(
         G.table, G.identity, automorphisms(G, budget.expired), budget, floor, group=True
     )
+
+
+def _checked_run(rows, identity, maps, budget: Budget, floor: int, **kwargs):
+    """``_branch_and_bound`` for a floor known to lie below the run's
+    longest length: a complete run that ends at or below it raises
+    ``AssertionError`` (Pruning floor in ``davenport_exact``)."""
+    path, nodes, complete = _branch_and_bound(rows, identity, maps, budget, floor, **kwargs)
     if complete and len(path) <= floor:
         raise AssertionError(
             f"complete search found {len(path)} terms, not above the floor {floor}"
         )
     return path, nodes, complete
-
-
-def _mixed_run(S, U, maps, budget: Budget, floor: int, stop_at: Optional[int] = None):
-    """The mixed run over S, units U and automorphisms ``maps``:
-    ``(path, nodes, complete)``, path the incumbent's sorted indices in S."""
-    # pi: the non-units in index order, then the units
-    order = [x for x in range(S.size) if x not in U.inverses] + list(U.elements)
-    pos = {x: i for i, x in enumerate(order)}
-    rows = S.table
-    path, nodes, complete = _branch_and_bound(
-        [[pos[rows[x][y]] for y in order] for x in order],
-        pos[S.identity],
-        [tuple(pos[phi[x]] for x in order) for phi in maps],
-        budget,
-        floor,
-        first_stop=S.size - U.order,
-        stop_at=stop_at,
-    )
-    return tuple(sorted(order[i] for i in path)), nodes, complete
 
 
 def _class_bound(S, U, d_units: int, budget: Budget) -> tuple[Optional[int], int]:
@@ -811,9 +768,12 @@ def _branch_and_bound(
 ) -> tuple[tuple[int, ...], int, bool]:
     """One search run as ``davenport_exact`` describes it: the Cayley rows,
     the identity, the automorphisms as index maps and the pruning floor
-    give ``(path, nodes, complete)``, path the incumbent's indices. Only a
-    term below ``first_stop`` (default: any) may be the first, and the run
-    ends, complete, at the first sequence of ``stop_at`` terms. ``group``
+    give ``(path, nodes, complete)``, path the incumbent's indices. The run
+    ends, complete, at the first sequence of ``stop_at`` terms. Only a term
+    below ``first_stop`` (default: any) may be the first; this serves the
+    L_N reference of ``scripts/class_bound_sweep.py``, and it acts only at
+    the root, whose key no other state has (below the root rp holds the
+    empty product), so every memo entry stays valid. ``group``
     says the rows are a group's: the run then keys its states by the
     subsum set alone (Group key in ``davenport_exact``).
 

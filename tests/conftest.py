@@ -158,6 +158,37 @@ def unpruned_davenport(S):
     return 1 + len(terms), tuple(terms)
 
 
+def unpruned_mixed_length(S, units):
+    """L_N: the length of the longest irreducible sequence over S with a
+    term outside ``units`` (a set of indices), by the search of
+    ``unpruned_davenport`` with a flag in its state that says whether the
+    prefix has such a term. A state's memo value is the most terms an
+    irreducible extension can add and end with such a term, -1 when none
+    can. No pruning and no budget.
+    """
+    translate = [_translate_row(row) for row in S.table]
+    rows = S.table
+    memo = {}
+
+    def explore(sig, rp, min_elem, mixed):
+        key = (sig, rp, min_elem, mixed)
+        if key not in memo:
+            best = 0 if mixed else -1
+            r_all = rp | (1 << sig)
+            for x in range(min_elem, S.size):
+                new_sig = rows[sig][x]
+                new_rp = r_all | translate_mask(translate[x], rp)
+                if (new_rp >> new_sig) & 1:
+                    continue
+                extra = explore(new_sig, new_rp, x, mixed or x not in units)
+                if extra >= 0:
+                    best = max(best, 1 + extra)
+            memo[key] = best
+        return memo[key]
+
+    return max(0, explore(S.identity, 0, 0, False))
+
+
 def translate_mask(chunks, mask):
     """The image of a bitmask under a chunk table of ``_translate_row``."""
     acc = 0

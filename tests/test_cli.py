@@ -262,6 +262,17 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seq", ["(x+2)*300000000", "x*99999999999"])
+    def test_sequence_over_the_length_cap_exits_2(self, capsys, seq):
+        # uncapped, the first ran out of memory in the reduction and the
+        # second ran for more than 20 s
+        start = time.monotonic()
+        code, out, err = run(capsys, "reduce", "-p", "3", "--seq", seq)
+        assert time.monotonic() - start < 5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sequence length ") and err.count("\n") == 1
+        assert "exceeds the cap of 65536" in err
+
     @pytest.mark.parametrize(
         "seq, offset", [("x;x;y", 4), ("x;2*0", 4), ("x;;x", 2), ("x; x+)", 5)]
     )
@@ -410,7 +421,7 @@ GOLDEN_RECORDS = [
     (
         ("davenport", "-n", "2,4"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 37, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+        '"nodes": 31, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
     ),
     (
         ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),
@@ -418,7 +429,7 @@ GOLDEN_RECORDS = [
         '"unit_invariants": [2, 2], "unit_order": 4, '
         '"units_bound_k_plus_1": true}, "claim": "lemma_product", "lhs": '
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 10, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
+        '"nodes": 8, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
         '"params": {"n_list": [2, 2]}, "rhs": {"complete": true, '
         '"method": "exact_dfs", "millis": null, "nodes": 3, "value": 3, '
         '"witness": "(g^0, g);(g, g^0)"}, "status": "verified"}'
@@ -442,7 +453,7 @@ GOLDEN_RECORDS = [
         '"unit_invariants": [2, 2], "unit_order": 4, '
         '"units_le_semigroup": true}, "claim": "theorem1", "lhs": '
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 12, "value": 3, "witness": "2;x"}, "params": {"f": '
+        '"nodes": 9, "value": 3, "witness": "2;x"}, "params": {"f": '
         '"x^2+x", "p": 3}, "rhs": {"complete": true, "method": '
         '"exact_dfs", "millis": null, "nodes": 3, "value": 3, "witness": '
         '"2;x+2"}, "status": "verified"}'

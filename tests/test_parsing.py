@@ -16,7 +16,13 @@ from davenport import (
     random_sequence,
 )
 from davenport.gfpoly import Poly
-from davenport.parsing import ParseError, parse_element, parse_poly_expr, parse_sequence
+from davenport.parsing import (
+    MAX_SEQUENCE_LENGTH,
+    ParseError,
+    parse_element,
+    parse_poly_expr,
+    parse_sequence,
+)
 
 
 def multiplicity(T, value) -> int:
@@ -155,6 +161,15 @@ class TestSequenceLiterals:
     def test_sequence_not_in_universe(self, quotient_p3_sq):
         with pytest.raises(ParseError):
             parse_sequence(quotient_p3_sq, "w+1")
+
+    def test_total_length_capped(self, quotient_p3_sq):
+        # the cap is on the total over the items, and the error points at
+        # the item that crosses it
+        cap = MAX_SEQUENCE_LENGTH
+        assert len(parse_sequence(quotient_p3_sq, f"x*{cap - 1};2")) == cap
+        with pytest.raises(ParseError, match=f"length {cap + 1} exceeds the cap") as exc:
+            parse_sequence(quotient_p3_sq, f"x*{cap};2")
+        assert exc.value.position == len(f"x*{cap};")
 
 
 class TestSequenceOffsets:

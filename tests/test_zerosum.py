@@ -64,6 +64,7 @@ from conftest import (
     seq_of,
     translate_mask,
     unpruned_davenport,
+    unpruned_mixed_length,
     value_product,
 )
 
@@ -469,11 +470,9 @@ def spy_on_row_builders(monkeypatch):
 
 def run_kind(kwargs):
     """The run of ``davenport_exact`` that a kernel call with these keyword
-    arguments makes: only the mixed run passes ``first_stop``, and the
-    witness run passes ``stop_at`` alone."""
-    if "first_stop" in kwargs:
-        return "mixed"
-    return "witness" if "stop_at" in kwargs else "group"
+    arguments makes: a group run passes ``group=True``, and the run over S
+    does not."""
+    return "group" if kwargs.get("group") else "S"
 
 
 class TestDavenportExact:
@@ -528,8 +527,8 @@ class TestDavenportExact:
         assert built == []
 
     def test_later_runs_build_only_the_rows_they_read(self, monkeypatch):
-        # x^3(x+1)^3 over F_2: the mixed and the witness run each expand a
-        # single chain, and build 2 of the 64 translate and fiber rows
+        # x^3(x+1)^3 over F_2: the run over S, after the group runs, expands
+        # a single chain, and builds 2 of the 64 translate and fiber rows
         calls = spy_on_row_builders(monkeypatch)
         kernel = zerosum._branch_and_bound
         runs = []
@@ -544,7 +543,7 @@ class TestDavenportExact:
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
         assert davenport_exact(S).value == 7
         later = [(n, rows) for kind, n, rows in runs if kind != "group"]
-        assert later == [(64, {"_ideal_row": 6, "_fiber_row": 2, "_translate_row": 2})] * 2
+        assert later == [(64, {"_ideal_row": 6, "_fiber_row": 2, "_translate_row": 2})]
 
     def test_proposition_frontier_p7(self):
         # D = p(p-1) = 42 for (x+1)^2 over F_7; the ideal bound makes the
@@ -617,48 +616,44 @@ class TestDavenportExact:
         assert (record["nodes"], record["complete"]) == (2049, False)
         assert record["witness"] == res.witness.format()
 
-    @pytest.mark.parametrize(
-        "capped, witness", [("first_stop", "(x^2+x+1)*3;(x^3+x+1)*3"), ("stop_at", "x*6")]
-    )
-    def test_capped_later_run_keeps_the_longest_witness(self, monkeypatch, capped, witness):
-        # x^3(x+1)^3 over F_2, a tie at 6 terms: a mixed run cut at its first
-        # node leaves U's witness, a witness run cut there the mixed run's.
-        # That run stopped at its first sequence of B = 6 terms, which is
-        # witnessed and irreducible like any incumbent
+    def test_capped_later_run_keeps_the_longest_witness(self, monkeypatch):
+        # x^3(x+1)^3 over F_2, a tie at 6 terms: the run over S cut at its
+        # first node, after 31 nodes of class-group runs, has no incumbent,
+        # so U's witness, mapped into S, stays
         kernel = zerosum._branch_and_bound
-        run = {"first_stop": "mixed", "stop_at": "witness"}[capped]
 
         def cut(*args, **kwargs):
-            if run_kind(kwargs) == run:
+            if run_kind(kwargs) == "S":
                 args = args[:3] + (zerosum.Budget(0),) + args[4:]
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(zerosum, "_branch_and_bound", cut)
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
         res = davenport_exact(S)
-        assert (res.value, res.complete) == (7, False)
-        assert res.witness.format() == witness
+        assert (res.value, res.nodes - res.units.nodes, res.complete) == (7, 31 + 1, False)
+        assert res.witness.format() == "(x^2+x+1)*3;(x^3+x+1)*3"
         assert find_reduction(res.witness) is None
 
-    def test_witness_run_short_of_the_mixed_run_is_caught(self, monkeypatch, capsys):
-        # the witness run must end at the mixed run's length; a shorter end
-        # is an internal error, exit 4 through the CLI
+    def test_run_over_s_at_its_floor_is_caught(self, monkeypatch, capsys):
+        # the run over S is floored at D(U) - 2 = 5, below the 6 terms of U's
+        # witness; a complete run that ends at 5 is an internal error, exit
+        # 4 through the CLI
         kernel = zerosum._branch_and_bound
 
         def short(*args, **kwargs):
             path, nodes, complete = kernel(*args, **kwargs)
-            return (path[:-1] if run_kind(kwargs) == "witness" else path), nodes, complete
+            return (path if run_kind(kwargs) == "group" else path[:5]), nodes, complete
 
         monkeypatch.setattr(zerosum, "_branch_and_bound", short)
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
-        with pytest.raises(AssertionError, match="witness run found 5 terms, not the 6"):
+        with pytest.raises(AssertionError, match="found 5 terms, not above the floor 5"):
             davenport_exact(S)
         assert cli.main(["davenport", "-p", "2", "-f", "x^3*(x+1)^3"]) == 4
 
     @pytest.mark.parametrize(
         "f, pinned",
         [
-            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 167, True)),
+            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 160, True)),
             (poly(3, 1, 1) ** 3, (8, 423, True)),
         ],
         ids=["x^3(x+1)^3/F2", "(x+1)^3/F3"],
@@ -738,7 +733,7 @@ class TestDavenportExact:
 
     @pytest.mark.parametrize(
         "f, nodes",
-        [(poly(7, 1, 2, 1), 2_296), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 1_429)],
+        [(poly(7, 1, 2, 1), 2_296), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 1_422)],
         ids=["(x+1)^2/F7", "x^3(x+1)^3/F2"],
     )
     def test_identity_alone_gives_the_unskipped_tree(self, monkeypatch, f, nodes):
@@ -925,8 +920,8 @@ class TestBranchAndBoundOracle:
         # the oracle checks each unit rule where it acts: the census floor
         # wherever U is nontrivial (up to C_26), and the split at the unit
         # group on each witness path. A group is one run. Otherwise U's
-        # witness serves when the class bound proves the mixed run empty,
-        # and a witness run gives it when the mixed run reaches D(U) - 1
+        # witness serves when the class bound proves B <= D(U) - 2, and a
+        # run over S floored at D(U) - 2 gives it when B is larger
         quotients = list(_small_universes("quotient"))
         assert max(sum(units_of(S).invariant_factors) for S in quotients) == 26
         kernel = zerosum._branch_and_bound
@@ -942,36 +937,31 @@ class TestBranchAndBoundOracle:
             kinds = {run_kind(run) for run in runs}
             if units_of(S).order == S.size:
                 return res, "group"
-            if "mixed" not in kinds:
-                return res, "class bound"
-            return res, "witness" if "witness" in kinds else "mixed"
+            return res, "S" if "S" in kinds else "class bound"
 
         monkeypatch.setattr(zerosum, "_branch_and_bound", counted)
         searched = [(S, *path_of(S)) for S in _oracle_problems()]
         paths = Counter(path for _, _, path in searched)
-        assert paths["group"] > 100 and paths["class bound"] > 50 and paths["witness"] > 30
+        assert paths["group"] > 100 and paths["class bound"] > 50 and paths["S"] > 30
         # a tie: over F_2, x^3(x+1)^3 has D(U) = D(S) = 7, and its first
-        # longest sequence x*6 has a non-unit term, so only the witness run
-        # can give it; the mixed run stops at the class bound B = 6
+        # longest sequence x*6 has a non-unit term, so only the run over S
+        # can give it; it stops at the class bound B = 6
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
         res, path = path_of(S)
-        assert path == "witness"
-        assert [run["stop_at"] for run in runs if "stop_at" in run] == [6, 6]
+        assert path == "S"
+        assert [run["stop_at"] for run in runs if run_kind(run) == "S"] == [6]
         assert davenport_exact(units_of(S).as_semigroup()).value == res.value == 7
         assert res.witness.format() == "x*6"
-        # the mixed run that ends below D(U) - 1 is left to an unknown class
-        # bound (a class-group run cut by the budget): with every bound
-        # unknown, it serves the problems the bound skipped, with the same
-        # value and witness
+        # with every class bound unknown (a class-group run cut by the
+        # budget) the run over S runs without a stop, also where the bound
+        # proved D(S) = D(U): its floor D(U) - 2 lies below the longest
+        # length, so the value and the witness stay the same
         monkeypatch.setattr(zerosum, "_class_bound", lambda *args: (None, 0))
-        unknown = Counter()
         for S, res, path in searched:
             if path != "group":
-                plain, path = path_of(S)
+                plain, _ = path_of(S)
                 assert (plain.value, plain.witness) == (res.value, res.witness)
-                unknown[path] += 1
-        assert unknown["mixed"] == paths["class bound"] + paths["mixed"] > 50
-        assert unknown["witness"] == paths["witness"]
+                assert [run["stop_at"] for run in runs if run_kind(run) == "S"] == [None]
 
     def test_families_cover_the_cap(self):
         sizes = {
@@ -1006,9 +996,9 @@ def _oracle_problems():
 
 class TestClassBound:
     def test_bound_holds_on_the_oracle(self):
-        # B >= L_N on every oracle semigroup that is not a group, L_N from a
-        # mixed run with no floor, no stop and nothing skipped; B is tight on
-        # each of them, so a bound one lower anywhere fails here
+        # B >= L_N on every oracle semigroup that is not a group, L_N from
+        # the brute-force oracle; B is tight on each of them, so a bound one
+        # lower anywhere fails here
         checked = 0
         for S in _oracle_problems():
             U = units_of(S)
@@ -1016,17 +1006,14 @@ class TestClassBound:
                 continue
             d_units = davenport_exact(U.as_semigroup()).value
             bound, _ = zerosum._class_bound(S, U, d_units, zerosum.Budget(None))
-            path, _, complete = zerosum._mixed_run(
-                S, U, identity_alone(S), zerosum.Budget(None), floor=0
-            )
-            assert complete
-            assert bound >= len(path), S.describe()
+            assert bound >= unpruned_mixed_length(S, U.inverses), S.describe()
             checked += 1
         assert checked > 100
 
-    def test_bound_at_d_u_keeps_the_mixed_run(self, monkeypatch):
+    def test_bound_at_d_u_keeps_the_run_over_s(self, monkeypatch):
         # x^4 + x over F_2: U = C_3, so D(U) = 3, but B = L_N = 4, and
-        # D(S) = 5 needs the mixed run and the witness run
+        # D(S) = 5 needs the run over S, which stops at its first sequence
+        # of B terms
         S = build_quotient_semigroup(2, poly(2, 0, 1, 0, 0, 1))
         U = units_of(S)
         assert zerosum._class_bound(S, U, 3, zerosum.Budget(None))[0] == 4
@@ -1040,7 +1027,7 @@ class TestClassBound:
         monkeypatch.setattr(zerosum, "_branch_and_bound", counted)
         res = davenport_exact(S)
         assert (res.value, res.units.value, res.complete) == (5, 3, True)
-        assert kinds[-2:] == ["mixed", "witness"]
+        assert kinds.count("S") == 1 and kinds[-1] == "S"
         assert res.witness.format() == "x*3;x+1"
         assert find_reduction(res.witness) is None
 
