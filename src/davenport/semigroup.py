@@ -13,11 +13,13 @@ Four kinds are built here, all sharing one representation:
 A semigroup owns a deterministic, indexed universe of at most
 ``TABLE_CAP`` elements, and every product is read from its full Cayley
 table. Each builder fills that table in index space, without multiplying
-element values: a quotient's rows are F_p-linear combinations of the row
-of ``x``, cyclic rows add exponents mod n, and derived semigroups (unit
+element values: a quotient builds the rows of a small generating set as
+F_p-linear combinations of the row of ``x`` and composes every other row
+from them, cyclic rows add exponents mod n, and derived semigroups (unit
 groups, products) read their tables from their parents'. Every semigroup
-validates its own table. Each builder rejects a larger universe with
-``ValueError`` before enumerating it. Instances are immutable after
+validates its own table, proving associativity from the rows of a
+generating set read off the table. Each builder rejects a larger universe
+with ``ValueError`` before enumerating it. Instances are immutable after
 construction, so they can be shared freely.
 
 The semigroup operation is written multiplicatively throughout (``op``,
@@ -57,6 +59,48 @@ def _check_universe_size(size: int) -> None:
         raise ValueError(f"universe of {size} elements exceeds the cap of {TABLE_CAP}")
 
 
+def _generators(rows: list, generator_row=None) -> list[int]:
+    """The greedy generating set A of a Cayley table, in index order.
+
+    An element joins A when no product of the earlier members reaches it.
+    The elements reached so far are closed under right products with A:
+    each newly reached element meets every member, and an older one only
+    the new member. So a table costs n·|A| lookups.
+
+    With ``generator_row`` the rows are built here, starting from None:
+    ``generator_row(a)`` gives each member's row, from rows of smaller
+    indices, and a product v = u g of a reached u and a member g gets
+    row(g) o row(u). That is its row in a commutative semigroup, since
+    (u g) b = g (u b).
+    """
+    n = len(rows)
+    reached = [False] * n
+    gens: list[int] = []
+    trail: list[int] = []
+    for a in range(n):
+        if reached[a]:
+            continue
+        if generator_row is not None:
+            rows[a] = generator_row(a)
+        reached[a] = True
+        gens.append(a)
+        old = len(trail)
+        trail.append(a)
+        i = 0
+        while i < len(trail):
+            u = trail[i]
+            ru = rows[u]
+            for g in gens if i >= old else (a,):
+                v = ru[g]
+                if not reached[v]:
+                    reached[v] = True
+                    trail.append(v)
+                    if generator_row is not None:
+                        rows[v] = list(map(rows[g].__getitem__, ru))
+            i += 1
+    return gens
+
+
 class _Infinity:
     """Singleton printed as ``inf``: the absorbing element's value tag."""
 
@@ -80,8 +124,11 @@ class FiniteSemigroup:
     ``table`` is the filled Cayley table over indices into ``values``: a
     list of n lists of n indices, with ``table[i][j]`` the index of the
     product of elements i and j. The constructor keeps it and checks it:
-    shape, entry range, symmetry (the search reads row x as column x),
-    associativity, and the claimed identity and zero.
+    a nonempty universe, shape, entry range, symmetry (the search reads
+    row x as column x), associativity (by Light's test up to
+    ``ASSOC_EXHAUSTIVE_CAP`` elements), and that the claimed identity and
+    zero are elements that act as such. A failed check raises
+    ``ValueError``.
     """
 
     def __init__(
@@ -100,10 +147,12 @@ class FiniteSemigroup:
         self.index_of = {v: i for i, v in enumerate(self.values)}
         if len(self.index_of) != self.size:
             raise ValueError("universe contains duplicate elements")
+        if not self.size:
+            raise ValueError("universe is empty")
         self.identity = (
-            self.index_of[identity_value] if identity_value is not None else None
+            None if identity_value is None else self._claimed("identity", identity_value)
         )
-        self.zero = self.index_of[zero_value] if zero_value is not None else None
+        self.zero = None if zero_value is None else self._claimed("zero", zero_value)
         self.params = dict(params or {})
         self.factors = factors
         _check_universe_size(self.size)
@@ -120,7 +169,28 @@ class FiniteSemigroup:
         """Product of elements by index."""
         return self.table[i][j]
 
+    def _claimed(self, name: str, value) -> int:
+        """Index of the value claimed as the identity or the zero."""
+        if value not in self.index_of:
+            raise ValueError(f"claimed {name} {value!r} is not an element")
+        return self.index_of[value]
+
     def _validate_axioms(self):
+        """Check the table's shape, entries, symmetry, associativity and
+        the claimed identity and zero.
+
+        Up to ``ASSOC_EXHAUSTIVE_CAP`` elements associativity is proved by
+        Light's test (Clifford and Preston, The Algebraic Theory of
+        Semigroups I, 1961), in n^2 |A| lookups rather than n^3. A is the
+        greedy generating set ``_generators`` reads off the table itself.
+        The elements a with (x a) y = x (a y) for all x, y are closed
+        under the product: for two of them a and b,
+        (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y).
+        Every member of A is checked to be one of them, as
+        row(x a) = row(x) o row(a) for every x, and A generates every
+        element, so every element is one and the table is associative.
+        Above the cap, about ``ASSOC_SPOT_SAMPLES`` triples are checked.
+        """
         n = len(self.values)
         t = self.table
         if len(t) != n or any(len(row) != n for row in t):
@@ -130,7 +200,7 @@ class FiniteSemigroup:
         if any(tuple(row) != column for row, column in zip(t, zip(*t))):
             raise ValueError("operation is not commutative")
         if n <= ASSOC_EXHAUSTIVE_CAP:
-            pairs = iproduct(range(n), repeat=2)
+            pairs = iproduct(range(n), _generators(t))
         else:
             # about ASSOC_SPOT_SAMPLES triples: random (i, j), every k
             rng = random.Random(0)
@@ -218,34 +288,46 @@ def _quotient_table(p: int, f: Poly) -> list[list[int]]:
     """Cayley table of F_p[x]/<f> over base-p digit indices.
 
     Multiplication by a residue is F_p-linear, so no residue is multiplied
-    as a polynomial. The row of x shifts the digits up one place and folds
-    the top digit t back in as t·(x^d mod f); the row of x^i is the row of
-    x composed with the row of x^(i-1); and for p^i < a < p^(i+1) the row
-    of a is the digitwise sum of the rows of a - p^i and p^i.
+    as a polynomial. Rows are built for the greedy generating set of
+    ``_generators`` only, in index order: the row of x shifts the digits
+    up one place and folds the top digit t back in as t·(x^d mod f), and
+    for p^i <= a < p^(i+1) the row of a is the digitwise sum of the rows
+    of a - p^i and p^i. Every higher power of x is x times the one before,
+    so it is reached before the scan. Every other row is composed from
+    these, as ``_generators`` says.
     """
     d = f.degree
     n = p**d
     top = n // p
-    # digitwise sum mod p of two indices, one base-p place at a time; an
-    # index is below n <= 256, so a row fits in bytes
-    add = [b"\0"]
+    # digitwise sum mod p of two indices below m = p^ceil(d/2), one
+    # base-p place at a time; an index below n splits into two of them
+    m = p ** ((d + 1) // 2)
+    add = [[0]]
     w = 1
-    for _ in range(d):
-        add = [bytes([s + w * ((c + e) % p) for e in range(p) for s in row])
+    while w < m:
+        add = [[s + w * ((c + e) % p) for e in range(p) for s in row]
                for c in range(p) for row in add]
         w *= p
+
+    def plus(us, vs):
+        return [add[u // m][v // m] * m + add[u % m][v % m] for u, v in zip(us, vs)]
+
     # x^d = -(f_0 + ... + f_(d-1) x^(d-1)) mod the monic associate of f
     tail = f.monic().coeffs[:-1]
     fold = [sum((-t * c) % p * p**i for i, c in enumerate(tail)) for t in range(p)]
-    x_row = [add[b % top * p][fold[b // top]] for b in range(n)]
-    rows = [[0] * n, list(range(n))]
-    power = 1  # p^i with p^i <= a < p^(i+1)
-    for a in range(2, n):
-        if a == power * p:
-            power = a
-            rows.append([x_row[v] for v in rows[power // p]])
-        else:
-            rows.append([add[u][v] for u, v in zip(rows[a - power], rows[power])])
+    rows: list = [None] * n
+
+    def generator_row(a):
+        if a < 2:  # the zero and the identity
+            return [a * b for b in range(n)]
+        if a == p:
+            return plus([b % top * p for b in range(n)], [fold[b // top] for b in range(n)])
+        power = 1
+        while power * p <= a:
+            power *= p
+        return plus(rows[a - power], rows[power])
+
+    _generators(rows, generator_row)
     return rows
 
 

@@ -114,6 +114,60 @@ def value_product(S, a, b):
     raise TypeError(f"no value-level product for kind {S.kind!r}")
 
 
+def associativity_counterexample(table):
+    """A triple (i, j, k) with (ij)k != i(jk) by the plain n^3 scan, else
+    None: the reference for the constructor's associativity check."""
+    n = len(table)
+    for i, j, k in iproduct(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return i, j, k
+    return None
+
+
+def generated_by(table, gens) -> set:
+    """Every element a product of members of ``gens`` reaches, under any
+    bracketing: the set closed under all products of its elements."""
+    out = set(gens)
+    while True:
+        more = {table[a][b] for a in out for b in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+def digit_sum_quotient_table(p: int, f: Poly) -> list[list[int]]:
+    """Cayley table of F_p[x]/<f>, p^deg(f) <= 256, filled entry by entry.
+
+    The row of x shifts the digits up one place and folds the top digit
+    back in through x^d mod f; the row of x^i is the row of x composed
+    with the row of x^(i-1); and for p^i < a < p^(i+1) the row of a is the
+    digitwise sum of the rows of a - p^i and p^i, read from an n x n table
+    of digitwise sums. The reference for the library's table, which
+    builds only a generating set's rows this way.
+    """
+    d = f.degree
+    n = p**d
+    top = n // p
+    add = [b"\0"]
+    w = 1
+    for _ in range(d):
+        add = [bytes([s + w * ((c + e) % p) for e in range(p) for s in row])
+               for c in range(p) for row in add]
+        w *= p
+    tail = f.monic().coeffs[:-1]
+    fold = [sum((-t * c) % p * p**i for i, c in enumerate(tail)) for t in range(p)]
+    x_row = [add[b % top * p][fold[b // top]] for b in range(n)]
+    rows = [[0] * n, list(range(n))]
+    power = 1
+    for a in range(2, n):
+        if a == power * p:
+            power = a
+            rows.append([x_row[v] for v in rows[power // p]])
+        else:
+            rows.append([add[u][v] for u, v in zip(rows[a - power], rows[power])])
+    return rows
+
+
 def unpruned_davenport(S):
     """(D(S), witness indices) by the plain maximise-depth search.
 

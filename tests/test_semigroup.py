@@ -1,7 +1,7 @@
 """Semigroup models: construction, axioms, units, CRT, projections."""
 
 import random
-from itertools import combinations, product as iproduct
+from itertools import combinations, combinations_with_replacement, product as iproduct
 
 import pytest
 
@@ -31,7 +31,15 @@ from davenport.semigroup import (
     zero_coordinate_sets,
 )
 
-from conftest import is_irreducible, j_set, psi_projection, value_product
+from conftest import (
+    associativity_counterexample,
+    digit_sum_quotient_table,
+    generated_by,
+    is_irreducible,
+    j_set,
+    psi_projection,
+    value_product,
+)
 
 
 def mul(S, a, b):
@@ -226,6 +234,16 @@ class TestTableOracle:
             assert_tables_match_values(build_quotient_semigroup(p, f))
 
 
+    @pytest.mark.parametrize(
+        "p, d",
+        [(p, d) for p in range(2, 14) if is_prime(p)
+         for d in range(1, 9) if 64 < p**d <= 256],
+    )
+    def test_composed_rows_match_digit_sums(self, p, d):
+        for f in list(monic_polys(p, d))[::8]:
+            assert semigroup._quotient_table(p, f) == digit_sum_quotient_table(p, f)
+
+
 def assert_tables_match_values(S):
     """S's table and its unit group's against value-level products; the
     constructor has checked both tables symmetric, so j >= i suffices."""
@@ -252,14 +270,62 @@ class TestConstructorChecks:
             ([[0, 1, 0], [1, 1, 2], [0, 2, 2]], {}, "not associative"),
             ([[0, 0], [0, 0]], {"identity_value": "a"}, "identity is not neutral"),
             ([[0, 1], [1, 0]], {"zero_value": "a"}, "zero is not absorbing"),
+            ([[0, 1], [1, 1]], {"identity_value": "z"}, "identity 'z' is not an element"),
+            ([[0, 1], [1, 1]], {"zero_value": "z"}, "zero 'z' is not an element"),
+            ([], {}, "universe is empty"),
         ],
         ids=["rows", "row-length", "entry-above", "entry-negative", "asymmetric",
-             "non-associative", "identity", "zero"],
+             "non-associative", "identity", "zero", "identity-absent", "zero-absent",
+             "empty"],
     )
     def test_malformed_table_rejected(self, table, specials, message):
-        values = ["a", "b", "c"][: len(table[0])]
+        values = ["a", "b", "c"][: len(table[0]) if table else 0]
         with pytest.raises(ValueError, match=message):
             FiniteSemigroup("product", values, table, **specials)
+
+
+class TestLightsTest:
+    """The associativity check reads the rows of a generating set only;
+    it must still reject exactly the tables the n^3 scan rejects."""
+
+    BASES = {
+        "x2-f3": lambda: build_quotient_semigroup(3, poly(3, 0, 0, 1)),
+        "c8": lambda: build_cyclic_group(8),
+        "c2z-c3z": lambda: build_adjoined_zero_product([2, 3]),
+    }
+
+    @pytest.mark.parametrize("base", BASES.values(), ids=BASES.keys())
+    def test_one_changed_pair(self, base):
+        S = base()
+        n = S.size
+        for i, j in combinations_with_replacement(range(n), 2):
+            for v in range(n):
+                if v == S.table[i][j]:
+                    continue
+                table = [row[:] for row in S.table]
+                table[i][j] = table[j][i] = v
+                bad = associativity_counterexample(table)
+                try:
+                    FiniteSemigroup("product", S.values, table)
+                except ValueError as exc:
+                    assert "not associative" in str(exc)
+                    assert bad is not None, (i, j, v)
+                else:
+                    assert bad is None, (i, j, v, bad)
+                assert generated_by(table, semigroup._generators(table)) == set(range(n))
+
+    @pytest.mark.parametrize(
+        "build",
+        [*BASES.values(),
+         lambda: build_quotient_semigroup(2, poly(2, 0, 0, 0, 1, 0, 0, 1)),
+         lambda: build_quotient_semigroup(7, poly(7, 0, 1, 1)),
+         lambda: build_abelian_group([2, 4, 4]),
+         lambda: FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]])],
+        ids=[*BASES.keys(), "x3-x3p1-f2", "xxp1-f7", "c2-c4-c4", "null"],
+    )
+    def test_generating_set_generates_the_table(self, build):
+        S = build()
+        assert generated_by(S.table, semigroup._generators(S.table)) == set(range(S.size))
 
 
 def identity_free():
@@ -336,6 +402,15 @@ class TestTableCap:
 
     def test_largest_tabled_universe(self):
         assert build_cyclic_group(256).size == 256
+
+    @pytest.mark.parametrize("p", [17, 19, 23])
+    def test_quotient_tables_have_no_cap_of_their_own(self, monkeypatch, p):
+        monkeypatch.setattr(semigroup, "TABLE_CAP", 529)
+        S = build_quotient_semigroup(p, poly(p, 1, 2, 1))
+        assert units_of(S).invariant_factors == (p * (p - 1),)
+        a = poly(p, 1, 1)
+        row = S.table[S.index_of[a]]
+        assert [S.values[v] for v in row] == [value_product(S, a, b) for b in S.values]
 
 
 class TestUnits:
