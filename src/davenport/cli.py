@@ -66,7 +66,7 @@ def _emit(args, record: dict, text: str) -> None:
 
 
 def _maybe_dump(args, S: FiniteSemigroup) -> None:
-    if getattr(args, "dump", False):
+    if args.dump:
         desc = S.describe()
         if args.format == "record":
             print(json.dumps({"semigroup": desc}, sort_keys=True))
@@ -100,7 +100,7 @@ def _count_arg(text: str) -> int:
 
 
 def _semigroup_from_args(args) -> FiniteSemigroup:
-    if getattr(args, "nlist", None):
+    if args.nlist:
         return build_adjoined_zero_product(_nlist_arg(args.nlist))
     if args.prime is None or args.poly is None:
         raise ParseError("need either -p/-f or -n to pick a semigroup", 0)
@@ -153,8 +153,7 @@ def _cmd_davenport(args) -> int:
     budget = Budget(args.budget_ms)
     S = _semigroup_from_args(args)
     _maybe_dump(args, S)
-    result = davenport_exact(S, budget.remaining_ms())
-    result.millis = budget.elapsed_ms()  # the whole verb, on the --budget-ms clock
+    result = davenport_exact(S, budget)
     _emit(args, result.to_record(), result.summary())
     return EXIT_OK if result.complete else EXIT_INCOMPLETE
 
@@ -169,8 +168,7 @@ def _cmd_davenport_group(args) -> int:
     search = None
     if prod(ns) <= TABLE_CAP:
         group = build_abelian_group(ns)
-        search = davenport_exact(group, budget.remaining_ms())
-        search.millis = budget.elapsed_ms()
+        search = davenport_exact(group, budget)
         if formula is not None and search.complete and search.value != formula:
             raise AssertionError(
                 f"formula {formula} disagrees with search {search.value}"
@@ -244,7 +242,7 @@ def _cmd_reduce(args) -> int:
         S = _semigroup_from_args(args)
         _maybe_dump(args, S)
         T = parse_sequence(S, args.seq)
-        units = davenport_exact(units_of(S).as_semigroup(), budget.remaining_ms())
+        units = davenport_exact(units_of(S).as_semigroup(), budget)
         if not units.complete:
             print(f"error: D(U(S)) not exact within the budget: {units.summary()}",
                   file=sys.stderr)
@@ -339,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("factor", help="factor a polynomial over F_p")
     _add_common(s, prime=True, poly=True, budget=False)
-    s.set_defaults(func=_cmd_factor, nlist=None)
+    s.set_defaults(func=_cmd_factor)
 
     s = sub.add_parser("units", help="unit group of F_p[x]/<f>")
     _add_common(s, prime=True, poly=True, budget=False, dump=True)
-    s.set_defaults(func=_cmd_units, nlist=None)
+    s.set_defaults(func=_cmd_units)
 
     s = sub.add_parser(
         "davenport",
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("orders", help="comma-separated cyclic orders, e.g. 2,6")
     _add_common(s)
-    s.set_defaults(func=_cmd_davenport_group, nlist=None)
+    s.set_defaults(func=_cmd_davenport_group)
 
     s = sub.add_parser("verify", help="verify a claim instance")
     s.add_argument("claim", choices=("theorem1", "lemma", "proposition"))
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probe", help="conjecture evidence for an arbitrary modulus (no assertion)"
     )
     _add_common(s, prime=True, poly=True)
-    s.set_defaults(func=_cmd_probe, nlist=None)
+    s.set_defaults(func=_cmd_probe)
 
     s = sub.add_parser(
         "reduce",

@@ -120,6 +120,18 @@ def _status_for(
     return STATUS_VERIFIED if lhs.value == rhs.value else STATUS_REFUTED
 
 
+def _both_sides(S: FiniteSemigroup, budget: Budget):
+    """``(lhs, rhs, artifacts)``: D(S) from one exact search of S on
+    ``budget``, D(U(S)) as that search's first run, and U's order and
+    invariant factors."""
+    U = units_of(S)
+    lhs = davenport_exact(S, budget)
+    return lhs, lhs.units, {
+        "unit_order": U.order,
+        "unit_invariants": list(U.invariant_factors),
+    }
+
+
 def assert_valid_reduction(T: Sequence, T_prime: Sequence) -> None:
     """Independent check: T' is a proper sub-multiset with the same product."""
     S = T.parent
@@ -275,15 +287,10 @@ def verify_lemma_product(
         raise ValueError("stress count must be >= 0")
     budget = Budget(budget_ms)
     S = build_adjoined_zero_product(n_list)
-    U = units_of(S)
-    lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = lhs.units
-
-    artifacts = {
-        "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors),
-        "units_bound_k_plus_1": rhs.value >= len(n_list) + 1 if rhs.complete else None,
-    }
+    lhs, rhs, artifacts = _both_sides(S, budget)
+    artifacts["units_bound_k_plus_1"] = (
+        rhs.value >= len(n_list) + 1 if rhs.complete else None
+    )
     if stress > 0 and rhs.complete:
         reduce = partial(constructive_reduction, S, d_units=rhs.value)
         artifacts.update(_stress(S, rhs.value, reduce, stress, seed, budget))
@@ -322,35 +329,30 @@ def verify_theorem1(
         )
     budget = Budget(budget_ms)
     crt = crt_decompose(p, f, fac)
-    S = crt.source
-    U = units_of(S)
-    lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = lhs.units
+    lhs, rhs, artifacts = _both_sides(crt.source, budget)
 
     orders = crt.cyclic_orders
     if all(n >= 2 for n in orders):
         model = build_adjoined_zero_product(orders)
         model_note = f"adjoined-zero cyclic orders {list(orders)}"
     else:
-        model = crt.product if len(crt.factors) > 1 else crt.factors[0]
+        model = crt.product
         model_note = "residue-factor product (trivial unit coordinate present)"
-    route = davenport_exact(model, budget.remaining_ms())
+    route = davenport_exact(model, budget)
     if route.complete and lhs.complete and route.value != lhs.value:
         raise AssertionError(
             "decomposition route disagrees with the direct search; "
             f"{route.value} != {lhs.value}"
         )
 
-    artifacts = {
+    artifacts.update({
         "factorization": str(fac),
-        "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors),
         "crt_route_value": route.value if route.complete else None,
         "crt_route_model": model_note,
         "units_le_semigroup": (
             rhs.value <= lhs.value if lhs.complete and rhs.complete else None
         ),
-    }
+    })
     return VerificationReport(
         claim=CLAIM_THEOREM1,
         params={"p": p, "f": str(f)},
@@ -470,9 +472,11 @@ def verify_proposition(
     both sides, D(U) as its first run (``lhs.units``). If the budget cuts
     that run, D(U) falls back to the structural value p(p-1); if it cuts
     the search of S, a Monte-Carlo reducibility sample at length p(p-1) is
-    added. The sampling and the stress loop draw on the same budget and,
-    cut short, report how many sequences they ran. Any cut turns the
-    report ``incomplete``.
+    added, and a counterexample in it makes the report ``refuted``. The
+    sampling and the stress loop draw on the same budget and, cut short,
+    report how many sequences they ran. A search cut by the budget has
+    spent it, so after one the sample reads ``checked: 0`` and the stress
+    loop ``stress_passed: 0``. Any cut turns the report ``incomplete``.
     """
     if p <= 2:
         raise ValueError("the claim needs p > 2")
@@ -491,8 +495,7 @@ def verify_proposition(
     # a generator of the cyclic unit group repeated d-1 times is
     # irreducible (checked below), so D(S) >= D(U) always holds explicitly
     gen = _cyclic_generator(U)
-    lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = lhs.units
+    lhs, rhs, artifacts = _both_sides(S, budget)
     if not rhs.complete:
         rhs = DavenportResult(
             value=d_formula,
@@ -503,10 +506,6 @@ def verify_proposition(
             complete=True,
         )
 
-    artifacts: dict = {
-        "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors),
-    }
     lower_witness = Sequence(S, [(gen, d_formula - 1)])
     if is_reducible(lower_witness):
         raise AssertionError("generator-power witness unexpectedly reducible")
@@ -564,18 +563,14 @@ def conjecture_probe(
         raise ValueError("modulus must have degree >= 1")
     budget = Budget(budget_ms)
     S = build_quotient_semigroup(p, f)
-    U = units_of(S)
-    lhs = davenport_exact(S, budget.remaining_ms())
-    rhs = lhs.units
-    artifacts = {
+    lhs, rhs, artifacts = _both_sides(S, budget)
+    artifacts.update({
         "factorization": str(modulus_factorization(S)),
-        "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors),
         "interpretation": "conjecture evidence only, nothing is asserted",
         "sides_equal": (
             lhs.value == rhs.value if lhs.complete and rhs.complete else None
         ),
-    }
+    })
     return VerificationReport(
         claim=CLAIM_CONJECTURE,
         params={"p": p, "f": str(f)},

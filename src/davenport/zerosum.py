@@ -27,7 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from operator import sub
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .gfpoly import prime_factors
 from .semigroup import FiniteSemigroup, automorphisms, invariants_by_census, units_of
@@ -446,11 +446,6 @@ class Budget:
     def expired(self) -> bool:
         return self.deadline is not None and time.monotonic() >= self.deadline
 
-    def remaining_ms(self) -> Optional[int]:
-        if self.deadline is None:
-            return None
-        return max(0, int((self.deadline - time.monotonic()) * 1000))
-
     def elapsed_ms(self) -> int:
         return int((time.monotonic() - self.start) * 1000)
 
@@ -464,7 +459,7 @@ class _Reached(Exception):
 
 
 def davenport_exact(
-    S: FiniteSemigroup, budget_ms: Optional[int] = None
+    S: FiniteSemigroup, budget_ms: Union[Budget, int, None] = None
 ) -> DavenportResult:
     """Exact D(S) by branch-and-bound over canonical multisets.
 
@@ -473,12 +468,14 @@ def davenport_exact(
     (product, proper-product set, minimum next index) are merged through a
     memo table, whose key packs the product and the minimum next index into
     fields of ``(n - 1).bit_length()`` bits. A group run drops the product:
-    its key is (subsum set, minimum next index), see Group key. One budget
-    covers every run below, building their tables included. A run builds
+    its key is (subsum set, minimum next index), see Group key.
+    ``budget_ms`` is the caller's ``Budget`` or, as milliseconds (None:
+    unbounded), a fresh one. It covers every run below, building their
+    tables included, and ``millis`` is its elapsed time. A run builds
     each row of its tables when it first reads it. Every state it enters
     and does not end at a memo hit is a node, a child cut by the bound
     included. It reads the clock on its first node, before any row is
-    built, and then every 1024 nodes, so ``budget_ms=0`` explores exactly
+    built, and then every 1024 nodes, so a spent budget explores exactly
     one node and builds no row. On budget exhaustion the result downgrades
     to the longest sequence found so far, an explicit lower bound with
     ``complete=False``. ``nodes`` is the sum over the runs of the call.
@@ -674,7 +671,7 @@ def davenport_exact(
     """
     if S.identity is None:
         raise ValueError("Davenport search needs an identity element")
-    budget = Budget(budget_ms)
+    budget = budget_ms if isinstance(budget_ms, Budget) else Budget(budget_ms)
     U = units_of(S)
     G = S if U.order == S.size else U.as_semigroup()
     path, nodes, complete = _group_run(G, U.invariant_factors, budget)
@@ -724,7 +721,7 @@ def _class_bound(S, U, d_units: int, budget: Budget) -> tuple[Optional[int], int
     rows = S.table
     classes: dict[int, list[int]] = {}  # principal ideal mask -> its H-class
     for s, row in enumerate(rows):
-        classes.setdefault(sum(1 << t for t in set(row)), []).append(s)
+        classes.setdefault(_ideal_row(row), []).append(s)
     # a strictly larger ideal has more elements, so it comes first
     ideals = sorted(classes, key=lambda m: -m.bit_count())
     chain = {ideals[0]: 0}  # the units' ideal is S

@@ -152,6 +152,11 @@ class TestFactorUnitsDump:
         assert dump["semigroup"]["kind"] == "quotient"
         assert dump["semigroup"]["size"] == 3
 
+    def test_dump_text(self, capsys):
+        code, out, _ = run(capsys, "units", "-p", "3", "-f", "x^2", "--dump")
+        assert code == 0
+        assert out.splitlines()[0].startswith("semigroup: {")
+
     @pytest.mark.parametrize(
         "argv, built",
         [

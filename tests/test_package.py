@@ -9,7 +9,6 @@ import pytest
 
 import davenport
 from davenport import INF, Sequence, build_cyclic_with_zero, find_reduction, poly
-from davenport.zerosum import Budget
 
 SRC = Path(davenport.__file__).parent
 
@@ -81,9 +80,6 @@ class TestGuardsAndProtocol:
     def test_int_operand_rejected(self, op):
         with pytest.raises(TypeError):
             op(poly(3, 1, 1), 1)
-
-    def test_unbounded_budget_has_no_remainder(self):
-        assert Budget(None).remaining_ms() is None
 
     def test_empty_sequence_has_no_reduction(self):
         assert find_reduction(Sequence.empty(self.C)) is None

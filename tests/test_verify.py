@@ -19,9 +19,11 @@ from davenport import (
     sumset,
     units_of,
 )
+from davenport import cli
 from davenport.verify import (
     STATUS_INCOMPLETE,
     STATUS_OUTSIDE,
+    STATUS_REFUTED,
     STATUS_VERIFIED,
     assert_valid_reduction,
     build_witness_V,
@@ -36,7 +38,7 @@ from davenport.verify import (
 )
 from davenport.gfpoly import factor
 from davenport.semigroup import build_adjoined_zero_product
-from davenport.zerosum import sigma_index
+from davenport.zerosum import MonteCarloReport, sigma_index
 
 from conftest import is_proper_subsequence, seq_of
 
@@ -472,6 +474,23 @@ class TestProposition:
         assert report.artifacts["montecarlo"]["checked"] < 5000
         assert report.artifacts["stress_sequences"] == 50
         assert report.artifacts["stress_passed"] < 50
+
+    def test_sampled_counterexample_refutes(self, monkeypatch, capsys):
+        # the search is cut at once, so the sample decides: a sample that
+        # reports a counterexample refutes the claim, and the CLI exits 1
+        import davenport.verify
+
+        def counterexample(S, d, samples, seed, budget):
+            T = Sequence.from_indices(S, [S.identity] * d)
+            return MonteCarloReport(d, samples, 1, 0, T, seed)
+
+        monkeypatch.setattr(davenport.verify, "davenport_montecarlo_upper", counterexample)
+        report = verify_proposition(5, budget_ms=0, stress=0, samples=1)
+        assert report.status == STATUS_REFUTED
+        assert report.artifacts["montecarlo"]["counterexample"] is not None
+        argv = ["verify", "proposition", "-p", "5", "--budget-ms", "0", "--stress", "0"]
+        assert cli.main(argv) == 1
+        assert "status: refuted" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "reduction, report",

@@ -511,6 +511,16 @@ class TestDavenportExact:
             if len(res.witness):
                 assert not is_reducible(res.witness)
 
+    def test_a_budget_passed_in_is_the_one_the_search_uses(self, quotient_p3_sq):
+        # a spent Budget stops at node 1, and millis count from the Budget's
+        # start, not from the call
+        assert davenport_exact(quotient_p3_sq, zerosum.Budget(0)).nodes == 1
+        budget = zerosum.Budget(None)
+        budget.start -= 0.05  # started 50 ms earlier
+        res = davenport_exact(quotient_p3_sq, budget)
+        assert res.complete and res.value == 6
+        assert res.millis >= 50 and res.units.millis >= 50
+
     def test_zero_budget_builds_no_row(self, monkeypatch, capsys):
         # the rows of the search tables are built on first use and the
         # clock is read on node 1, before any expansion, so a zero budget
@@ -1030,6 +1040,39 @@ class TestClassBound:
         assert kinds.count("S") == 1 and kinds[-1] == "S"
         assert res.witness.format() == "x*3;x+1"
         assert find_reduction(res.witness) is None
+
+    @pytest.mark.parametrize(
+        "f, value, witness",
+        [(poly(3, 0, 1) * poly(3, 1, 1), 3, "2;x"), (poly(2, 0, 1, 0, 0, 1), 5, "x*3;x+1")],
+        ids=["x(x+1)-f3", "x4+x-f2"],
+    )
+    def test_cut_class_group_run_leaves_the_run_over_s_unstopped(
+        self, monkeypatch, f, value, witness
+    ):
+        # the second group run of the call, a class group's, reports itself
+        # cut: B is unknown, so the run over S gets no stop and still ends
+        # with the value and the witness of the uncut call
+        group_run = zerosum._group_run
+        kernel = zerosum._branch_and_bound
+        group_calls = []
+        stops = []
+
+        def second_cut(*args):
+            path, nodes, complete = group_run(*args)
+            group_calls.append(complete)
+            return path, nodes, complete and len(group_calls) != 2
+
+        def recorded(*args, **kwargs):
+            if run_kind(kwargs) == "S":
+                stops.append(kwargs.get("stop_at"))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(zerosum, "_group_run", second_cut)
+        monkeypatch.setattr(zerosum, "_branch_and_bound", recorded)
+        res = davenport_exact(build_quotient_semigroup(f.p, f))
+        assert len(group_calls) == 2 and stops == [None]
+        assert (res.value, res.complete) == (value, True)
+        assert res.witness.format() == witness
 
 
 class TestGroupKey:
