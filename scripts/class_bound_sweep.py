@@ -22,7 +22,11 @@ Every group run these searches make (each unit group and each class
 group, keyed by the subsum set alone) is also run once per distinct Cayley
 table with the product kept in the key, as the run over S keeps it. The
 sweep prints a summary line for those and exits 1 if the two differ in
-value or witness anywhere. Run it from the repository root:
+value or witness anywhere. Both runs share the memo's dominance rule (an
+entry serves its own minimum next index and every later one), so this
+rerun checks the group key, not that rule; the reference for the rule
+itself is the test suite's brute-force oracle, up to 27 elements. Run it
+from the repository root:
 
     PYTHONPATH=src python scripts/class_bound_sweep.py
 """

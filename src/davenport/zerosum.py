@@ -465,10 +465,12 @@ def davenport_exact(
 
     Sequences are generated with non-decreasing element indices; only
     irreducible prefixes are extended, and search states that coincide in
-    (product, proper-product set, minimum next index) are merged through a
-    memo table, whose key packs the product and the minimum next index into
-    fields of ``(n - 1).bit_length()`` bits. A group run drops the product:
-    its key is (subsum set, minimum next index), see Group key.
+    (product, proper-product set) share one memo entry, whose key packs the
+    product into a field of ``(n - 1).bit_length()`` bits below the set.
+    The entry stores the minimum next index it was written at beside its
+    bound and serves that index and every later one (Memo dominance in
+    ``_branch_and_bound``). A group run holds the product at the identity,
+    so its key is the subsum set alone, see Group key.
     ``budget_ms`` is the caller's ``Budget`` or, as milliseconds (None:
     unbounded), a fresh one. It covers every run below, building their
     tables included, and ``millis`` is its elapsed time. A run builds
@@ -546,19 +548,25 @@ def davenport_exact(
     CRT coordinates, and this is the paper's argument.
 
     ``best_len`` is the length of the longest irreducible sequence a run has
-    found so far (the incumbent). A state's memo value is one int ``ub``: a
-    cut state stores its bound, an explored one the largest ``1 + ub`` over
-    its children (0 when none). By induction on the order in which values
-    are written, ``ub`` bounds the number of terms any irreducible
-    extension of the state can add: a cut bound does (below), and each
-    extension starts with a child whose returned value bounds the rest.
-    Symmetry skipping depends only on the key, so the bound holds in the
-    skipped family too. A hit is used when ``depth + ub <= cut`` (``cut``
-    below): nothing longer than the incumbent lies below, so it is skipped
-    for the same reason a cut is. Otherwise the state is explored again. A
-    re-explored state whose ``ub`` was already exact finds a sequence
-    longer than the incumbent, so re-exploring costs at most
-    ``D(S) - 1 - floor`` extra chains per run (floor below).
+    found so far (the incumbent). A state's memo entry is one int packing a
+    bound ``ub`` and the minimum next index m it was written at: a cut
+    state stores its bound, an explored one the largest ``1 + ub`` over its
+    children (0 when none). By induction on the order in which entries are
+    written, ``ub`` bounds the number of terms any irreducible extension of
+    the state with minimum next index m can add: a cut bound does (below),
+    and each extension starts with a child whose returned value bounds the
+    rest. By Memo dominance it bounds a state with the same key and a
+    minimum next index of m or more too. Symmetry skipping depends only on
+    the key, so the bound holds in the skipped family too. A hit is used
+    when its m is at most the state's minimum next index and
+    ``depth + ub <= cut`` (``cut`` below): nothing longer than the
+    incumbent lies below, so it is skipped for the same reason a cut is.
+    Otherwise the state is explored again and its entry overwritten. A
+    state re-explored at the entry's own m whose ``ub`` was already exact
+    finds a sequence longer than the incumbent, so those re-explorations
+    cost at most ``D(S) - 1 - floor`` extra chains per run (floor below);
+    an entry written at a smaller m can be looser than the state's own
+    bound, and one written at a larger m is not used.
 
     Ideal bound. Let T have product s and proper-sub-multiset products rp
     (the empty product included), and let T y_1 ... y_k be irreducible.
@@ -604,12 +612,13 @@ def davenport_exact(
     * the symmetry rule reads r_all alone.
 
     So two states with one r_all and one minimum next index have the same
-    subtree, and one memo entry bounds both. ``_group_run`` runs the
-    kernel with the product held at the identity and r_all carried in
-    place of rp, so the key is (r_all, minimum next index). The run is
-    the branch-and-bound above with more states merged: each memo entry is
-    still a bound, so the value and the witness are those of the
-    product-keyed run.
+    subtree, and by Memo dominance one entry bounds every state with that
+    r_all and that index or a later one. ``_group_run`` runs the kernel
+    with the product held at the identity and r_all carried in place of
+    rp, so the key is r_all alone, beside the identity's product field.
+    The run is the branch-and-bound above with more states merged: each
+    memo entry is still a bound, so the value and the witness are those of
+    the product-keyed run.
 
     Pruning floor. Cuts and memo hits compare against
     ``cut = max(best_len, floor)``, not ``best_len``. A cut branch holds no
@@ -774,6 +783,22 @@ def _branch_and_bound(
     says the rows are a group's: the run then keys its states by the
     subsum set alone (Group key in ``davenport_exact``).
 
+    Memo dominance. A state is (s, rp, m): its product, its proper
+    products and its minimum next index. Its key is ``(rp << w) | s``, w
+    the bits of an index, in both modes; a group run's s is the identity.
+    Its entry is ``(ub << w) | m``, ub a bound on the terms its extensions
+    can add. The child test, the symmetry skip and the ideal bound read
+    only s, rp and the terms appended, never m, and m only removes the
+    terms below it from the first step. So for m <= m' the extensions of
+    (s, rp, m') are among those of (s, rp, m), and a bound for the second
+    holds for the first. A child x, whose minimum next index is x, uses an
+    entry only when its stored m <= x (and ``depth + ub <= cut``);
+    otherwise it is explored and the entry overwritten with its own bound
+    and x, which by the same rule is a bound for every index from x on.
+    This is dominance, not an order-free key: an entry written at m > x
+    knows nothing of the extensions that start with a term in [x, m), and
+    is not used for x.
+
     The tables are lists with one slot per element, each row built from
     its Cayley row the first time the run reads it: translate row x
     (``_translate_row``) when a child x passes the child test, fiber row x
@@ -795,12 +820,12 @@ def _branch_and_bound(
     full = (1 << n) - 1
     width = (n + 7) // 8  # bytes per mask
     first = (1 << (n if first_stop is None else first_stop)) - 1  # root's terms
-    w = max(1, (n - 1).bit_length())  # memo-key field width: indices < n
-    w2 = 2 * w
+    w = max(1, (n - 1).bit_length())  # field width: indices < n
+    low = (1 << w) - 1
     # every automorphism fixes the identity, so the root keeps all the masks
     root_sym = _fixing(_symmetry_masks(maps), 1 << identity)
 
-    memo: dict[int, int] = {}  # packed state -> ub
+    memo: dict[int, int] = {}  # (rp << w) | sig -> (ub << w) | min_elem
     nodes = 1  # the root
     best_len = 0
     best_path: tuple[int, ...] = ()
@@ -816,11 +841,12 @@ def _branch_and_bound(
         # the terms from min_elem on that no automorphism fixing r_all
         # moves down
         kids = ((full >> min_elem << min_elem) if depth else first) & ~sym[2]
+        rp_bytes = rp.to_bytes(width, "little")  # a group run's rp is r_all
         if group:  # x is a child iff x^-1 is not in r_all
             if inverse is None:
                 inverse = _inverse_table(rows, identity)
             blocked = 0
-            for chunk, byte in zip(inverse, r_all.to_bytes(width, "little")):
+            for chunk, byte in zip(inverse, rp_bytes):
                 blocked |= chunk[byte]
             kids &= ~blocked
         else:
@@ -846,7 +872,7 @@ def _branch_and_bound(
                 if chunks is None:
                     chunks = translate[x] = _translate_row(rows[x])
                 new_rp = r_all
-                for chunk, byte in zip(chunks, rp.to_bytes(width, "little")):
+                for chunk, byte in zip(chunks, rp_bytes):
                     new_rp |= chunk[byte]
                 if depth > best_len:
                     best_len = depth
@@ -854,10 +880,13 @@ def _branch_and_bound(
                     cut = max(cut, best_len)
                     if best_len == stop_at:
                         raise _Reached
-                # enter the child: a memo hit or a cut ends it here
-                key = (new_rp << w2) | (new_sig << w) | x
+                # enter the child: a memo hit written at a minimum next
+                # index <= x, or a cut, ends it here
+                key = (new_rp << w) | new_sig
                 ub = memo.get(key)
-                if ub is None or depth + ub > cut:
+                if ub is not None and (ub & low) <= x and depth + (ub >> w) <= cut:
+                    ub >>= w
+                else:
                     nodes += 1
                     if nodes & 0x3FF == 1 and budget.expired():
                         raise _OutOfBudget
@@ -870,7 +899,7 @@ def _branch_and_bound(
                         path.append(x)
                         ub = explore(new_sig, new_rp, new_all, x, depth, sym)
                         path.pop()
-                    memo[key] = ub
+                    memo[key] = (ub << w) | x
                 if ub >= best_ub:
                     best_ub = ub + 1
             kids >>= 8

@@ -421,12 +421,12 @@ GOLDEN_RECORDS = [
     (
         ("davenport", "-p", "3", "-f", "(x+1)^2"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 17, "value": 6, "witness": "x*5"}'
+        '"nodes": 14, "value": 6, "witness": "x*5"}'
     ),
     (
         ("davenport", "-n", "2,4"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 31, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+        '"nodes": 25, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
     ),
     (
         ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),
@@ -445,10 +445,10 @@ GOLDEN_RECORDS = [
         '"lower_bound": 6, "lower_bound_witness": "x*5", "stress_passed": '
         '50, "stress_sequences": 50, "unit_invariants": [6], '
         '"unit_order": 6}, "claim": "proposition", "lhs": {"complete": '
-        'true, "method": "exact_dfs", "millis": null, "nodes": 17, '
+        'true, "method": "exact_dfs", "millis": null, "nodes": 14, '
         '"value": 6, "witness": "x*5"}, "params": {"f": "x^2+2*x+1", "p": '
         '3}, "rhs": {"complete": true, "method": "exact_dfs", "millis": '
-        'null, "nodes": 14, "value": 6, "witness": "x*5"}, "status": '
+        'null, "nodes": 11, "value": 6, "witness": "x*5"}, "status": '
         '"verified"}'
     ),
     (
@@ -469,9 +469,9 @@ GOLDEN_RECORDS = [
         '"conjecture evidence only, nothing is asserted", "sides_equal": '
         'true, "unit_invariants": [6], "unit_order": 6}, "claim": '
         '"conjecture_probe", "lhs": {"complete": true, "method": '
-        '"exact_dfs", "millis": null, "nodes": 18, "value": 6, "witness": '
+        '"exact_dfs", "millis": null, "nodes": 17, "value": 6, "witness": '
         '"(x+2)*5"}, "params": {"f": "x^2", "p": 3}, "rhs": {"complete": '
-        'true, "method": "exact_dfs", "millis": null, "nodes": 15, '
+        'true, "method": "exact_dfs", "millis": null, "nodes": 14, '
         '"value": 6, "witness": "(x+2)*5"}, "status": "verified"}'
     ),
     (

@@ -567,9 +567,9 @@ class TestDavenportExact:
         assert find_reduction(res.witness) is None
         # 692,887 nodes for the whole of S with no pruning floor; split at
         # the unit group, the C42 run and the class-group runs take this
-        # many, the class bound 6 <= D(U) - 2 leaving no mixed run (1,616
-        # with the product in the group runs' key)
-        assert res.nodes == 1_604
+        # many, the class bound 6 <= D(U) - 2 leaving no mixed run (1,604
+        # with the minimum next index in the memo key)
+        assert res.nodes == 1_097
 
     @pytest.mark.parametrize("p, witness", [(11, "(x+3)*109"), (13, "(x+3)*155")])
     def test_proposition_frontier_p11_p13(self, p, witness):
@@ -582,8 +582,9 @@ class TestDavenportExact:
         assert find_reduction(res.witness) is None
         if p == 13:
             # the C156 run and the class-group runs; the class bound proves
-            # the mixed run empty (13,661 with the product in the key)
-            assert res.nodes == 13_655
+            # the mixed run empty (13,655 with the minimum next index in the
+            # memo key)
+            assert res.nodes == 7_807
 
     def test_floor_above_the_value_is_caught(self, monkeypatch):
         # a unit census claiming C_100 for C_6 puts the floor at 98; the
@@ -628,7 +629,7 @@ class TestDavenportExact:
 
     def test_capped_later_run_keeps_the_longest_witness(self, monkeypatch):
         # x^3(x+1)^3 over F_2, a tie at 6 terms: the run over S cut at its
-        # first node, after 31 nodes of class-group runs, has no incumbent,
+        # first node, after 24 nodes of class-group runs, has no incumbent,
         # so U's witness, mapped into S, stays
         kernel = zerosum._branch_and_bound
 
@@ -640,7 +641,7 @@ class TestDavenportExact:
         monkeypatch.setattr(zerosum, "_branch_and_bound", cut)
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
         res = davenport_exact(S)
-        assert (res.value, res.nodes - res.units.nodes, res.complete) == (7, 31 + 1, False)
+        assert (res.value, res.nodes - res.units.nodes, res.complete) == (7, 24 + 1, False)
         assert res.witness.format() == "(x^2+x+1)*3;(x^3+x+1)*3"
         assert find_reduction(res.witness) is None
 
@@ -663,8 +664,8 @@ class TestDavenportExact:
     @pytest.mark.parametrize(
         "f, pinned",
         [
-            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 160, True)),
-            (poly(3, 1, 1) ** 3, (8, 423, True)),
+            (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, (7, 114, True)),
+            (poly(3, 1, 1) ** 3, (8, 300, True)),
         ],
         ids=["x^3(x+1)^3/F2", "(x+1)^3/F3"],
     )
@@ -707,43 +708,44 @@ class TestDavenportExact:
 
     def test_frontier_rank_three_group(self):
         # C4^3, the unit group of x(x+1)(x+2) over F_5: exact with 4,006 of
-        # its 86,016 automorphisms listed (285,429 nodes with the product
-        # in the key)
+        # its 86,016 automorphisms listed (249,539 nodes with the minimum
+        # next index in the memo key)
         G = build_abelian_group([4, 4, 4])
         res = davenport_exact(G, budget_ms=60_000)
-        assert (res.value, res.nodes, res.complete) == (10, 249_539, True)
+        assert (res.value, res.nodes, res.complete) == (10, 174_944, True)
         assert res.value == davenport_group_formula((4, 4, 4))
         assert find_reduction(res.witness) is None
 
     def test_frontier_rank_three_quotient(self):
-        # x(x+1)(x+2) over F_5, n = 125: the C4^3 run of S's units (244,251
-        # nodes), then 142 nodes of class-group runs, whose class bound
+        # x(x+1)(x+2) over F_5, n = 125: the C4^3 run of S's units (162,662
+        # nodes), then 101 nodes of class-group runs, whose class bound
         # 7 <= D(U) - 2 proves D(S) = D(U) = 10 with no mixed run. That run
         # took 3,994,950 nodes, so its return would move the count
         S = build_quotient_semigroup(5, poly(5, 0, 1) * poly(5, 1, 1) * poly(5, 2, 1))
         res = davenport_exact(S, budget_ms=120_000)
-        assert (res.nodes, res.units.nodes, res.complete) == (244_393, 244_251, True)
+        assert (res.nodes, res.units.nodes, res.complete) == (162_763, 162_662, True)
         assert res.value == 10 == davenport_group_formula((4, 4, 4))
         assert len(res.witness) == 9
         assert find_reduction(res.witness) is None
 
     def test_skipping_acts_below_the_second_term(self):
         # U = C6 x C6 of x(x+1) over F_7: 70,828 nodes when only the first
-        # two terms are tested, 336,355 with nothing skipped, and 30,020
-        # with the product in the key
+        # two terms are tested, 336,355 with nothing skipped, 30,020 with
+        # the product and the minimum next index in the memo key, and
+        # 25,205 with the minimum next index alone
         S = build_quotient_semigroup(7, poly(7, 0, 1, 1))
         res = davenport_exact(units_of(S).as_semigroup())
-        assert (res.value, res.nodes, res.complete) == (11, 25_205, True)
+        assert (res.value, res.nodes, res.complete) == (11, 16_132, True)
         assert res.witness.format() == "3*5;(x+3)*5"
-        # and S itself: that U run plus 17 nodes of class-group runs, which
+        # and S itself: that U run plus 15 nodes of class-group runs, which
         # prove the mixed run empty
         res = davenport_exact(S)
-        assert (res.value, res.nodes, res.complete) == (11, 25_222, True)
+        assert (res.value, res.nodes, res.complete) == (11, 16_147, True)
         assert res.witness.format() == "3*5;(x+3)*5"
 
     @pytest.mark.parametrize(
         "f, nodes",
-        [(poly(7, 1, 2, 1), 2_296), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 1_422)],
+        [(poly(7, 1, 2, 1), 1_691), (poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3, 1_018)],
         ids=["(x+1)^2/F7", "x^3(x+1)^3/F2"],
     )
     def test_identity_alone_gives_the_unskipped_tree(self, monkeypatch, f, nodes):
@@ -916,6 +918,14 @@ class TestBranchAndBoundOracle:
             assert res.complete
             expected = unpruned_davenport(S)
             assert (res.value, res.witness.indices()) == expected, S.describe()
+            # the kernel over S itself, with no floor and no stop, which
+            # davenport_exact skips wherever the class bound lets it: its
+            # memo entries serve only minimum next indices from their own
+            # on (a field such as F_25 needs that)
+            path, _, complete = zerosum._branch_and_bound(
+                S.table, S.identity, automorphisms(S), zerosum.Budget(None), 0
+            )
+            assert complete and (len(path) + 1, path) == expected, S.describe()
             U = units_of(S).as_semigroup()
             if U.size == S.size:
                 assert res.units is None
@@ -1108,8 +1118,8 @@ class TestGroupKey:
         "build, value, nodes",
         [
             (lambda: units_of(build_quotient_semigroup(7, poly(7, 0, 1, 1))).as_semigroup(),
-             11, (25_205, 30_020)),
-            (lambda: build_abelian_group([4, 4, 4]), 10, (249_539, 285_429)),
+             11, (16_132, 19_038)),
+            (lambda: build_abelian_group([4, 4, 4]), 10, (174_944, 199_986)),
         ],
         ids=["C6^2", "C4^3"],
     )
