@@ -223,7 +223,6 @@ def _cmd_verify(args) -> int:
             args.prime,
             budget_ms=args.budget_ms,
             stress=args.stress,
-            samples=args.samples,
             seed=args.seed,
         )
     # the semigroup the verification built, so --dump builds none of its own
@@ -279,7 +278,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _add_common(sub, *, prime=False, poly=False, nlist=False, budget=True,
-                stress=False, samples=False, seed=False, dump=False):
+                stress=False, dump=False):
     if prime:
         sub.add_argument("-p", "--prime", type=int, help="prime modulus p")
     if poly:
@@ -300,12 +299,6 @@ def _add_common(sub, *, prime=False, poly=False, nlist=False, budget=True,
             "--stress", type=_count_arg, default=1000,
             help="random threshold-length sequences to reduce (default 1000)",
         )
-    if samples:
-        sub.add_argument(
-            "--samples", type=_count_arg, default=10_000,
-            help="Monte-Carlo sample count (default 10000)",
-        )
-    if seed:
         sub.add_argument(
             "--seed", type=int, default=0, help="random seed (default 0)"
         )
@@ -361,10 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="verify a claim instance")
     s.add_argument("claim", choices=("theorem1", "lemma", "proposition"))
-    _add_common(
-        s, prime=True, poly=True, nlist=True, stress=True, samples=True,
-        seed=True, dump=True,
-    )
+    _add_common(s, prime=True, poly=True, nlist=True, stress=True, dump=True)
     s.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser(

@@ -410,7 +410,6 @@ class DavenportResult:
 
     value: int
     witness: Optional[Sequence]
-    method: str  # exact_dfs | formula
     nodes: int
     millis: int
     complete: bool
@@ -419,7 +418,7 @@ class DavenportResult:
     def to_record(self) -> dict:
         return {
             "value": self.value,
-            "method": self.method,
+            "method": "exact_dfs",  # the only method; kept so records stay the same
             "witness": self.witness.format() if self.witness is not None else None,
             "nodes": self.nodes,
             "millis": None,  # byte-identical records; wall time is text-mode only
@@ -430,7 +429,7 @@ class DavenportResult:
         state = "exact" if self.complete else "lower bound (budget exhausted)"
         w = self.witness.format() if self.witness is not None else "-"
         return (
-            f"D = {self.value} [{state}] method={self.method} "
+            f"D = {self.value} [{state}] method=exact_dfs "
             f"witness={w} nodes={self.nodes} millis={self.millis}"
         )
 
@@ -934,7 +933,6 @@ def _result(S, indices, nodes: int, complete: bool, budget: Budget,
     return DavenportResult(
         value=1 + len(witness),
         witness=witness,
-        method="exact_dfs",
         nodes=nodes,
         millis=budget.elapsed_ms(),
         complete=complete,
@@ -1031,8 +1029,6 @@ def davenport_montecarlo_upper(
     d: int,
     samples: int = 10_000,
     seed: int = 0,
-    *,
-    budget: Optional[Budget] = None,
 ) -> MonteCarloReport:
     """Sample length-d sequences; any irreducible one disproves D(S) <= d.
 
@@ -1041,31 +1037,20 @@ def davenport_montecarlo_upper(
     from ``seed``. Each draw is folded through the Cayley rows as
     ``is_reducible`` does, without building a ``Sequence``; one is built
     only for the counterexample, and for each draw over a semigroup
-    without an identity, which ``find_reduction`` decides. The clock of
-    ``budget`` (default: none) is read before each sample; once it has run
-    out the report stops with ``checked < samples``.
+    without an identity, which ``find_reduction`` decides.
     """
     if d < 1:
         raise ValueError("sequence length must be >= 1")
     if samples < 0:
         raise ValueError("sample count must be >= 0")
-    if budget is None:
-        budget = Budget(None)
     rng = random.Random(seed)
-    reducible = 0
-    checked = 0
-    for _ in range(samples):
-        if budget.expired():
-            break
+    for checked in range(1, samples + 1):
         terms = _draw(S.size, d, rng)
-        checked += 1
         if S.identity is None:
             reduces = find_reduction(Sequence.from_indices(S, terms())) is not None
         else:
             reduces = _reducible_incremental(S, terms())
-        if reduces:
-            reducible += 1
-        else:
+        if not reduces:
             T = Sequence.from_indices(S, terms())
-            return MonteCarloReport(d, samples, checked, reducible, T, seed)
-    return MonteCarloReport(d, samples, checked, reducible, None, seed)
+            return MonteCarloReport(d, samples, checked, checked - 1, T, seed)
+    return MonteCarloReport(d, samples, samples, samples, None, seed)

@@ -18,7 +18,6 @@ from davenport import (
     build_quotient_semigroup,
     crt_decompose,
     davenport_exact,
-    davenport_montecarlo_upper,
     factor,
     find_reduction,
     is_reducible,
@@ -120,9 +119,9 @@ def test_criterion_4_proposition_p3():
 
 
 def test_criterion_5_proposition_p5_stretch():
-    """Lower bound 20 by explicit witness; upper side exact within 10
-    minutes, else Monte-Carlo with 1e5 all-reducible samples."""
-    report = verify_proposition(5, budget_ms=600_000, stress=1000, samples=100_000, seed=0)
+    """Lower bound 20 by explicit witness; upper side by an exact search
+    within 10 minutes."""
+    report = verify_proposition(5, budget_ms=600_000, stress=1000, seed=0)
     # certified lower bound: an explicit irreducible sequence of length 19
     assert report.artifacts["lower_bound"] == 20
     S = report.lhs.witness.parent
@@ -131,18 +130,11 @@ def test_criterion_5_proposition_p5_stretch():
     witness = parse_sequence(S, report.artifacts["lower_bound_witness"])
     assert len(witness) == 19
     assert not is_reducible(witness)
-    # upper side: exact search or the sampling fallback
-    if report.lhs.complete:
-        assert report.lhs.value == 20
-        assert report.status == STATUS_VERIFIED
-        upper = "exact search"
-    else:
-        mc = report.artifacts["montecarlo"]
-        assert mc["samples"] == 100_000
-        assert mc["counterexample"] is None
-        assert mc["reducible"] == mc["checked"] == 100_000
-        upper = "Monte-Carlo 1e5 samples"
-    _report(5, f"p=5 lower bound 20 certified; upper side by {upper}")
+    # upper side: the exact search
+    assert report.lhs.complete
+    assert report.lhs.value == 20
+    assert report.status == STATUS_VERIFIED
+    _report(5, "p=5 lower bound 20 certified; upper side by exact search")
 
 
 def test_criterion_6_witness_family():

@@ -1,7 +1,9 @@
 """Command-line interface: verbs, exit codes, deterministic records."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -290,7 +292,7 @@ class TestUsageErrors:
         "argv, option",
         [
             (("verify", "lemma", "-n", "2,4", "--stress", "-3"), "--stress"),
-            (("verify", "proposition", "-p", "5", "--budget-ms", "0", "--samples", "-1"), "--samples"),
+            (("verify", "proposition", "-p", "5", "--budget-ms", "-1"), "--budget-ms"),
             (("davenport", "-n", "2,4", "--budget-ms", "-5"), "--budget-ms"),
             (("verify", "lemma", "-n", "2,4", "--stress", "ten"), "--stress"),
         ],
@@ -306,11 +308,11 @@ class TestUsageErrors:
     def test_zero_counts_accepted(self, capsys):
         code, out, _ = run(
             capsys, "verify", "proposition", "-p", "5", "--budget-ms", "0",
-            "--stress", "0", "--samples", "0", "--format", "record",
+            "--stress", "0", "--format", "record",
         )
         # a zero budget leaves the search incomplete, so the run exits 3
         assert code == 3
-        assert json.loads(out)["artifacts"]["montecarlo"]["samples"] == 0
+        assert json.loads(out)["artifacts"]["stress_sequences"] == 0
 
     def test_composite_modulus(self, capsys):
         code, _, err = run(capsys, "factor", "-p", "9", "-f", "x")
@@ -506,6 +508,35 @@ class TestGoldenRecords:
         code, out, _ = run(capsys, *argv, "--format", "record")
         assert code == 0
         assert out == record + "\n"
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each ``davenport ...`` line of the README's "Command
+    line" block, its comment dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```text\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("davenport ")
+    ]
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        assert len(README_EXAMPLES) >= 10
+
+    # a README line that keeps a removed flag or verb fails here
+    @pytest.mark.parametrize(
+        "argv", README_EXAMPLES, ids=[" ".join(argv) for argv in README_EXAMPLES]
+    )
+    def test_example_exits_0(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
 
 
 class TestDeterminism:

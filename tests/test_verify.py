@@ -23,7 +23,6 @@ from davenport import cli
 from davenport.verify import (
     STATUS_INCOMPLETE,
     STATUS_OUTSIDE,
-    STATUS_REFUTED,
     STATUS_VERIFIED,
     assert_valid_reduction,
     build_witness_V,
@@ -38,7 +37,7 @@ from davenport.verify import (
 )
 from davenport.gfpoly import factor
 from davenport.semigroup import build_adjoined_zero_product
-from davenport.zerosum import MonteCarloReport, sigma_index
+from davenport.zerosum import sigma_index
 
 from conftest import is_proper_subsequence, seq_of
 
@@ -440,57 +439,34 @@ class TestProposition:
         with pytest.raises(ValueError):
             verify_proposition(2)
 
-    @pytest.mark.parametrize("counts", [{"stress": -1}, {"samples": -1}])
+    @pytest.mark.parametrize("counts", [{"stress": -1}])
     def test_negative_counts_rejected(self, counts):
-        with pytest.raises(ValueError, match="counts must be >= 0"):
+        with pytest.raises(ValueError, match="stress count must be >= 0"):
             verify_proposition(3, **counts)
 
     def test_builds_the_quotient_once(self, monkeypatch):
         moduli = count_quotient_builds(monkeypatch)
-        verify_proposition(3, stress=5, samples=10)
+        verify_proposition(3, stress=5)
         assert moduli == [quadratic_modulus(3)]
 
-    def test_incomplete_when_budget_zero(self):
-        report = verify_proposition(5, budget_ms=0, stress=10, samples=50)
+    def test_cut_report_stays_incomplete(self, capsys):
+        # a cut search has spent the budget, so nothing runs after it and
+        # neither side is filled in
+        report = verify_proposition(5, budget_ms=0, stress=10)
         assert report.status == STATUS_INCOMPLETE
-        assert report.rhs.method == "formula"
-        assert report.rhs.value == 20
-        assert report.artifacts["montecarlo"]["counterexample"] is None
+        assert report.rhs is report.lhs.units
+        assert not report.rhs.complete
+        assert "montecarlo" not in report.artifacts
         assert report.artifacts["lower_bound"] == 20
-
-    def test_formula_side_carries_the_generator_power_witness(self):
-        # a capped D(U) search keeps none of its partial witness
-        report = verify_proposition(7, budget_ms=0, stress=0, samples=1)
-        rhs = report.rhs
-        assert (rhs.method, rhs.value, rhs.complete) == ("formula", 42, True)
-        assert len(rhs.witness) == rhs.value - 1 == 41
-        assert len(rhs.witness.pairs) == 1
-        assert (rhs.witness.parent.kind, rhs.witness.parent.size) == ("abelian_group", 42)
-        assert not is_reducible(rhs.witness)
-
-    def test_sampling_and_stress_stop_with_the_budget(self):
-        report = verify_proposition(5, budget_ms=0, stress=50, samples=5000)
-        assert report.status == STATUS_INCOMPLETE
-        assert report.artifacts["montecarlo"]["checked"] < 5000
-        assert report.artifacts["stress_sequences"] == 50
-        assert report.artifacts["stress_passed"] < 50
-
-    def test_sampled_counterexample_refutes(self, monkeypatch, capsys):
-        # the search is cut at once, so the sample decides: a sample that
-        # reports a counterexample refutes the claim, and the CLI exits 1
-        import davenport.verify
-
-        def counterexample(S, d, samples, seed, budget):
-            T = Sequence.from_indices(S, [S.identity] * d)
-            return MonteCarloReport(d, samples, 1, 0, T, seed)
-
-        monkeypatch.setattr(davenport.verify, "davenport_montecarlo_upper", counterexample)
-        report = verify_proposition(5, budget_ms=0, stress=0, samples=1)
-        assert report.status == STATUS_REFUTED
-        assert report.artifacts["montecarlo"]["counterexample"] is not None
-        argv = ["verify", "proposition", "-p", "5", "--budget-ms", "0", "--stress", "0"]
-        assert cli.main(argv) == 1
-        assert "status: refuted" in capsys.readouterr().out
+        assert report.artifacts["stress_sequences"] == 10
+        assert report.artifacts["stress_passed"] == 0
+        argv = ["verify", "proposition", "-p", "5", "--budget-ms", "0", "--stress", "10"]
+        assert cli.main(argv) == 3
+        assert "status: incomplete" in capsys.readouterr().out
+        lemma = verify_lemma_product([2, 4], budget_ms=0, stress=5)
+        assert lemma.status == STATUS_INCOMPLETE
+        assert lemma.artifacts["stress_sequences"] == 5
+        assert lemma.artifacts["stress_passed"] == 0
 
     @pytest.mark.parametrize(
         "reduction, report",
@@ -552,7 +528,7 @@ class TestOneUnitSearch:
             (lambda: verify_theorem1(3, poly(3, 0, 1) * poly(3, 1, 1)),
              ["quotient", "product"], 3),
             (lambda: verify_lemma_product([2, 2], stress=5), ["product"], 3),
-            (lambda: verify_proposition(7, stress=0, samples=1), ["quotient"], 42),
+            (lambda: verify_proposition(7, stress=0), ["quotient"], 42),
             (lambda: conjecture_probe(3, poly(3, 0, 0, 1)), ["quotient"], 6),
         ],
         ids=["theorem1", "lemma", "proposition", "probe"],

@@ -1407,12 +1407,6 @@ class TestMonteCarlo:
         # the counterexample records are compared too, not only the counts
         assert counterexamples > 0
 
-    def test_expired_budget_checks_nothing(self):
-        rep = davenport_montecarlo_upper(
-            build_cyclic_group(3), 2, samples=50, budget=zerosum.Budget(0)
-        )
-        assert rep.checked == 0 and rep.all_reducible
-
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError, match="sample count"):
             davenport_montecarlo_upper(build_cyclic_group(3), 2, samples=-5)
