@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from math import gcd
 from operator import sub
 from typing import Iterable, Optional, Union
 
@@ -349,10 +350,119 @@ def _translate_row(images: list[int]) -> list[list[int]]:
     return chunks
 
 
-def _inverse_table(rows: list[list[int]], identity: int) -> list[list[int]]:
-    """x -> x^-1 in a group with these Cayley rows, chunkwise as
-    ``_translate_row`` lays it out: it maps a mask R to R^-1."""
-    return _translate_row([row.index(identity) for row in rows])
+def _coordinates(rows: list[list[int]], identity: int):
+    """``(coord, axes)`` for the abelian group with these Cayley rows:
+    G = C_d1 ⊕ ... ⊕ C_dk, axes the ``(stride, order)`` pair (s_i, d_i) of
+    each summand, s_1 = 1 and s_i+1 = s_i d_i, and coord[x] = sum a_i s_i
+    with 0 <= a_i < d_i the mixed-radix index of x = g_1^a1 ... g_k^ak.
+
+    The basis g_i is greedy: at each step, the first element (by index) of
+    largest order whose cyclic subgroup meets the span H of the earlier
+    picks only in e. Proof sketch that it spans G: suppose G = H ⊕ K,
+    true for H = {e}. An element g with <g> ∩ H = {e} has the order of
+    g H in G/H ≅ K, at most exp(K), and an element of K of that order
+    qualifies, so the pick g = h k (h in H, k in K) has order m = exp(K),
+    and so has k. An element of largest order generates a direct summand
+    of K, K = <k> ⊕ K', and m h = e, so (a, k^j, b) -> a g^j b is an
+    isomorphism from H ⊕ <k> ⊕ K' onto G: G = (H ⊕ <g>) ⊕ K'. The loop
+    ends when no element qualifies, that is when K = {e} and H = G.
+
+    Run-time check: coord is a bijection onto range(|G|), and each basis
+    row x -> g_i x adds 1 to axis i of coord[x], mod d_i (n·k lookups).
+    By the table's associativity, row x -> g_1^a1 ... g_k^ak x then adds
+    (a_1, ..., a_k), so coord[x y] is the axis-wise sum of coord[x] and
+    coord[y]: coord is an isomorphism onto the sum of the axes. A table
+    that fails (or whose powers of an element miss e) raises
+    ``AssertionError``."""
+    n = len(rows)
+
+    def powers(g):  # g, g^2, ..., g^m = e
+        row, out = rows[g], [g]
+        while out[-1] != identity:
+            if len(out) == n:
+                raise AssertionError(f"the powers of element {g} miss the identity")
+            out.append(row[out[-1]])
+        return out
+
+    order = [0] * n
+    for g in range(n):
+        if not order[g]:
+            cycle = powers(g)
+            m = len(cycle)
+            for j, y in enumerate(cycle, 1):
+                order[y] = m // gcd(j, m)
+    elems = [identity]  # elems[c]: the element at coordinate c
+    inside = [False] * n  # the span of the picks so far
+    inside[identity] = True
+    basis, axes = [], []
+    for g in sorted(range(n), key=lambda x: -order[x]):
+        if len(elems) >= n:
+            break
+        if inside[g]:
+            continue
+        cycle = powers(g)
+        if any(inside[y] for y in cycle[:-1]):
+            continue
+        stride = len(elems)
+        for y in cycle[:-1]:
+            row = rows[y]
+            elems += [row[h] for h in elems[:stride]]
+        for h in elems[stride:]:
+            inside[h] = True
+        basis.append(g)
+        axes.append((stride, len(cycle)))
+    coord: list = [None] * n
+    for c, x in enumerate(elems[:n]):
+        coord[x] = c
+    if len(elems) != n or None in coord:
+        raise AssertionError("the greedy basis does not span the group bijectively")
+    for g, (stride, d) in zip(basis, axes):
+        row, top = rows[g], (d - 1) * stride
+        for x, c in enumerate(coord):
+            step = -top if c // stride % d == d - 1 else stride
+            if coord[row[x]] != c + step:
+                raise AssertionError(f"basis element {g} does not act as +1 on its axis")
+    return coord, axes
+
+
+def _shift_moves(coord: list[int], axes) -> list[tuple]:
+    """Translation by x on masks in coordinates: per element x, the
+    ``(lo, up, hi, dn)`` of each axis x moves, so that R -> R x is
+    ``t = ((t & lo) << up) | ((t & hi) >> dn)`` over those axes. Moving
+    axis i (stride s, order d) by a > 0 sends a component below d - a up
+    by a s and the rest down by (d - a) s; lo holds the elements with a
+    component below d - a, the low (d - a) s bits of each block of d s.
+    One ``(lo, up, hi, dn)`` per (axis, shift), O(n sum d_i) in all."""
+    full = (1 << len(coord)) - 1
+    per_axis = []
+    for stride, d in axes:
+        repeat = full // ((1 << stride * d) - 1)  # bit 0 of each block
+        shifts = [()]
+        for a in range(1, d):
+            lo = ((1 << (d - a) * stride) - 1) * repeat
+            shifts.append((lo, a * stride, full ^ lo, (d - a) * stride))
+        per_axis.append(shifts)
+    return [
+        tuple(shifts[c // stride % d] for (stride, d), shifts in zip(axes, per_axis)
+              if c // stride % d)
+        for c in coord
+    ]
+
+
+def _inverse_chunks(coord: list[int], axes) -> list[list[int]]:
+    """x -> x^-1 chunkwise, as ``_translate_row`` lays it out, from
+    coordinates to labels: it maps a mask R in coordinates to the mask of
+    the labels of R^-1. Inversion negates each component, mod its order."""
+    n = len(coord)
+    elems = sorted(range(n), key=coord.__getitem__)  # elems[c]: label at c
+    return _translate_row([elems[sum(-(c // s) % d * s for s, d in axes)] for c in range(n)])
+
+
+def _shifted(t: int, moves) -> int:
+    """The coordinate mask t translated by an element with these moves."""
+    for lo, up, hi, dn in moves:
+        t = ((t & lo) << up) | ((t & hi) >> dn)
+    return t
 
 
 def _ideal_row(row: list[int]) -> int:
@@ -390,6 +500,15 @@ def _symmetry_masks(A: list[tuple[int, ...]]) -> list[tuple[int, int]]:
         if down:
             down_of[fixed] = down_of.get(fixed, 0) | down
     return list(down_of.items())
+
+
+def _relabelled(mask: int, coord: list[int]) -> int:
+    """The mask with each element y moved to bit coord[y]."""
+    out = 0
+    for k, byte in enumerate(mask.to_bytes((len(coord) + 7) // 8, "little")):
+        for y in _BIT_POSITIONS[byte]:
+            out |= 1 << coord[8 * k + y]
+    return out
 
 
 def _fixing(entries: list[tuple[int, int]], r_all: int):
@@ -606,7 +725,8 @@ def davenport_exact(
       (Symmetry, below), minus r_all^-1, read through one chunk table of
       the inversion map; a blocked term costs no loop step;
     * the new set: a sub-multiset of T x is one of T, with or without x,
-      so r_all' = r_all ∪ r_all x;
+      so r_all' = r_all ∪ r_all x, a shift of r_all per axis of the
+      group's cyclic coordinates (Coordinates in ``_branch_and_bound``);
     * the bound: s S^1 is the whole group, so it is n - |r_all|;
     * the symmetry rule reads r_all alone.
 
@@ -614,7 +734,8 @@ def davenport_exact(
     subtree, and by Memo dominance one entry bounds every state with that
     r_all and that index or a later one. ``_group_run`` runs the kernel
     with the product held at the identity and r_all carried in place of
-    rp, so the key is r_all alone, beside the identity's product field.
+    rp, so the key is r_all alone, beside the identity's product field
+    (r_all in coordinates, a relabelling that is one-to-one on keys).
     The run is the branch-and-bound above with more states merged: each
     memo entry is still a bound, so the value and the witness are those of
     the product-keyed run.
@@ -798,13 +919,27 @@ def _branch_and_bound(
     knows nothing of the extensions that start with a term in [x, m), and
     is not used for x.
 
-    The tables are lists with one slot per element, each row built from
-    its Cayley row the first time the run reads it: translate row x
-    (``_translate_row``) when a child x passes the child test, fiber row x
-    (``_fiber_row``) when x first reaches the fiber test, and ideal[s]
-    (``_ideal_row``) when a child with product s is entered; a group run
-    builds its inverse table at its first expansion, and reads one ideal,
-    the whole group, and no fiber row. The run enters each child in its
+    Coordinates. A group run holds r_all, and so the memo key and the
+    symmetry entries' fixed masks, in the mixed-radix coordinates of
+    ``_coordinates``, G = C_d1 ⊕ ... ⊕ C_dk; the fixed masks are
+    relabelled once, at the root. There R -> R x is one rotation per axis
+    that x moves (``_shift_moves``, ``_shifted``), a fixed number of
+    big-int operations with no table. The terms keep their labels: the
+    children mask, the root's terms, the down masks and the path. The
+    relabelling is one-to-one on keys and keeps |r_all|, and the fixed
+    masks move with r_all, so every test reads the same answer as on the
+    labels: the visit order, the nodes and the witness are unchanged.
+
+    The tables of a run over S are lists with one slot per element, each
+    row built from its Cayley row the first time the run reads it:
+    translate row x (``_translate_row``) when a child x passes the child
+    test, fiber row x (``_fiber_row``) when x first reaches the fiber
+    test, and ideal[s] (``_ideal_row``) when a child with product s is
+    entered. A group run builds, before the root's first expansion (after
+    its clock read, so a spent budget builds nothing), its coordinates,
+    its shift masks and one chunk table, the inverse test
+    (``_inverse_chunks``); it builds no translate, fiber or ideal row, its
+    one ideal being the whole group. The run enters each child in its
     parent's loop: a usable memo hit or a cut by the bound ends the child
     there, and only a child left to expand costs a call of ``explore``.
     The tables, the memo and ``explore`` itself go by refcount on
@@ -815,7 +950,9 @@ def _branch_and_bound(
     translate: list = [None] * n
     ideal: list = [None] * n
     fiber: list = [None] * n
-    inverse = None  # a group run's x -> x^-1, chunkwise: R -> R^-1
+    # a group run's shift moves and inverse test, built at the root
+    moves: list = []
+    inverse: list = []
     full = (1 << n) - 1
     width = (n + 7) // 8  # bytes per mask
     first = (1 << (n if first_stop is None else first_stop)) - 1  # root's terms
@@ -833,7 +970,7 @@ def _branch_and_bound(
 
     def explore(sig: int, rp: int, r_all: int, min_elem: int, depth: int, sym) -> int:
         # a state the caller has counted and its bound has not cut
-        nonlocal nodes, best_len, best_path, cut, inverse
+        nonlocal nodes, best_len, best_path, cut
         best_ub = 0
         if r_all & ~sym[1]:  # some entry no longer fixes every product
             sym = _fixing(sym[0], r_all)
@@ -842,8 +979,6 @@ def _branch_and_bound(
         kids = ((full >> min_elem << min_elem) if depth else first) & ~sym[2]
         rp_bytes = rp.to_bytes(width, "little")  # a group run's rp is r_all
         if group:  # x is a child iff x^-1 is not in r_all
-            if inverse is None:
-                inverse = _inverse_table(rows, identity)
             blocked = 0
             for chunk, byte in zip(inverse, rp_bytes):
                 blocked |= chunk[byte]
@@ -858,6 +993,7 @@ def _branch_and_bound(
                 x += base
                 if group:
                     new_sig = sig
+                    new_rp = r_all | _shifted(r_all, moves[x])
                 else:
                     new_sig = row[x]
                     if (r_all >> new_sig) & 1:
@@ -867,12 +1003,12 @@ def _branch_and_bound(
                         col = fiber[x] = _fiber_row(rows[x])
                     if rp & col[new_sig]:
                         continue
-                chunks = translate[x]
-                if chunks is None:
-                    chunks = translate[x] = _translate_row(rows[x])
-                new_rp = r_all
-                for chunk, byte in zip(chunks, rp_bytes):
-                    new_rp |= chunk[byte]
+                    chunks = translate[x]
+                    if chunks is None:
+                        chunks = translate[x] = _translate_row(rows[x])
+                    new_rp = r_all
+                    for chunk, byte in zip(chunks, rp_bytes):
+                        new_rp |= chunk[byte]
                 if depth > best_len:
                     best_len = depth
                     best_path = tuple(path) + (x,)
@@ -907,14 +1043,22 @@ def _branch_and_bound(
 
     complete = True
     try:
-        # the root, node 1: a group run holds the product at the identity
-        # and carries r_all as rp, so its key and its tables read the
-        # subsum set alone. Its bound is n - 1, its ideal being S
+        # the root, node 1: a group run holds the product at the identity,
+        # coordinate 0, and carries r_all in coordinates as rp, so its key
+        # and its tables read the subsum set alone. Its bound is n - 1, its
+        # ideal being S
         if budget.expired():
             raise _OutOfBudget
         if n - 1 > cut:
-            rp = 1 << identity if group else 0
-            explore(identity, rp, 1 << identity, 0, 0, root_sym)
+            if group:
+                coord, axes = _coordinates(rows, identity)
+                moves = _shift_moves(coord, axes)
+                inverse = _inverse_chunks(coord, axes)
+                ideal[0] = full  # the identity's coordinate, and its ideal G
+                entries = [(_relabelled(f, coord), d) for f, d in root_sym[0]]
+                explore(0, 1, 1, 0, 0, _fixing(entries, 1))
+            else:
+                explore(identity, 0, 1 << identity, 0, 0, root_sym)
     except _OutOfBudget:
         complete = False
     except _Reached:

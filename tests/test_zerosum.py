@@ -8,7 +8,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations, product as iproduct
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import itemgetter
 
 import pytest
@@ -46,9 +46,12 @@ from davenport.verify import (
     proposition_semigroup,
 )
 from davenport.zerosum import (
+    _coordinates,
     _fiber_row,
     _ideal_row,
-    _inverse_table,
+    _inverse_chunks,
+    _shift_moves,
+    _shifted,
     _symmetry_masks,
     _translate_row,
     sigma_index,
@@ -192,7 +195,8 @@ class TestReducibility:
 class TestTranslateTables:
     """The search-table rows against the table product: each row as the
     search builds it on first use, translates mask by mask, principal
-    ideals and fibers element by element, and a group's inverse table."""
+    ideals and fibers element by element, and a group run's inverse
+    table."""
 
     UNIVERSES = [
         lambda: build_cyclic_group(1),
@@ -231,24 +235,27 @@ class TestTranslateTables:
 
     @pytest.mark.parametrize("build", UNIVERSES, ids=IDS)
     def test_inverse_table_matches_products(self, build):
-        # the mask of the x with x^-1 in R, on the unit group of each
-        # universe (n8 and n1 are groups already)
+        # a group run's inverse test, on the unit group of each universe
+        # (n8 and n1 are groups already): a mask R in coordinates gives the
+        # mask of the labels x with x^-1 in R
         G = units_of(build()).as_semigroup()
         n, e = G.size, G.identity
-        inverse = _inverse_table(G.table, e)
+        coord, axes = _coordinates(G.table, e)
+        inverse = _inverse_chunks(coord, axes)
         rng = random.Random(n)
         for R in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]:
             expected = sum(
                 1 << x for x in range(n)
-                if any(R >> r & 1 and G.op(x, r) == e for r in range(n))
+                if any(R >> coord[r] & 1 and G.op(x, r) == e for r in range(n))
             )
             assert translate_mask(inverse, R) == expected
 
     @pytest.mark.parametrize("build", UNIVERSES, ids=IDS)
     def test_rows_built_on_first_use(self, monkeypatch, build):
-        # a run over all of S, and a group run over its unit group, build
-        # each row at most once, each from the Cayley row of the element
-        # the run reads; the group run also builds its inverse table once
+        # a run over all of S builds each row at most once, each from the
+        # Cayley row of the element the run reads; a group run over its unit
+        # group translates by shifts and builds one chunk table, its inverse
+        # test, and nothing else
         S = build()
         U = units_of(S).as_semigroup()
         # the census floor D*(U) - 2 is below the longest length of both
@@ -264,13 +271,9 @@ class TestTranslateTables:
             index = {id(row): x for x, row in enumerate(T.table)}
             built = Counter((name, index.get(id(row), "inverse")) for name, row in calls)
             assert all(count == 1 for count in built.values())
-            # a group run reads no fiber row and one principal ideal, the
-            # whole group, unless its root is cut (C1)
-            names = {name for name, _ in built}
+            # unless its root is cut (C1)
             if group:
-                assert names <= {"_translate_row", "_ideal_row"}
-                ideals = [x for name, x in built if name == "_ideal_row"]
-                assert ideals == ([T.identity] if T.size > 1 else [])
+                assert built == ({("_translate_row", "inverse"): 1} if T.size > 1 else {})
             else:
                 assert "inverse" not in {x for _, x in built}
 
@@ -757,10 +760,12 @@ class TestDavenportExact:
         # explore refers to itself; once that cycle is broken the memo and
         # the search tables, both built inside the call, go by refcount,
         # with no cyclic garbage left. The rows built on first use and a
-        # group run's inverse table go the same way: (x+1)^2 over F_5 runs
-        # on its unit group C20 and then on S, and C6^2 is a group run alone
+        # group run's shift masks go the same way: x^3(x+1)^3 over F_2 runs
+        # on its unit group C4^2, its class groups and then on S, whose
+        # translate and fiber rows make the peak, and C6^2 is a group run
+        # alone
         cases = [
-            (build_quotient_semigroup(5, poly(5, 1, 2, 1)), 20),
+            (build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3), 7),
             (units_of(build_quotient_semigroup(7, poly(7, 0, 1, 1))).as_semigroup(), 11),
         ]
         for S, value in cases:
@@ -786,6 +791,16 @@ class TestDavenportExact:
         res = davenport_exact(build_cyclic_group(257))
         assert (res.value, res.complete) == (257, True)
         assert len(res.witness) == 256
+        assert find_reduction(res.witness) is None
+
+    @pytest.mark.parametrize("p", [17, 23])
+    def test_proposition_past_the_table_cap(self, monkeypatch, p):
+        # n = p^2 up to 529: the class bound skips the run over S, and the
+        # run over the cyclic unit group translates by shifts, with no
+        # chunk table per element
+        monkeypatch.setattr(semigroup, "TABLE_CAP", 529)
+        res = davenport_exact(proposition_semigroup(p))
+        assert (res.value, res.complete) == (p * (p - 1), True)
         assert find_reduction(res.witness) is None
 
     def test_identityless_rejected(self):
@@ -1129,6 +1144,87 @@ class TestGroupKey:
         assert complete and kept_complete
         assert path == kept and len(path) + 1 == value
         assert (keyed, kept_nodes) == nodes
+
+
+class TestCoordinates:
+    """A group run's mixed-radix coordinates: a bijection onto range(n)
+    that adds axis-wise, and shift translations that match the Cayley
+    rows."""
+
+    @staticmethod
+    def check(G):
+        n, rows = G.size, G.table
+        coord, axes = _coordinates(rows, G.identity)
+        assert sorted(coord) == list(range(n))
+        assert [s for s, _ in axes] == [prod(d for _, d in axes[:i]) for i in range(len(axes))]
+        assert prod(d for _, d in axes) == n
+
+        def add(a, b):
+            return sum((a // s + b // s) % d * s for s, d in axes)
+
+        for x in range(n):
+            cx = coord[x]
+            assert all(coord[z] == add(cx, coord[y]) for y, z in enumerate(rows[x]))
+        # R -> R x by shifts against the Cayley row, on random masks
+        elems = sorted(range(n), key=coord.__getitem__)
+        rng = random.Random(n)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]
+        for x, moves in enumerate(_shift_moves(coord, axes)):
+            row = rows[x]
+            for R in masks:
+                expected = sum(1 << coord[row[elems[c]]] for c in range(n) if R >> c & 1)
+                assert _shifted(R, moves) == expected
+
+    def test_every_oracle_group(self):
+        checked = 0
+        for G in _oracle_problems():
+            if units_of(G).order == G.size:
+                self.check(G)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "p, f",
+        [
+            (13, poly(13, 1, 2, 1)),
+            (2, poly(2, *[0] * 8, 1)),
+            (3, poly(3, *[0] * 5, 1)),
+            (5, poly(5, 0, 1) * poly(5, 1, 1) * poly(5, 2, 1)),
+            (11, poly(11, 0, 1) * poly(11, 1, 1)),
+        ],
+        ids=["(x+1)^2/F13", "x^8/F2", "x^5/F3", "x(x+1)(x+2)/F5", "x(x+1)/F11"],
+    )
+    def test_unit_groups(self, p, f):
+        self.check(units_of(build_quotient_semigroup(p, f)).as_semigroup())
+
+    def test_corrupted_tables_raise(self):
+        # C4 x C2 with its basis g (coordinate 1) and h (coordinate 4): two
+        # entries of row g swapped outside <g> keep the greedy span a
+        # bijection, but row g no longer adds 1 on its axis; with the
+        # column swapped to match, h g lands on a label the span already
+        # holds. And a table whose element 1 has powers 1, 2, 1, ... that
+        # miss the identity 0: the check stops after n powers, with no hang
+        G = build_abelian_group([2, 4])
+        coord, axes = _coordinates(G.table, G.identity)
+        assert axes == [(1, 4), (4, 2)]
+        g, a, b = (coord.index(c) for c in (1, 4, 5))
+        row_only = [list(row) for row in G.table]
+        row_only[g][a], row_only[g][b] = row_only[g][b], row_only[g][a]
+        symmetric = [list(row) for row in row_only]
+        symmetric[a][g], symmetric[b][g] = symmetric[g][a], symmetric[g][b]
+        no_cycle = [[0, 1, 2], [1, 2, 1], [2, 1, 0]]
+        for table, identity, message in (
+            (row_only, G.identity, "does not act as"),
+            (symmetric, G.identity, "bijectively"),
+            (no_cycle, 0, "miss the identity"),
+        ):
+            with pytest.raises(AssertionError, match=message):
+                _coordinates(table, identity)
+            with pytest.raises(AssertionError, match=message):
+                zerosum._branch_and_bound(
+                    table, identity, [tuple(range(len(table)))], zerosum.Budget(None), 0,
+                    group=True,
+                )
 
 
 class TestSymmetryOnTheOracle:
