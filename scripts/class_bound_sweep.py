@@ -116,11 +116,13 @@ def cross_checked(kernel, seen: dict, mismatches: list):
     the product kept in the key, recording ``(keyed nodes, kept nodes)`` in
     ``seen`` and any value or witness mismatch in ``mismatches``."""
 
-    def run(rows, identity, maps, budget, floor, *args, group=False, **kwargs):
-        result = kernel(rows, identity, maps, budget, floor, *args, group=group, **kwargs)
+    def run(rows, identity, maps, budget, floor, *args, coordinates=None, **kwargs):
+        result = kernel(rows, identity, maps, budget, floor, *args,
+                        coordinates=coordinates, **kwargs)
         table = (identity, tuple(map(tuple, rows)))
-        if group and table not in seen:
-            kept = kernel(rows, identity, maps, zerosum.Budget(None), floor, *args, **kwargs)
+        if coordinates is not None and table not in seen:
+            kept = kernel(rows, identity, maps, zerosum.Budget(None), floor, *args,
+                          coordinates=None, **kwargs)
             seen[table] = (result[1], kept[1])
             if (result[0], result[2]) != (kept[0], kept[2]):
                 mismatches.append(

@@ -448,13 +448,15 @@ def build_adjoined_zero_product(orders: Seq[int]) -> FiniteSemigroup:
 
 @dataclass(frozen=True)
 class UnitGroup:
-    """Invertible elements of a semigroup, with inverse witnesses."""
+    """Invertible elements of a semigroup, with inverse witnesses, and the
+    ``_coordinates`` of ``group``, which give the invariant factors."""
 
     parent: FiniteSemigroup
     elements: tuple[int, ...]
     inverses: dict
     invariant_factors: tuple[int, ...]
     group: FiniteSemigroup
+    coordinates: tuple
 
     @property
     def order(self) -> int:
@@ -485,15 +487,15 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
         params={"units_of": S.kind},
     )
 
-    invariants = invariants_by_census(group)
+    invariants, coordinates = group_structure(group)
     closed_form = _closed_form_invariants(S)
     if closed_form is not None and closed_form != invariants:
         raise AssertionError(
             f"closed-form unit structure {closed_form} disagrees with "
-            f"census {invariants}"
+            f"coordinates {invariants}"
         )
 
-    ug = UnitGroup(S, elements, inverses, invariants, group)
+    ug = UnitGroup(S, elements, inverses, invariants, group, coordinates)
     S._unit_cache = ug
     # the group is its own unit group, so units_of(group) builds nothing
     group._unit_cache = UnitGroup(
@@ -502,8 +504,99 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
         {position[i]: position[j] for i, j in inverses.items()},
         invariants,
         group,
+        coordinates,
     )
     return ug
+
+
+def _coordinates(rows: list[list[int]], identity: int):
+    """``(coord, axes)`` for the abelian group with these Cayley rows:
+    G = C_d1 ⊕ ... ⊕ C_dk, axes the ``(stride, order)`` pair (s_i, d_i) of
+    each summand, s_1 = 1 and s_i+1 = s_i d_i, and coord[x] = sum a_i s_i
+    with 0 <= a_i < d_i the mixed-radix index of x = g_1^a1 ... g_k^ak.
+
+    The basis g_i is greedy: at each step, the first element (by index) of
+    largest order whose cyclic subgroup meets the span H of the earlier
+    picks only in e, that is whose first power in H is g^ord(g) = e.
+    Proof sketch that it spans G: suppose G = H ⊕ K, true for H = {e}. An
+    element g with <g> ∩ H = {e} has the order of g H in G/H ≅ K, at most
+    exp(K), and an element of K of that order qualifies, so the pick
+    g = h k (h in H, k in K) has order m = exp(K), and so has k. An
+    element of largest order generates a direct summand of K,
+    K = <k> ⊕ K', and m h = e, so (a, k^j, b) -> a g^j b is an isomorphism
+    from H ⊕ <k> ⊕ K' onto G: G = (H ⊕ <g>) ⊕ K'. The loop ends when no
+    element qualifies, that is when K = {e} and H = G. Each pick's order
+    is exp(K) at its step, and K' is a summand of K, so d_i+1 | d_i.
+
+    Run-time check: coord is a bijection onto range(|G|), and each basis
+    row x -> g_i x adds 1 to axis i of coord[x], mod d_i (n·k lookups).
+    By the table's associativity, row x -> g_1^a1 ... g_k^ak x then adds
+    (a_1, ..., a_k), so coord[x y] is the axis-wise sum of coord[x] and
+    coord[y]: coord is an isomorphism onto the sum of the axes. A table
+    that fails (or whose powers of an element miss e) raises
+    ``AssertionError``."""
+    n = len(rows)
+    inside = [False] * n  # the span of the picks so far
+    inside[identity] = True
+
+    def powers(g):  # g, g^2, ... before the first power in the span
+        row, out, y = rows[g], [], g
+        while not inside[y]:
+            if len(out) == n:
+                raise AssertionError(f"the powers of element {g} miss the identity")
+            out.append(y)
+            y = row[y]
+        return out, y
+
+    order = [0] * n  # the span is {e} here, so a walk ends at e
+    for g in range(n):
+        if not order[g]:
+            cycle, _ = powers(g)
+            m = len(cycle) + 1
+            for j, y in enumerate(cycle, 1):
+                order[y] = m // gcd(j, m)
+    elems = [identity]  # elems[c]: the element at coordinate c
+    basis, axes = [], []
+    for g in sorted(range(n), key=order.__getitem__, reverse=True):  # stable
+        if len(elems) >= n:
+            break
+        if inside[g]:
+            continue
+        cycle, first = powers(g)
+        if first != identity:
+            continue
+        stride = len(elems)
+        for y in cycle:
+            row = rows[y]
+            elems += [row[h] for h in elems[:stride]]
+        for h in elems[stride:]:
+            inside[h] = True
+        basis.append(g)
+        axes.append((stride, len(cycle) + 1))
+    coord: list = [None] * n
+    for c, x in enumerate(elems[:n]):
+        coord[x] = c
+    if len(elems) != n or None in coord:
+        raise AssertionError("the greedy basis does not span the group bijectively")
+    for g, (stride, d) in zip(basis, axes):
+        top = (d - 1) * stride
+        if list(map(coord.__getitem__, rows[g])) != [
+            c - top if c // stride % d == d - 1 else c + stride for c in coord
+        ]:
+            raise AssertionError(f"basis element {g} does not act as +1 on its axis")
+    return coord, axes
+
+
+def group_structure(G: FiniteSemigroup) -> tuple[tuple[int, ...], tuple]:
+    """``(invariant_factors, coordinates)`` of the abelian group G: the
+    ``_coordinates`` of its table, and their axis orders sorted,
+    d_1 | ... | d_k. The greedy orders form a divisibility chain; orders
+    that do not raise ``AssertionError``."""
+    coordinates = _coordinates(G.table, G.identity)
+    orders = [d for _, d in coordinates[1]]
+    if any(a % b for a, b in zip(orders, orders[1:])):
+        raise AssertionError(f"greedy basis orders {orders} are not a divisibility chain")
+    return tuple(sorted(orders)), coordinates
 
 
 MAX_AUTOMORPHISM_STEPS = 3_000_000
@@ -666,70 +759,6 @@ def _closed_form_invariants(S: FiniteSemigroup):
         if m == 2 and g.degree == 1:
             return invariant_factors_from_cyclic_orders([p * (p - 1)])
     return None
-
-
-def invariants_by_census(group: FiniteSemigroup) -> tuple[int, ...]:
-    """Abelian group structure from the multiset of element orders.
-
-    For each prime q dividing |G|, counting elements of q-power order
-    recovers the q-Sylow partition; the per-prime prime powers then merge
-    rank by rank into the divisibility chain d_1 | d_2 | ... | d_r.
-    """
-    orders = element_orders(group)
-    per_prime: dict[int, list[int]] = {}
-    for q in prime_factors(group.size):
-        qpow_counts: dict[int, int] = {}
-        for o in orders:
-            # keep only elements whose order is a power of q
-            t = o
-            while t % q == 0:
-                t //= q
-            if t == 1:
-                qpow_counts[o] = qpow_counts.get(o, 0) + 1
-        parts = []  # conjugate partition: parts[j-1] = #(exponents >= j)
-        j = 1
-        prev = 1
-        while True:
-            nj = sum(c for o, c in qpow_counts.items() if o <= q**j)
-            if nj == prev:
-                break
-            a, ratio = 0, nj // prev
-            while ratio > 1 and ratio % q == 0:
-                ratio //= q
-                a += 1
-            if ratio != 1 or prev * q**a != nj:
-                raise AssertionError("element-order census is not a q-group layering")
-            parts.append(a)
-            prev = nj
-            j += 1
-        exps = [sum(1 for a in parts if a >= i) for i in range(1, max(parts) + 1)]
-        per_prime[q] = [q**e for e in exps]
-    return _merge_prime_powers(per_prime)
-
-
-def element_orders(G: FiniteSemigroup) -> list[int]:
-    """The order of every element of the finite group G, by index.
-
-    Walking row i from i runs through the powers i, i^2, ... and reaches
-    the identity at i^m, m = ord(i); i^k on the way has order
-    m / gcd(k, m). So one walk settles the whole cyclic subgroup <i>, and
-    an element starts a walk only when no earlier walk passed through it.
-    In a group no walk is longer than G.size steps; a longer one means G
-    is not a group, and raises ``ValueError``.
-    """
-    orders = [0] * G.size
-    for i, row in enumerate(G.table):
-        if orders[i]:
-            continue
-        powers = [i]
-        while powers[-1] != G.identity:
-            if len(powers) == G.size:
-                raise ValueError("not a group: no power of an element is the identity")
-            powers.append(row[powers[-1]])
-        m = len(powers)
-        for k, x in enumerate(powers, start=1):
-            orders[x] = m // gcd(k, m)
-    return orders
 
 
 def invariant_factors_from_cyclic_orders(orders: Seq[int]) -> tuple[int, ...]:

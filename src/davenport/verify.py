@@ -27,11 +27,9 @@ from .gfpoly import Poly, factor, primitive_root
 from .semigroup import (
     FiniteSemigroup,
     HypothesisViolation,
-    UnitGroup,
     build_adjoined_zero_product,
     build_quotient_semigroup,
     crt_decompose,
-    element_orders,
     modulus_factorization,
     projection_indices,
     units_of,
@@ -483,14 +481,16 @@ def verify_proposition(
     d_formula = p * (p - 1)
     if U.invariant_factors != (d_formula,):
         raise AssertionError(
-            f"unit group expected cyclic of order {d_formula}, census says "
-            f"{U.invariant_factors}"
+            f"unit group expected cyclic of order {d_formula}, its coordinates "
+            f"give {U.invariant_factors}"
         )
 
     lhs, rhs, artifacts = _both_sides(S, budget)
     # a generator of the cyclic unit group repeated d-1 times is
-    # irreducible (checked below), so D(S) >= D(U) always holds explicitly
-    lower_witness = Sequence(S, [(_cyclic_generator(U), d_formula - 1)])
+    # irreducible (checked below), so D(S) >= D(U) always holds explicitly.
+    # The unit at coordinate 1, the first of largest order, generates U
+    generator = U.elements[U.coordinates[0].index(1)]
+    lower_witness = Sequence(S, [(generator, d_formula - 1)])
     if is_reducible(lower_witness):
         raise AssertionError("generator-power witness unexpectedly reducible")
     artifacts["lower_bound_witness"] = lower_witness.format()
@@ -510,14 +510,6 @@ def verify_proposition(
         artifacts=artifacts,
         millis=budget.elapsed_ms(),
     )
-
-
-def _cyclic_generator(U: UnitGroup) -> int:
-    """Index (in the parent) of the canonically first maximal-order unit."""
-    orders = element_orders(U.as_semigroup())
-    if U.order not in orders:
-        raise ValueError("unit group is not cyclic")
-    return U.elements[orders.index(U.order)]
 
 
 # -- conjecture probe ---------------------------------------------------------

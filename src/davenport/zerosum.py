@@ -26,12 +26,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from math import gcd
 from operator import sub
 from typing import Iterable, Optional, Union
 
 from .gfpoly import prime_factors
-from .semigroup import FiniteSemigroup, automorphisms, invariants_by_census, units_of
+from .semigroup import FiniteSemigroup, automorphisms, group_structure, units_of
 
 
 class Sequence:
@@ -350,81 +349,6 @@ def _translate_row(images: list[int]) -> list[list[int]]:
     return chunks
 
 
-def _coordinates(rows: list[list[int]], identity: int):
-    """``(coord, axes)`` for the abelian group with these Cayley rows:
-    G = C_d1 ⊕ ... ⊕ C_dk, axes the ``(stride, order)`` pair (s_i, d_i) of
-    each summand, s_1 = 1 and s_i+1 = s_i d_i, and coord[x] = sum a_i s_i
-    with 0 <= a_i < d_i the mixed-radix index of x = g_1^a1 ... g_k^ak.
-
-    The basis g_i is greedy: at each step, the first element (by index) of
-    largest order whose cyclic subgroup meets the span H of the earlier
-    picks only in e. Proof sketch that it spans G: suppose G = H ⊕ K,
-    true for H = {e}. An element g with <g> ∩ H = {e} has the order of
-    g H in G/H ≅ K, at most exp(K), and an element of K of that order
-    qualifies, so the pick g = h k (h in H, k in K) has order m = exp(K),
-    and so has k. An element of largest order generates a direct summand
-    of K, K = <k> ⊕ K', and m h = e, so (a, k^j, b) -> a g^j b is an
-    isomorphism from H ⊕ <k> ⊕ K' onto G: G = (H ⊕ <g>) ⊕ K'. The loop
-    ends when no element qualifies, that is when K = {e} and H = G.
-
-    Run-time check: coord is a bijection onto range(|G|), and each basis
-    row x -> g_i x adds 1 to axis i of coord[x], mod d_i (n·k lookups).
-    By the table's associativity, row x -> g_1^a1 ... g_k^ak x then adds
-    (a_1, ..., a_k), so coord[x y] is the axis-wise sum of coord[x] and
-    coord[y]: coord is an isomorphism onto the sum of the axes. A table
-    that fails (or whose powers of an element miss e) raises
-    ``AssertionError``."""
-    n = len(rows)
-
-    def powers(g):  # g, g^2, ..., g^m = e
-        row, out = rows[g], [g]
-        while out[-1] != identity:
-            if len(out) == n:
-                raise AssertionError(f"the powers of element {g} miss the identity")
-            out.append(row[out[-1]])
-        return out
-
-    order = [0] * n
-    for g in range(n):
-        if not order[g]:
-            cycle = powers(g)
-            m = len(cycle)
-            for j, y in enumerate(cycle, 1):
-                order[y] = m // gcd(j, m)
-    elems = [identity]  # elems[c]: the element at coordinate c
-    inside = [False] * n  # the span of the picks so far
-    inside[identity] = True
-    basis, axes = [], []
-    for g in sorted(range(n), key=lambda x: -order[x]):
-        if len(elems) >= n:
-            break
-        if inside[g]:
-            continue
-        cycle = powers(g)
-        if any(inside[y] for y in cycle[:-1]):
-            continue
-        stride = len(elems)
-        for y in cycle[:-1]:
-            row = rows[y]
-            elems += [row[h] for h in elems[:stride]]
-        for h in elems[stride:]:
-            inside[h] = True
-        basis.append(g)
-        axes.append((stride, len(cycle)))
-    coord: list = [None] * n
-    for c, x in enumerate(elems[:n]):
-        coord[x] = c
-    if len(elems) != n or None in coord:
-        raise AssertionError("the greedy basis does not span the group bijectively")
-    for g, (stride, d) in zip(basis, axes):
-        row, top = rows[g], (d - 1) * stride
-        for x, c in enumerate(coord):
-            step = -top if c // stride % d == d - 1 else stride
-            if coord[row[x]] != c + step:
-                raise AssertionError(f"basis element {g} does not act as +1 on its axis")
-    return coord, axes
-
-
 def _shift_moves(coord: list[int], axes) -> list[tuple]:
     """Translation by x on masks in coordinates: per element x, the
     ``(lo, up, hi, dn)`` of each axis x moves, so that R -> R x is
@@ -601,8 +525,8 @@ def davenport_exact(
     ``complete=False``. ``nodes`` is the sum over the runs of the call.
 
     Split at the unit group. A group is searched whole, by one run with the
-    census floor (below). Otherwise let U be the unit group and N the
-    non-units. A sequence of units is irreducible over S exactly when it is
+    floor of its coordinates (below). Otherwise let U be the unit group and
+    N the non-units. A sequence of units is irreducible over S exactly when it is
     irreducible over U, its sub-multisets having the same products in
     both; every other sequence has a non-unit term (it is mixed). So
     D(S) - 1 = max(D(U) - 1, L_N), L_N the length of the longest
@@ -611,8 +535,9 @@ def davenport_exact(
     1. U, as the group ``units_of(S).as_semigroup()``: D(U) and its
        lexicographically first longest sequence W_U;
     2. one group run per isomorphism type of the class groups (below),
-       each with its census floor, which give the class bound B >= L_N. A
-       class group with U's census invariants takes D(U) from run 1;
+       each with the floor of its coordinates, which give the class bound
+       B >= L_N. A class group with U's invariant factors takes D(U) from
+       run 1;
     3. unless B <= D(U) - 2, one run over S with the floor D(U) - 2, which
        run 1 certifies, ended, complete, at its first sequence of B terms.
 
@@ -661,7 +586,7 @@ def davenport_exact(
     A mixed sequence has a non-unit product, so
     L_N <= B = max over the non-unit classes H of c(H) + D(Gamma_H) - 1.
     Each D(Gamma_H) comes from a complete group run, never a closed form;
-    isomorphic groups have equal census invariants and equal D. For
+    isomorphic groups have equal invariant factors and equal D. For
     F_p[x]/<f> with f squarefree the classes are the zero patterns of the
     CRT coordinates, and this is the paper's argument.
 
@@ -754,15 +679,15 @@ def davenport_exact(
     reports a witnessed lower bound. The floors are:
 
     * for a group U (S itself, its unit group or a class group),
-      floor = D*(U) - 2, where U has invariant factors d_i and
-      D*(U) = 1 + sum(d_i - 1) comes from the census. D*(U) <= D(U) = L + 1,
-      so floor < L;
+      floor = D*(U) - 2, where D*(U) = 1 + sum(d_i - 1) over the orders
+      d_i of the axes of U's coordinates (``group_structure``),
+      U = C_d1 ⊕ ... ⊕ C_dk. D*(U) <= D(U) = L + 1, so floor < L;
     * for run 3 over S, D(U) - 2: W_U is irreducible over S, so
       L >= D(U) - 1.
 
     A complete run ending with best_len > floor proves floor < L whatever
-    the census or run 1 says, and one ending at or below its floor raises
-    ``AssertionError``.
+    the coordinates or run 1 say, and one ending at or below its floor
+    raises ``AssertionError``.
 
     Symmetry. Let A be the automorphisms of the run's semigroup that
     ``automorphisms`` returns (all of them or, past its work cap or the
@@ -803,7 +728,7 @@ def davenport_exact(
     budget = budget_ms if isinstance(budget_ms, Budget) else Budget(budget_ms)
     U = units_of(S)
     G = S if U.order == S.size else U.as_semigroup()
-    path, nodes, complete = _group_run(G, U.invariant_factors, budget)
+    path, nodes, complete = _group_run(G, U.coordinates, budget)
     units = None if G is S else _result(G, path, nodes, complete, budget)
     unit_path = tuple(U.elements[i] for i in path)  # the same path when G is S
     if G is S or not complete:
@@ -822,12 +747,13 @@ def davenport_exact(
     return _result(S, path, nodes, complete, budget, units)
 
 
-def _group_run(G: FiniteSemigroup, invariants, budget: Budget):
-    """The run over a group G with invariant factors ``invariants``, floored
-    at the census bound D*(G) - 2: ``(path, nodes, complete)``."""
-    floor = sum(d - 1 for d in invariants) - 1
+def _group_run(G: FiniteSemigroup, coordinates, budget: Budget):
+    """The run over a group G with these coordinates (``group_structure``),
+    floored at D*(G) - 2 from their axes: ``(path, nodes, complete)``."""
+    floor = sum(d - 1 for _, d in coordinates[1]) - 1
     return _checked_run(
-        G.table, G.identity, automorphisms(G, budget.expired), budget, floor, group=True
+        G.table, G.identity, automorphisms(G, budget.expired), budget, floor,
+        coordinates=coordinates,
     )
 
 
@@ -871,9 +797,9 @@ def _class_bound(S, U, d_units: int, budget: Budget) -> tuple[Optional[int], int
             [[pos[rows[h1][y[h2]]] for h2 in H] for h1 in H],
             identity_value=S.values[s0],
         )
-        invariants = invariants_by_census(gamma)
+        invariants, coordinates = group_structure(gamma)
         if invariants not in d_of:
-            path, more, complete = _group_run(gamma, invariants, budget)
+            path, more, complete = _group_run(gamma, coordinates, budget)
             nodes += more
             if not complete:
                 return None, nodes
@@ -890,7 +816,7 @@ def _branch_and_bound(
     floor: int,
     first_stop: Optional[int] = None,
     stop_at: Optional[int] = None,
-    group: bool = False,
+    coordinates=None,
 ) -> tuple[tuple[int, ...], int, bool]:
     """One search run as ``davenport_exact`` describes it: the Cayley rows,
     the identity, the automorphisms as index maps and the pruning floor
@@ -899,9 +825,10 @@ def _branch_and_bound(
     below ``first_stop`` (default: any) may be the first; this serves the
     L_N reference of ``scripts/class_bound_sweep.py``, and it acts only at
     the root, whose key no other state has (below the root rp holds the
-    empty product), so every memo entry stays valid. ``group``
-    says the rows are a group's: the run then keys its states by the
-    subsum set alone (Group key in ``davenport_exact``).
+    empty product), so every memo entry stays valid. ``coordinates``, the
+    rows' coordinates (``group_structure``) when they are a group's, makes
+    it a group run: it keys its states by the subsum set alone (Group key
+    in ``davenport_exact``).
 
     Memo dominance. A state is (s, rp, m): its product, its proper
     products and its minimum next index. Its key is ``(rp << w) | s``, w
@@ -920,8 +847,8 @@ def _branch_and_bound(
     is not used for x.
 
     Coordinates. A group run holds r_all, and so the memo key and the
-    symmetry entries' fixed masks, in the mixed-radix coordinates of
-    ``_coordinates``, G = C_d1 ⊕ ... ⊕ C_dk; the fixed masks are
+    symmetry entries' fixed masks, in the mixed-radix coordinates it is
+    given, G = C_d1 ⊕ ... ⊕ C_dk; the fixed masks are
     relabelled once, at the root. There R -> R x is one rotation per axis
     that x moves (``_shift_moves``, ``_shifted``), a fixed number of
     big-int operations with no table. The terms keep their labels: the
@@ -936,8 +863,8 @@ def _branch_and_bound(
     test, fiber row x (``_fiber_row``) when x first reaches the fiber
     test, and ideal[s] (``_ideal_row``) when a child with product s is
     entered. A group run builds, before the root's first expansion (after
-    its clock read, so a spent budget builds nothing), its coordinates,
-    its shift masks and one chunk table, the inverse test
+    its clock read, so a spent budget builds nothing), its shift masks
+    and one chunk table, the inverse test
     (``_inverse_chunks``); it builds no translate, fiber or ideal row, its
     one ideal being the whole group. The run enters each child in its
     parent's loop: a usable memo hit or a cut by the bound ends the child
@@ -945,6 +872,7 @@ def _branch_and_bound(
     The tables, the memo and ``explore`` itself go by refcount on
     return."""
     n = len(rows)
+    group = coordinates is not None
     # rows built on first use: translate[x] (R -> R x, chunkwise),
     # ideal[s] (s S^1) and fiber[x] (t -> {r : r x = t})
     translate: list = [None] * n
@@ -1051,7 +979,7 @@ def _branch_and_bound(
             raise _OutOfBudget
         if n - 1 > cut:
             if group:
-                coord, axes = _coordinates(rows, identity)
+                coord, axes = coordinates
                 moves = _shift_moves(coord, axes)
                 inverse = _inverse_chunks(coord, axes)
                 ideal[0] = full  # the identity's coordinate, and its ideal G

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, deterministic records."""
 
 import json
+import random
 import shlex
 import time
 from pathlib import Path
@@ -558,3 +559,42 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+def random_modulus(rng: random.Random, p: int) -> str:
+    """A random f over F_p with p^deg <= 256, as CLI text: leading
+    coefficients other than 1, and every other draw a repeated factor."""
+    top = 1
+    while p ** (top + 1) <= 256:
+        top += 1
+
+    def poly_text(deg):
+        coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+        return "+".join(f"{c}*x^{k}" for k, c in enumerate(coeffs) if c) or "0"
+
+    if top >= 2 and rng.random() < 0.5:
+        return f"(x+{rng.randrange(p)})^2*({poly_text(rng.randrange(top - 1))})"
+    return poly_text(rng.randint(1, top))
+
+
+class TestAdversarialDraws:
+    """Seeded random inputs through ``main``: every one ends with a defined
+    exit code (never 4, an internal check) and within its budget."""
+
+    BUDGET_MS = 100
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_input_exits_cleanly(self, capsys, seed):
+        rng = random.Random(seed)
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        verb = rng.choice([["units"], ["davenport"], ["probe"], ["verify", "theorem1"]])
+        argv = [*verb, "-p", str(p), "-f", random_modulus(rng, p),
+                "--format", rng.choice(["text", "record"])]
+        if verb != ["units"]:  # units takes no budget
+            argv += ["--budget-ms", str(self.BUDGET_MS)]
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert "Traceback" not in err, argv
+        assert elapsed <= self.BUDGET_MS / 1000 + 1.5, (argv, elapsed)

@@ -24,7 +24,6 @@ from davenport.gfpoly import Poly, factor, is_prime
 from davenport.semigroup import (
     FiniteSemigroup,
     build_adjoined_zero_product,
-    element_orders,
     format_value,
     invariant_factors_from_cyclic_orders,
     projection_indices,
@@ -166,34 +165,55 @@ class TestGroups:
         assert not is_group(FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]]))
 
 
-class TestElementOrders:
+def order_lists(cap):
+    """Every non-decreasing list of cyclic orders >= 2 with product at
+    most cap, divisibility chains or not."""
+    def extend(orders, size):
+        yield orders
+        for n in range(orders[-1] if orders else 2, cap // size + 1):
+            yield from extend(orders + [n], size * n)
+
+    return [orders for orders in extend([], 1) if orders]
+
+
+class TestInvariantFactors:
+    """units_of reads the invariant factors off the group's checked cyclic
+    coordinates; the reference merges the prime powers of given cyclic
+    orders instead."""
+
     @pytest.mark.parametrize(
-        "build",
+        "build, orders",
         [
-            lambda: build_cyclic_group(12),
-            lambda: build_abelian_group([2, 6]),
-            lambda: build_abelian_group([3, 3, 3]),
-            lambda: units_of(build_quotient_semigroup(3, poly(3, 0, 0, 1, 1))).group,
+            (lambda: build_cyclic_group(12), [12]),
+            (lambda: build_abelian_group([2, 6]), [2, 6]),
+            (lambda: build_abelian_group([3, 3, 3]), [3, 3, 3]),
+            # x^2 (x+1): U(F_3[x]/<x^2>) = C_6 times F_3^* = C_2
+            (lambda: build_quotient_semigroup(3, poly(3, 0, 0, 1, 1)), [6, 2]),
+            (lambda: build_abelian_group([4, 4, 4]), [4, 4, 4]),
+            (lambda: build_abelian_group([2, 4, 8]), [2, 4, 8]),
+            (lambda: build_abelian_group([3, 24]), [3, 24]),
+            (lambda: build_abelian_group([2, 42]), [2, 42]),
         ],
-        ids=["C12", "C2xC6", "C3^3", "U(x^3+x^2 over F_3)"],
+        ids=["C12", "C2xC6", "C3^3", "U(x^3+x^2 over F_3)", "C4^3", "C2xC4xC8",
+             "C3xC24", "C2xC42"],
     )
-    def test_match_repeated_multiplication(self, build):
-        G = build()
+    def test_match_cyclic_orders(self, build, orders):
+        assert units_of(build()).invariant_factors == invariant_factors_from_cyclic_orders(orders)
 
-        def order(i):
-            acc, k = i, 1
-            while acc != G.identity:
-                acc, k = G.op(acc, i), k + 1
-            return k
-
-        assert element_orders(G) == [order(i) for i in range(G.size)]
+    def test_every_small_order_list(self):
+        # every cyclic and abelian group of the search oracle (27 elements),
+        # and the products that are not divisibility chains, like C2 x C3
+        lists = order_lists(27)
+        assert [2, 3] in lists and [3, 3, 3] in lists and len(lists) == 59
+        for orders in [[1]] + lists:
+            G = build_abelian_group(orders)
+            assert units_of(G).invariant_factors == invariant_factors_from_cyclic_orders(orders)
 
     def test_non_group_rejected(self, quotient_p3_sq):
-        # the zero's walk never reaches the identity, and without an
-        # identity no walk does; both stop after |S| steps
-        for S in (quotient_p3_sq, FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]])):
-            with pytest.raises(ValueError, match="not a group"):
-                element_orders(S)
+        # the zero's walk never reaches the identity; it stops after |S| steps
+        S = quotient_p3_sq
+        with pytest.raises(AssertionError, match="miss the identity"):
+            semigroup._coordinates(S.table, S.identity)
 
 
 class TestTableOracle:
@@ -372,10 +392,15 @@ class TestInternalChecks:
         with pytest.raises(AssertionError, match=r"closed-form unit structure \(7,\)"):
             units_of(build_quotient_semigroup(3, poly(3, 1, 2, 1)))
 
-    def test_census_not_a_layering(self, monkeypatch):
-        # three elements of 2-power order cannot make a 2-group
-        monkeypatch.setattr(semigroup, "element_orders", lambda G: [1, 2, 2, 3, 3, 6])
-        with pytest.raises(AssertionError, match="not a q-group layering"):
+    def test_basis_orders_not_a_chain(self, monkeypatch):
+        # greedy orders 2 then 3 describe C_6 but are no divisibility chain;
+        # unchecked, davenport_group_formula would raise ValueError on them
+        coordinates = semigroup._coordinates
+        monkeypatch.setattr(
+            semigroup, "_coordinates",
+            lambda rows, e: (coordinates(rows, e)[0], [(1, 2), (2, 3)]),
+        )
+        with pytest.raises(AssertionError, match="not a divisibility chain"):
             units_of(build_cyclic_group(6))
 
     def test_residue_map_not_a_bijection(self):
@@ -466,7 +491,8 @@ class TestUnits:
             assert product == U.order
 
     def test_census_only_case_high_degree_repeated(self):
-        # (x+1)^3 over F_3 has no closed form here; census must still work
+        # (x+1)^3 over F_3 has no closed form here; the coordinates must
+        # still give the structure
         U = units_of(build_quotient_semigroup(3, poly(3, 1, 1) ** 3))
         assert U.order == 18
         assert U.invariant_factors == (3, 6)
@@ -493,7 +519,7 @@ class TestUnits:
 
     def test_unit_group_is_its_own_unit_group(self, monkeypatch):
         # units_of keeps a unit group on the group it returns, so a D(U)
-        # search builds no second copy; the kept one is what a fresh census
+        # search builds no second copy; the kept one is what a fresh reading
         # of the group finds
         S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
         G = units_of(S).as_semigroup()
@@ -511,8 +537,8 @@ class TestUnits:
         monkeypatch.undo()
         G._unit_cache = None
         fresh = units_of(G)
-        assert (kept.elements, kept.inverses, kept.invariant_factors) == (
-            fresh.elements, fresh.inverses, fresh.invariant_factors
+        assert (kept.elements, kept.inverses, kept.invariant_factors, kept.coordinates) == (
+            fresh.elements, fresh.inverses, fresh.invariant_factors, fresh.coordinates
         )
 
     def test_invariant_merge(self):

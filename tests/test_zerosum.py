@@ -37,6 +37,7 @@ from davenport import (
 from davenport import cli, semigroup, zerosum
 from davenport.semigroup import (
     FiniteSemigroup,
+    _coordinates,
     automorphisms,
     build_adjoined_zero_product,
 )
@@ -46,7 +47,6 @@ from davenport.verify import (
     proposition_semigroup,
 )
 from davenport.zerosum import (
-    _coordinates,
     _fiber_row,
     _ideal_row,
     _inverse_chunks,
@@ -258,14 +258,14 @@ class TestTranslateTables:
         # test, and nothing else
         S = build()
         U = units_of(S).as_semigroup()
-        # the census floor D*(U) - 2 is below the longest length of both
+        # the floor D*(U) - 2 is below the longest length of both
         floor = sum(d - 1 for d in units_of(S).invariant_factors) - 1
         calls = spy_on_row_builders(monkeypatch)
         for T, group in ((S, False), (U, True)):
             calls.clear()
             _, _, complete = zerosum._branch_and_bound(
                 T.table, T.identity, automorphisms(T), zerosum.Budget(None), floor,
-                group=group,
+                coordinates=units_of(T).coordinates if group else None,
             )
             assert complete
             index = {id(row): x for x, row in enumerate(T.table)}
@@ -473,9 +473,9 @@ def spy_on_row_builders(monkeypatch):
 
 def run_kind(kwargs):
     """The run of ``davenport_exact`` that a kernel call with these keyword
-    arguments makes: a group run passes ``group=True``, and the run over S
-    does not."""
-    return "group" if kwargs.get("group") else "S"
+    arguments makes: a group run passes its ``coordinates``, and the run
+    over S does not."""
+    return "S" if kwargs.get("coordinates") is None else "group"
 
 
 class TestDavenportExact:
@@ -590,13 +590,14 @@ class TestDavenportExact:
             assert res.nodes == 7_807
 
     def test_floor_above_the_value_is_caught(self, monkeypatch):
-        # a unit census claiming C_100 for C_6 puts the floor at 98; the
-        # search then ends complete at or below it, which only a wrong
-        # floor explains
+        # coordinates claiming an axis of order 100 for C_6 put the floor at
+        # 98; the search then ends complete at or below it, which only a
+        # wrong floor explains
         G = build_cyclic_group(6)
         U = units_of(G)
+        wrong = (U.coordinates[0], [(1, 100)])
         monkeypatch.setattr(
-            zerosum, "units_of", lambda S: dataclasses.replace(U, invariant_factors=(100,))
+            zerosum, "units_of", lambda S: dataclasses.replace(U, coordinates=wrong)
         )
         with pytest.raises(AssertionError, match="not above the floor 98"):
             davenport_exact(G)
@@ -952,7 +953,7 @@ class TestBranchAndBoundOracle:
             assert (res.units.value, res.units.witness.indices()) == expected
 
     def test_both_unit_rules_act_on_the_oracle_universes(self, monkeypatch):
-        # the oracle checks each unit rule where it acts: the census floor
+        # the oracle checks each unit rule where it acts: the floor D*(U) - 2
         # wherever U is nontrivial (up to C_26), and the split at the unit
         # group on each witness path. A group is one run. Otherwise U's
         # witness serves when the class bound proves B <= D(U) - 2, and a
@@ -1108,12 +1109,13 @@ class TestGroupKey:
     @staticmethod
     def both_keys(G):
         maps = automorphisms(G)
-        floor = sum(d - 1 for d in units_of(G).invariant_factors) - 1
+        coordinates = units_of(G).coordinates
+        floor = sum(d - 1 for _, d in coordinates[1]) - 1
         return [
             zerosum._branch_and_bound(
-                G.table, G.identity, maps, zerosum.Budget(None), floor, group=group
+                G.table, G.identity, maps, zerosum.Budget(None), floor, coordinates=c
             )
-            for group in (True, False)
+            for c in (coordinates, None)
         ]
 
     def test_every_oracle_group(self):
@@ -1154,7 +1156,9 @@ class TestCoordinates:
     @staticmethod
     def check(G):
         n, rows = G.size, G.table
-        coord, axes = _coordinates(rows, G.identity)
+        # units_of keeps the coordinates of G's own table
+        coord, axes = units_of(G).coordinates
+        assert (coord, axes) == _coordinates(rows, G.identity)
         assert sorted(coord) == list(range(n))
         assert [s for s, _ in axes] == [prod(d for _, d in axes[:i]) for i in range(len(axes))]
         assert prod(d for _, d in axes) == n
@@ -1220,11 +1224,6 @@ class TestCoordinates:
         ):
             with pytest.raises(AssertionError, match=message):
                 _coordinates(table, identity)
-            with pytest.raises(AssertionError, match=message):
-                zerosum._branch_and_bound(
-                    table, identity, [tuple(range(len(table)))], zerosum.Budget(None), 0,
-                    group=True,
-                )
 
 
 class TestSymmetryOnTheOracle:
