@@ -20,7 +20,8 @@ identity, anywhere.
 
 Every group run these searches make (each unit group and each class
 group, keyed by the subsum set alone) is also run once per distinct Cayley
-table with the product kept in the key, as the run over S keeps it. The
+table as a run over S, which keys its states by (r_all, s), the product
+kept beside the subsum set. The
 sweep prints a summary line for those and exits 1 if the two differ in
 value or witness anywhere. Both runs share the memo's dominance rule (an
 entry serves its own minimum next index and every later one), so this

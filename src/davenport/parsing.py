@@ -67,8 +67,8 @@ class _PolyParser:
         self.p = p
         self.pos = 0
 
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.pos)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -80,7 +80,7 @@ class _PolyParser:
 
     def eat(self, ch: str):
         if self.peek() != ch:
-            self.error(f"expected {ch!r}")
+            raise self.error(f"expected {ch!r}")
         self.pos += 1
 
     def uint(self) -> int:
@@ -89,14 +89,14 @@ class _PolyParser:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            self.error("expected a number")
+            raise self.error("expected a number")
         return int(self.text[start : self.pos])
 
     def parse(self) -> Poly:
         result = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
-            self.error("unexpected trailing input")
+            raise self.error("unexpected trailing input")
         return result
 
     def expr(self) -> Poly:
@@ -116,7 +116,7 @@ class _PolyParser:
 
     def check_degree(self, degree: int):
         if degree > MAX_DEGREE:
-            self.error(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+            raise self.error(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
 
     def term(self) -> Poly:
         acc = self.factor()
@@ -148,8 +148,7 @@ class _PolyParser:
             return Poly(self.p, [0, 1])
         if ch.isdigit():
             return Poly(self.p, [self.uint()])
-        self.error("expected a coefficient, 'x', or '('")
-        raise AssertionError  # unreachable
+        raise self.error("expected a coefficient, 'x', or '('")
 
 
 def parse_poly_expr(text: str, p: int) -> Poly:

@@ -476,16 +476,17 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
     # an inverse is unique in a commutative monoid: the first e in the row
     inverses = {i: row.index(e) for i, row in enumerate(S.table) if e in row}
     elements = tuple(sorted(inverses))
-
-    unit_values = [S.values[i] for i in elements]
-    position = {u: k for k, u in enumerate(elements)}
-    group = FiniteSemigroup(
-        "abelian_group",
-        unit_values,
-        [[position[S.table[i][j]] for j in elements] for i in elements],
-        identity_value=S.values[e],
-        params={"units_of": S.kind},
-    )
+    if len(elements) == S.size:  # a group is its own unit group
+        group = S
+    else:
+        position = {u: k for k, u in enumerate(elements)}
+        group = FiniteSemigroup(
+            "abelian_group",
+            [S.values[i] for i in elements],
+            [[position[S.table[i][j]] for j in elements] for i in elements],
+            identity_value=S.values[e],
+            params={"units_of": S.kind},
+        )
 
     invariants, coordinates = group_structure(group)
     closed_form = _closed_form_invariants(S)
@@ -497,15 +498,6 @@ def units_of(S: FiniteSemigroup) -> UnitGroup:
 
     ug = UnitGroup(S, elements, inverses, invariants, group, coordinates)
     S._unit_cache = ug
-    # the group is its own unit group, so units_of(group) builds nothing
-    group._unit_cache = UnitGroup(
-        group,
-        tuple(range(len(elements))),
-        {position[i]: position[j] for i, j in inverses.items()},
-        invariants,
-        group,
-        coordinates,
-    )
     return ug
 
 

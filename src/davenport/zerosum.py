@@ -507,22 +507,23 @@ def davenport_exact(
 
     Sequences are generated with non-decreasing element indices; only
     irreducible prefixes are extended, and search states that coincide in
-    (product, proper-product set) share one memo entry, whose key packs the
-    product into a field of ``(n - 1).bit_length()`` bits below the set.
-    The entry stores the minimum next index it was written at beside its
-    bound and serves that index and every later one (Memo dominance in
-    ``_branch_and_bound``). A group run holds the product at the identity,
-    so its key is the subsum set alone, see Group key.
+    (product s, set r_all of the products of all sub-multisets) share one
+    memo entry, whose key packs s into a field of ``(n - 1).bit_length()``
+    bits below r_all. The entry stores the minimum next index it was written
+    at beside its bound and serves that index and every later one (Memo
+    dominance in ``_branch_and_bound``). A group run holds the product at
+    the identity, so its key is the subsum set alone, see Group key.
     ``budget_ms`` is the caller's ``Budget`` or, as milliseconds (None:
     unbounded), a fresh one. It covers every run below, building their
-    tables included, and ``millis`` is its elapsed time. A run builds
-    each row of its tables when it first reads it. Every state it enters
-    and does not end at a memo hit is a node, a child cut by the bound
-    included. It reads the clock on its first node, before any row is
-    built, and then every 1024 nodes, so a spent budget explores exactly
-    one node and builds no row. On budget exhaustion the result downgrades
-    to the longest sequence found so far, an explicit lower bound with
-    ``complete=False``. ``nodes`` is the sum over the runs of the call.
+    tables included, and ``millis`` is its elapsed time. A run builds its
+    tables at its root, except the translate rows, each built when it is
+    first read. Every state it enters and does not end at a memo hit is a
+    node, a child cut by the bound included. It reads the clock on its first
+    node, before any row is built, and then every 1024 nodes, so a spent
+    budget explores exactly one node and builds no row. On budget exhaustion
+    the result downgrades to the longest sequence found so far, an explicit
+    lower bound with ``complete=False``. ``nodes`` is the sum over the runs
+    of the call.
 
     Split at the unit group. A group is searched whole, by one run with the
     floor of its coordinates (below). Otherwise let U be the unit group and
@@ -611,30 +612,33 @@ def davenport_exact(
     an entry written at a smaller m can be looser than the state's own
     bound, and one written at a larger m is not used.
 
-    Ideal bound. Let T have product s and proper-sub-multiset products rp
-    (the empty product included), and let T y_1 ... y_k be irreducible.
+    Ideal bound. Let T have product s and sub-multiset products r_all (the
+    empty product and s included), and let T y_1 ... y_k be irreducible.
     Irreducible sequences are downward closed, so every T y_1 ... y_i is
     irreducible. Hence the products s y_1 ... y_i (1 <= i <= k) are pairwise
-    distinct, differ from s and avoid rp: an equality would give a prefix
-    a proper sub-multiset with its own product. They all lie in the
-    principal ideal s S^1, so k <= |s S^1 minus (rp and s)|. A state whose
-    bound cannot lift ``depth`` past ``best_len`` is stored with that
-    bound and not expanded. Every cut branch and every used memo hit is
-    thus no longer than the incumbent, so after a complete run without a
-    floor ``best_len`` is the longest length. The incumbent only grows by a
-    sequence the run has just reached, term by term; the run visits the
-    multisets in lexicographic order and only a strictly longer sequence
-    replaces the incumbent, so the witness is the lexicographically first
-    longest irreducible sequence.
+    distinct and avoid r_all: an equality would give a prefix a proper
+    sub-multiset with its own product. They all lie in the principal ideal
+    s S^1, so k <= |s S^1 minus r_all|. A state whose bound cannot lift
+    ``depth`` past ``best_len`` is stored with that bound and not expanded.
+    Every cut branch and every used memo hit is thus no longer than the
+    incumbent, so after a complete run without a floor ``best_len`` is the
+    longest length. The incumbent only grows by a sequence the run has just
+    reached, term by term; the run visits the multisets in lexicographic
+    order and only a strictly longer sequence replaces the incumbent, so the
+    witness is the lexicographically first longest irreducible sequence.
 
-    Child test. Appending x to T gives product s x and proper products
-    rp' = rp ∪ {s} ∪ rp x, and T x is reducible iff s x lies in rp'. So
-    it is reducible iff s x lies in rp ∪ {s}, or r x = s x for some r in
-    rp, that is iff rp meets fiber[x][s x], where fiber[x][t] is the
-    preimage of t under r -> r x. Both checks are O(1) mask tests, so rp'
-    is built only for the children that pass. The test is an equivalence,
-    not a prune: the search tree, node counts, memo and witness are those
-    of testing s x against rp' itself.
+    Child test. A state carries r_all alone. Its proper products are
+    rp = r_all minus s, since an irreducible T has no proper sub-multiset
+    with product s. Appending x to T gives product s x, proper products
+    r_all ∪ rp x, and r_all' = r_all ∪ r_all x: a sub-multiset of T x is
+    one of T, with or without x. T x is reducible iff s x lies in its
+    proper products, that is iff s x lies in r_all, or r x = s x for some
+    r in rp, that is iff rp meets fiber[x][s x], where fiber[x][t] is the
+    preimage of t under r -> r x. Both checks are O(1) mask tests, so
+    r_all' is built only for the children that pass. The test is an
+    equivalence, not a prune: the search tree, node counts, memo and
+    witness are those of testing s x against the proper products
+    themselves.
 
     Group key. In a group, T is irreducible iff it is zero-sum free: a
     proper T' has the product of T iff the nonempty rest has product e
@@ -649,18 +653,18 @@ def davenport_exact(
       next index on, minus those an automorphism fixing r_all moves down
       (Symmetry, below), minus r_all^-1, read through one chunk table of
       the inversion map; a blocked term costs no loop step;
-    * the new set: a sub-multiset of T x is one of T, with or without x,
-      so r_all' = r_all ∪ r_all x, a shift of r_all per axis of the
-      group's cyclic coordinates (Coordinates in ``_branch_and_bound``);
+    * the new set: r_all' = r_all ∪ r_all x (Child test), a shift of
+      r_all per axis of the group's cyclic coordinates (Coordinates in
+      ``_branch_and_bound``);
     * the bound: s S^1 is the whole group, so it is n - |r_all|;
     * the symmetry rule reads r_all alone.
 
     So two states with one r_all and one minimum next index have the same
     subtree, and by Memo dominance one entry bounds every state with that
     r_all and that index or a later one. ``_group_run`` runs the kernel
-    with the product held at the identity and r_all carried in place of
-    rp, so the key is r_all alone, beside the identity's product field
-    (r_all in coordinates, a relabelling that is one-to-one on keys).
+    with the product held at the identity, so the key is r_all alone,
+    beside the identity's product field (r_all in coordinates, a
+    relabelling that is one-to-one on keys).
     The run is the branch-and-bound above with more states merged: each
     memo entry is still a bound, so the value and the witness are those of
     the product-keyed run.
@@ -692,17 +696,14 @@ def davenport_exact(
     Symmetry. Let A be the automorphisms of the run's semigroup that
     ``automorphisms`` returns (all of them or, past its work cap or the
     budget, a subset).
-    A state with product s and proper products rp, r_all = rp and s, skips
-    a term y when some phi in A fixes every element of r_all and has
-    phi(y) < y. An automorphism maps an irreducible sequence to an
-    irreducible one of the same length, since it carries the
-    sub-multisets of T and their products onto those of phi(T).
+    A state skips a term y when some phi in A fixes every element of its
+    r_all and has phi(y) < y. An automorphism maps an irreducible
+    sequence to an irreducible one of the same length, since it carries
+    the sub-multisets of T and their products onto those of phi(T).
 
-    * The skipped terms depend only on the memo key. With two or more
-      terms, each term of T is a proper sub-multiset of T, so it lies in
-      rp; with one term x1, r_all = {identity, x1}; at the root
-      r_all = {identity}. So a phi fixing r_all fixes every term of every
-      path to the key.
+    * The skipped terms depend only on the memo key. Each term of T is
+      the product of a one-term sub-multiset, so it lies in r_all. So a
+      phi fixing r_all fixes every term of every path to the key.
     * W is never skipped. Let W = w1 <= w2 <= ... be the lexicographically
       first longest irreducible sequence over the run's semigroup, and
       w1..wk its prefix at some state. Suppose phi fixes r_all, hence
@@ -727,7 +728,7 @@ def davenport_exact(
         raise ValueError("Davenport search needs an identity element")
     budget = budget_ms if isinstance(budget_ms, Budget) else Budget(budget_ms)
     U = units_of(S)
-    G = S if U.order == S.size else U.as_semigroup()
+    G = U.as_semigroup()
     path, nodes, complete = _group_run(G, U.coordinates, budget)
     units = None if G is S else _result(G, path, nodes, complete, budget)
     unit_path = tuple(U.elements[i] for i in path)  # the same path when G is S
@@ -818,33 +819,35 @@ def _branch_and_bound(
     stop_at: Optional[int] = None,
     coordinates=None,
 ) -> tuple[tuple[int, ...], int, bool]:
-    """One search run as ``davenport_exact`` describes it: the Cayley rows,
-    the identity, the automorphisms as index maps and the pruning floor
-    give ``(path, nodes, complete)``, path the incumbent's indices. The run
-    ends, complete, at the first sequence of ``stop_at`` terms. Only a term
-    below ``first_stop`` (default: any) may be the first; this serves the
-    L_N reference of ``scripts/class_bound_sweep.py``, and it acts only at
-    the root, whose key no other state has (below the root rp holds the
-    empty product), so every memo entry stays valid. ``coordinates``, the
-    rows' coordinates (``group_structure``) when they are a group's, makes
-    it a group run: it keys its states by the subsum set alone (Group key
-    in ``davenport_exact``).
+    """One search run as ``davenport_exact`` describes it: the Cayley rows, the
+    identity, the automorphisms as index maps and the pruning floor give
+    ``(path, nodes, complete)``, path the incumbent's indices. The run ends,
+    complete, at the first sequence of ``stop_at`` terms. Only a term below
+    ``first_stop`` (default: any) may be the first; this serves the L_N
+    reference of ``scripts/class_bound_sweep.py``, and it acts only at the
+    root, whose key no other state has (below the root r_all holds the empty
+    product and a product other than it), so every memo entry stays valid.
+    ``coordinates``, the rows' coordinates (``group_structure``) when they
+    are a group's, makes it a group run: it keys its states by the subsum
+    set alone (Group key in ``davenport_exact``).
 
-    Memo dominance. A state is (s, rp, m): its product, its proper
-    products and its minimum next index. Its key is ``(rp << w) | s``, w
-    the bits of an index, in both modes; a group run's s is the identity.
-    Its entry is ``(ub << w) | m``, ub a bound on the terms its extensions
-    can add. The child test, the symmetry skip and the ideal bound read
-    only s, rp and the terms appended, never m, and m only removes the
-    terms below it from the first step. So for m <= m' the extensions of
-    (s, rp, m') are among those of (s, rp, m), and a bound for the second
-    holds for the first. A child x, whose minimum next index is x, uses an
-    entry only when its stored m <= x (and ``depth + ub <= cut``);
-    otherwise it is explored and the entry overwritten with its own bound
-    and x, which by the same rule is a bound for every index from x on.
-    This is dominance, not an order-free key: an entry written at m > x
-    knows nothing of the extensions that start with a term in [x, m), and
-    is not used for x.
+    Memo dominance. A state is (s, r_all, m): its product, the products of
+    its sub-multisets and its minimum next index. Its key is
+    ``(r_all << w) | s``, w the bits of an index, in both modes; a group
+    run's s is the identity. On an irreducible state s lies in r_all and not
+    in its proper products (Child test), so this key is one-to-one with (s,
+    proper products). Its entry is ``(ub << w) | m``, ub a bound on the
+    terms its extensions can add. The child test, the symmetry skip and the
+    ideal bound read only s, r_all and the terms appended, never m, and m
+    only removes the terms below it from the first step. So for m <= m' the
+    extensions of (s, r_all, m') are among those of (s, r_all, m), and a
+    bound for the second holds for the first. A child x, whose minimum next
+    index is x, uses an entry only when its stored m <= x (and
+    ``depth + ub <= cut``); otherwise it is explored and the entry
+    overwritten with its own bound and x, which by the same rule is a bound
+    for every index from x on. This is dominance, not an order-free key: an
+    entry written at m > x knows nothing of the extensions that start with a
+    term in [x, m), and is not used for x.
 
     Coordinates. A group run holds r_all, and so the memo key and the
     symmetry entries' fixed masks, in the mixed-radix coordinates it is
@@ -857,28 +860,26 @@ def _branch_and_bound(
     masks move with r_all, so every test reads the same answer as on the
     labels: the visit order, the nodes and the witness are unchanged.
 
-    The tables of a run over S are lists with one slot per element, each
-    row built from its Cayley row the first time the run reads it:
-    translate row x (``_translate_row``) when a child x passes the child
-    test, fiber row x (``_fiber_row``) when x first reaches the fiber
-    test, and ideal[s] (``_ideal_row``) when a child with product s is
-    entered. A group run builds, before the root's first expansion (after
-    its clock read, so a spent budget builds nothing), its shift masks
-    and one chunk table, the inverse test
+    Tables. Both kinds of run build the child's set as r_all ∪ r_all x. A
+    run over S builds, before the root's first expansion (after its clock
+    read, so a spent budget builds nothing), the fiber row (``_fiber_row``)
+    and the ideal (``_ideal_row``) of every element, and each translate row
+    x (``_translate_row``), the chunk table of R -> R x over r_all's bytes,
+    when a child x first passes the child test. A group run builds at the
+    same point its shift masks and one chunk table, the inverse test
     (``_inverse_chunks``); it builds no translate, fiber or ideal row, its
     one ideal being the whole group. The run enters each child in its
     parent's loop: a usable memo hit or a cut by the bound ends the child
-    there, and only a child left to expand costs a call of ``explore``.
-    The tables, the memo and ``explore`` itself go by refcount on
-    return."""
+    there, and only a child left to expand costs a call of ``explore``. The
+    tables, the memo and ``explore`` itself go by refcount on return."""
     n = len(rows)
     group = coordinates is not None
-    # rows built on first use: translate[x] (R -> R x, chunkwise),
-    # ideal[s] (s S^1) and fiber[x] (t -> {r : r x = t})
+    # built at the root: ideal[s] (s S^1) and fiber[x] (t -> {r : r x = t});
+    # a group run's shift moves and inverse test. translate[x] (R -> R x,
+    # chunkwise) is built on first use
     translate: list = [None] * n
-    ideal: list = [None] * n
-    fiber: list = [None] * n
-    # a group run's shift moves and inverse test, built at the root
+    ideal: list = []
+    fiber: list = []
     moves: list = []
     inverse: list = []
     full = (1 << n) - 1
@@ -889,14 +890,14 @@ def _branch_and_bound(
     # every automorphism fixes the identity, so the root keeps all the masks
     root_sym = _fixing(_symmetry_masks(maps), 1 << identity)
 
-    memo: dict[int, int] = {}  # (rp << w) | sig -> (ub << w) | min_elem
+    memo: dict[int, int] = {}  # (r_all << w) | sig -> (ub << w) | min_elem
     nodes = 1  # the root
     best_len = 0
     best_path: tuple[int, ...] = ()
     cut = max(best_len, floor)  # what cuts and memo hits must beat
     path: list[int] = []
 
-    def explore(sig: int, rp: int, r_all: int, min_elem: int, depth: int, sym) -> int:
+    def explore(sig: int, r_all: int, min_elem: int, depth: int, sym) -> int:
         # a state the caller has counted and its bound has not cut
         nonlocal nodes, best_len, best_path, cut
         best_ub = 0
@@ -905,14 +906,15 @@ def _branch_and_bound(
         # the terms from min_elem on that no automorphism fixing r_all
         # moves down
         kids = ((full >> min_elem << min_elem) if depth else first) & ~sym[2]
-        rp_bytes = rp.to_bytes(width, "little")  # a group run's rp is r_all
+        r_bytes = r_all.to_bytes(width, "little")
         if group:  # x is a child iff x^-1 is not in r_all
             blocked = 0
-            for chunk, byte in zip(inverse, rp_bytes):
+            for chunk, byte in zip(inverse, r_bytes):
                 blocked |= chunk[byte]
             kids &= ~blocked
         else:
             row = rows[sig]
+            rp = r_all ^ (1 << sig)  # the proper products
         depth += 1  # the children's
         base = min_elem & ~7
         kids >>= base
@@ -921,22 +923,17 @@ def _branch_and_bound(
                 x += base
                 if group:
                     new_sig = sig
-                    new_rp = r_all | _shifted(r_all, moves[x])
+                    new_all = r_all | _shifted(r_all, moves[x])
                 else:
                     new_sig = row[x]
-                    if (r_all >> new_sig) & 1:
-                        continue
-                    col = fiber[x]
-                    if col is None:
-                        col = fiber[x] = _fiber_row(rows[x])
-                    if rp & col[new_sig]:
+                    if (r_all >> new_sig) & 1 or rp & fiber[x][new_sig]:
                         continue
                     chunks = translate[x]
                     if chunks is None:
                         chunks = translate[x] = _translate_row(rows[x])
-                    new_rp = r_all
-                    for chunk, byte in zip(chunks, rp_bytes):
-                        new_rp |= chunk[byte]
+                    new_all = r_all
+                    for chunk, byte in zip(chunks, r_bytes):
+                        new_all |= chunk[byte]
                 if depth > best_len:
                     best_len = depth
                     best_path = tuple(path) + (x,)
@@ -945,7 +942,7 @@ def _branch_and_bound(
                         raise _Reached
                 # enter the child: a memo hit written at a minimum next
                 # index <= x, or a cut, ends it here
-                key = (new_rp << w) | new_sig
+                key = (new_all << w) | new_sig
                 ub = memo.get(key)
                 if ub is not None and (ub & low) <= x and depth + (ub >> w) <= cut:
                     ub >>= w
@@ -953,14 +950,10 @@ def _branch_and_bound(
                     nodes += 1
                     if nodes & 0x3FF == 1 and budget.expired():
                         raise _OutOfBudget
-                    new_all = new_rp | (1 << new_sig)
-                    mask = ideal[new_sig]
-                    if mask is None:
-                        mask = ideal[new_sig] = _ideal_row(rows[new_sig])
-                    ub = (mask & ~new_all).bit_count()
+                    ub = (ideal[new_sig] & ~new_all).bit_count()
                     if depth + ub > cut:
                         path.append(x)
-                        ub = explore(new_sig, new_rp, new_all, x, depth, sym)
+                        ub = explore(new_sig, new_all, x, depth, sym)
                         path.pop()
                     memo[key] = (ub << w) | x
                 if ub >= best_ub:
@@ -972,9 +965,8 @@ def _branch_and_bound(
     complete = True
     try:
         # the root, node 1: a group run holds the product at the identity,
-        # coordinate 0, and carries r_all in coordinates as rp, so its key
-        # and its tables read the subsum set alone. Its bound is n - 1, its
-        # ideal being S
+        # coordinate 0, and r_all in coordinates, so its key and its tables
+        # read the subsum set alone. Its bound is n - 1, its ideal being S
         if budget.expired():
             raise _OutOfBudget
         if n - 1 > cut:
@@ -982,11 +974,13 @@ def _branch_and_bound(
                 coord, axes = coordinates
                 moves = _shift_moves(coord, axes)
                 inverse = _inverse_chunks(coord, axes)
-                ideal[0] = full  # the identity's coordinate, and its ideal G
+                ideal = [full]  # the identity's coordinate, and its ideal G
                 entries = [(_relabelled(f, coord), d) for f, d in root_sym[0]]
-                explore(0, 1, 1, 0, 0, _fixing(entries, 1))
+                explore(0, 1, 0, 0, _fixing(entries, 1))
             else:
-                explore(identity, 0, 1 << identity, 0, 0, root_sym)
+                ideal = [_ideal_row(row) for row in rows]
+                fiber = [_fiber_row(row) for row in rows]
+                explore(identity, 1 << identity, 0, 0, root_sym)
     except _OutOfBudget:
         complete = False
     except _Reached:

@@ -4,11 +4,13 @@ import json
 import random
 import shlex
 import time
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from davenport.semigroup import build_adjoined_zero_product
+from davenport import davenport_group_formula
+from davenport.semigroup import build_adjoined_zero_product, invariant_factors_from_cyclic_orders
 from davenport.cli import main
 
 
@@ -262,6 +264,7 @@ class TestUsageErrors:
             ("davenport-group", "6,6,12"),
             ("verify", "lemma"),
             ("verify", "proposition"),
+            ("verify", "theorem1", "-p", "3", "-f", "2"),
         ],
     )
     def test_malformed_input_exits_2_with_one_line(self, capsys, argv):
@@ -577,6 +580,50 @@ def random_modulus(rng: random.Random, p: int) -> str:
     return poly_text(rng.randint(1, top))
 
 
+def random_reduce_argv(rng: random.Random, fault) -> list[str]:
+    """``reduce`` arguments: -n orders of at most 256 elements, or -p with
+    its square modulus, and a --seq of random literals with ``*m``
+    multiplicities, at least D(U(S)) terms long. ``fault`` is None, or one
+    of "paren", "*0", "non-element" and "short", which spoils the text."""
+    if rng.random() < 0.5:
+        k = rng.randint(1, 3)
+        orders: list[int] = []
+        while len(orders) < k and 256 // prod(n + 1 for n in orders) > 2:
+            room = 256 // prod(n + 1 for n in orders) - 1
+            orders.append(rng.randint(2, min(room, 255 if k == 1 else 15)))
+        units = invariant_factors_from_cyclic_orders(orders)
+        threshold = davenport_group_formula(units) or prod(orders)
+
+        def literal():
+            parts = [rng.choice(["inf", "g", f"g^{rng.randrange(2 * n)}"]) for n in orders]
+            return parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
+
+        modulus = ["-n", ",".join(map(str, orders))]
+    else:
+        p = rng.choice([3, 5, 7, 11, 13])
+        threshold = p * (p - 1)
+
+        def literal():
+            a, b = rng.randrange(p), rng.randrange(p)
+            return rng.choice([str(b), "x", f"({a}*x+{b})", f"(x+{b})"])
+
+        modulus = ["-p", str(p)]
+    length = threshold - 1 - rng.randrange(3) if fault == "short" else threshold + rng.randrange(3)
+    items = []
+    while length > 0:
+        m = rng.randint(1, length)
+        items.append(f"{literal()}*{m}" if m > 1 or rng.random() < 0.3 else literal())
+        length -= m
+    k = rng.randrange(len(items))
+    if fault == "paren":
+        items[k] = "(" + items[k]
+    elif fault == "*0":
+        items[k] += "*0"
+    elif fault == "non-element":
+        items[k] = "h"
+    return ["reduce", *modulus, "--seq", ";".join(items)]
+
+
 class TestAdversarialDraws:
     """Seeded random inputs through ``main``: every one ends with a defined
     exit code (never 4, an internal check) and within its budget."""
@@ -598,3 +645,19 @@ class TestAdversarialDraws:
         assert code in (0, 1, 2, 3), (argv, err)
         assert "Traceback" not in err, argv
         assert elapsed <= self.BUDGET_MS / 1000 + 1.5, (argv, elapsed)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_sequence_exits_cleanly(self, capsys, seed):
+        # every fourth draw carries one malformed literal
+        rng = random.Random(seed)
+        fault = rng.choice(["paren", "*0", "non-element", "short"]) if seed % 4 == 3 else None
+        argv = random_reduce_argv(rng, fault) + [
+            "--format", rng.choice(["text", "record"]), "--budget-ms", str(self.BUDGET_MS)]
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert "Traceback" not in err, argv
+        assert elapsed <= self.BUDGET_MS / 1000 + 1.5, (argv, elapsed)
+        if fault is not None:  # -n reads D(U) before its length check: 3 if cut
+            assert code == 2 or (fault == "short" and code == 3), (argv, err)

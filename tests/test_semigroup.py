@@ -518,9 +518,9 @@ class TestUnits:
         exhaustive_axioms(G)
 
     def test_unit_group_is_its_own_unit_group(self, monkeypatch):
-        # units_of keeps a unit group on the group it returns, so a D(U)
-        # search builds no second copy; the kept one is what a fresh reading
-        # of the group finds
+        # every element of the group units_of returns is a unit, so reading
+        # it again takes the group itself and builds no copy, and it finds
+        # what a fresh reading finds
         S = build_quotient_semigroup(13, poly(13, 1, 2, 1))
         G = units_of(S).as_semigroup()
         built = []

@@ -220,6 +220,13 @@ class TestConstructiveReduction:
         with pytest.raises(ValueError):
             constructive_reduction(c2z_squared, T, d_units=3)
 
+    def test_sequence_from_another_semigroup_rejected(self, c2z_squared):
+        # an equal copy is still another semigroup
+        other = build_adjoined_zero_product([2, 2])
+        T = seq_of(other, (1, 1), (1, 1), (1, 1))
+        with pytest.raises(ValueError, match="does not live in"):
+            constructive_reduction(c2z_squared, T, d_units=3)
+
     def test_wrong_kind_rejected(self, quotient_p3_sq):
         T = seq_of(quotient_p3_sq, poly(3, 2))
         with pytest.raises(TypeError):

@@ -94,6 +94,32 @@ class TestSigma:
             sigma_index(Sequence.empty(S))
 
 
+class TestInputGuards:
+    """Each public entry point rejects an input outside its domain with a
+    ``ValueError`` that names the fault."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda C4, null: Sequence(C4, [(4, 1)]), "outside the universe"),
+            (lambda C4, null: Sequence(C4, [(-1, 1)]), "outside the universe"),
+            (lambda C4, null: Sequence(C4, [(1, -1)]), "negative multiplicity"),
+            (lambda C4, null: proper_subsums(Sequence.empty(C4)), "nonempty"),
+            (lambda C4, null: is_reducible(Sequence.empty(C4)), "nonempty"),
+            (lambda C4, null: is_zero_sum_free(Sequence(null, [(1, 1)])), "needs an identity"),
+            (lambda C4, null: davenport_group_formula([0, 2]), "must be positive"),
+            (lambda C4, null: davenport_montecarlo_upper(C4, 0), "length must be >= 1"),
+        ],
+        ids=["index_above", "index_below", "negative_count", "proper_subsums_empty",
+             "is_reducible_empty", "zero_sum_free_no_identity", "formula_zero_factor",
+             "montecarlo_length_0"],
+    )
+    def test_rejected(self, call, message):
+        null = FiniteSemigroup("null", [0, 1], [[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match=message):
+            call(build_cyclic_group(4), null)
+
+
 class TestProperSubsums:
     def test_quotient_example(self, quotient_p3_sq):
         T = seq_of(quotient_p3_sq, poly(3, 0, 1), poly(3, 2))
@@ -194,7 +220,7 @@ class TestReducibility:
 
 class TestTranslateTables:
     """The search-table rows against the table product: each row as the
-    search builds it on first use, translates mask by mask, principal
+    search builds it, translates mask by mask, principal
     ideals and fibers element by element, and a group run's inverse
     table."""
 
@@ -253,9 +279,9 @@ class TestTranslateTables:
     @pytest.mark.parametrize("build", UNIVERSES, ids=IDS)
     def test_rows_built_on_first_use(self, monkeypatch, build):
         # a run over all of S builds each row at most once, each from the
-        # Cayley row of the element the run reads; a group run over its unit
-        # group translates by shifts and builds one chunk table, its inverse
-        # test, and nothing else
+        # Cayley row of its element; a group run over its unit group
+        # translates by shifts and builds one chunk table, its inverse test,
+        # and nothing else
         S = build()
         U = units_of(S).as_semigroup()
         # the floor D*(U) - 2 is below the longest length of both
@@ -525,9 +551,8 @@ class TestDavenportExact:
         assert res.millis >= 50 and res.units.millis >= 50
 
     def test_zero_budget_builds_no_row(self, monkeypatch, capsys):
-        # the rows of the search tables are built on first use and the
-        # clock is read on node 1, before any expansion, so a zero budget
-        # at n = 256 builds none of them
+        # the clock is read on node 1, before the root builds any row of the
+        # search tables, so a zero budget at n = 256 builds none of them
         built = spy_on_row_builders(monkeypatch)
         S = build_quotient_semigroup(2, poly(2, *[0] * 8, 1))
         res = davenport_exact(S, budget_ms=0)
@@ -540,8 +565,9 @@ class TestDavenportExact:
         assert built == []
 
     def test_later_runs_build_only_the_rows_they_read(self, monkeypatch):
-        # x^3(x+1)^3 over F_2: the run over S, after the group runs, expands
-        # a single chain, and builds 2 of the 64 translate and fiber rows
+        # x^3(x+1)^3 over F_2: the run over S, after the group runs, builds
+        # every fiber and ideal row at its root, and expands a single chain,
+        # which reads 2 of the 64 translate rows
         calls = spy_on_row_builders(monkeypatch)
         kernel = zerosum._branch_and_bound
         runs = []
@@ -556,7 +582,7 @@ class TestDavenportExact:
         S = build_quotient_semigroup(2, poly(2, 0, 0, 0, 1) * poly(2, 1, 1) ** 3)
         assert davenport_exact(S).value == 7
         later = [(n, rows) for kind, n, rows in runs if kind != "group"]
-        assert later == [(64, {"_ideal_row": 6, "_fiber_row": 2, "_translate_row": 2})]
+        assert later == [(64, {"_ideal_row": 64, "_fiber_row": 64, "_translate_row": 2})]
 
     def test_proposition_frontier_p7(self):
         # D = p(p-1) = 42 for (x+1)^2 over F_7; the ideal bound makes the
