@@ -421,18 +421,23 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-# Exact records of complete runs; they pin the layered DP's tie-breaking
-# among equal-product selections, which self-consistency checks do not.
+# Exact records and exit codes. The complete runs pin the layered DP's
+# tie-breaking among equal-product selections, which self-consistency
+# checks do not; with the outside-hypothesis and budget-cut runs, the
+# verify and probe records cover every status a report can take but
+# refuted, which no unpatched claim instance reaches.
 GOLDEN_RECORDS = [
     (
         ("davenport", "-p", "3", "-f", "(x+1)^2"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 14, "value": 6, "witness": "x*5"}'
+        '"nodes": 14, "value": 6, "witness": "x*5"}',
+        0,
     ),
     (
         ("davenport", "-n", "2,4"),
         '{"complete": true, "method": "exact_dfs", "millis": null, '
-        '"nodes": 25, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}'
+        '"nodes": 25, "value": 5, "witness": "(g^0, g)*3;(g, g^0)"}',
+        0,
     ),
     (
         ("verify", "lemma", "-n", "2,2", "--stress", "10", "--seed", "5"),
@@ -443,7 +448,8 @@ GOLDEN_RECORDS = [
         '"nodes": 8, "value": 3, "witness": "(g^0, g);(g, g^0)"}, '
         '"params": {"n_list": [2, 2]}, "rhs": {"complete": true, '
         '"method": "exact_dfs", "millis": null, "nodes": 3, "value": 3, '
-        '"witness": "(g^0, g);(g, g^0)"}, "status": "verified"}'
+        '"witness": "(g^0, g);(g, g^0)"}, "status": "verified"}',
+        0,
     ),
     (
         ("verify", "proposition", "-p", "3", "--stress", "50", "--seed", "9"),
@@ -455,7 +461,8 @@ GOLDEN_RECORDS = [
         '"value": 6, "witness": "x*5"}, "params": {"f": "x^2+2*x+1", "p": '
         '3}, "rhs": {"complete": true, "method": "exact_dfs", "millis": '
         'null, "nodes": 11, "value": 6, "witness": "x*5"}, "status": '
-        '"verified"}'
+        '"verified"}',
+        0,
     ),
     (
         ("verify", "theorem1", "-p", "3", "-f", "x*(x+1)"),
@@ -467,7 +474,8 @@ GOLDEN_RECORDS = [
         '"nodes": 9, "value": 3, "witness": "2;x"}, "params": {"f": '
         '"x^2+x", "p": 3}, "rhs": {"complete": true, "method": '
         '"exact_dfs", "millis": null, "nodes": 3, "value": 3, "witness": '
-        '"2;x+2"}, "status": "verified"}'
+        '"2;x+2"}, "status": "verified"}',
+        0,
     ),
     (
         ("probe", "-p", "3", "-f", "x^2"),
@@ -478,27 +486,109 @@ GOLDEN_RECORDS = [
         '"exact_dfs", "millis": null, "nodes": 17, "value": 6, "witness": '
         '"(x+2)*5"}, "params": {"f": "x^2", "p": 3}, "rhs": {"complete": '
         'true, "method": "exact_dfs", "millis": null, "nodes": 14, '
-        '"value": 6, "witness": "(x+2)*5"}, "status": "verified"}'
+        '"value": 6, "witness": "(x+2)*5"}, "status": "verified"}',
+        0,
+    ),
+    # outside the hypothesis (p = 2), then cut at once by --budget-ms 0
+    (
+        ("verify", "theorem1", "-p", "2", "-f", "x*(x+1)"),
+        '{"artifacts": {"crt_route_model": "residue-factor product '
+        '(trivial unit coordinate present)", "crt_route_value": 3, '
+        '"factorization": "(x)*(x+1)", "unit_invariants": [], '
+        '"unit_order": 1, "units_le_semigroup": true}, "claim": '
+        '"theorem1", "lhs": {"complete": true, "method": "exact_dfs", '
+        '"millis": null, "nodes": 4, "value": 3, "witness": "x;x+1"}, '
+        '"params": {"f": "x^2+x", "p": 2}, "rhs": {"complete": true, '
+        '"method": "exact_dfs", "millis": null, "nodes": 1, "value": 1, '
+        '"witness": ""}, "status": "outside-hypothesis"}',
+        3,
+    ),
+    (
+        ("probe", "-p", "2", "-f", "x^4+x"),
+        '{"artifacts": {"factorization": "(x)*(x+1)*(x^2+x+1)", '
+        '"interpretation": "conjecture evidence only, nothing is '
+        'asserted", "sides_equal": false, "unit_invariants": [3], '
+        '"unit_order": 3}, "claim": "conjecture_probe", "lhs": '
+        '{"complete": true, "method": "exact_dfs", "millis": null, '
+        '"nodes": 9, "value": 5, "witness": "x*3;x+1"}, "params": {"f": '
+        '"x^4+x", "p": 2}, "rhs": {"complete": true, "method": '
+        '"exact_dfs", "millis": null, "nodes": 3, "value": 3, "witness": '
+        '"(x^3+x+1)*2"}, "status": "outside-hypothesis"}',
+        3,
+    ),
+    (
+        ("verify", "theorem1", "-p", "3", "-f", "x*(x+1)", "--budget-ms", "0"),
+        '{"artifacts": {"crt_route_model": "adjoined-zero cyclic orders '
+        '[2, 2]", "crt_route_value": null, "factorization": "(x)*(x+1)", '
+        '"unit_invariants": [2, 2], "unit_order": 4, '
+        '"units_le_semigroup": null}, "claim": "theorem1", "lhs": '
+        '{"complete": false, "method": "exact_dfs", "millis": null, '
+        '"nodes": 1, "value": 1, "witness": ""}, "params": {"f": "x^2+x", '
+        '"p": 3}, "rhs": {"complete": false, "method": "exact_dfs", '
+        '"millis": null, "nodes": 1, "value": 1, "witness": ""}, '
+        '"status": "incomplete"}',
+        3,
+    ),
+    (
+        ("verify", "lemma", "-n", "2,4", "--budget-ms", "0"),
+        '{"artifacts": {"stress_passed": 0, "stress_sequences": 1000, '
+        '"unit_invariants": [2, 4], "unit_order": 8, '
+        '"units_bound_k_plus_1": null}, "claim": "lemma_product", "lhs": '
+        '{"complete": false, "method": "exact_dfs", "millis": null, '
+        '"nodes": 1, "value": 1, "witness": ""}, "params": {"n_list": [2, '
+        '4]}, "rhs": {"complete": false, "method": "exact_dfs", "millis": '
+        'null, "nodes": 1, "value": 1, "witness": ""}, "status": '
+        '"incomplete"}',
+        3,
+    ),
+    (
+        ("verify", "proposition", "-p", "7", "--budget-ms", "0"),
+        '{"artifacts": {"exhibit_V": "3*5;x", "exhibit_V_bound": 7, '
+        '"lower_bound": 42, "lower_bound_witness": "(x+4)*41", '
+        '"stress_passed": 0, "stress_sequences": 1000, "unit_invariants": '
+        '[42], "unit_order": 42}, "claim": "proposition", "lhs": '
+        '{"complete": false, "method": "exact_dfs", "millis": null, '
+        '"nodes": 1, "value": 1, "witness": ""}, "params": {"f": '
+        '"x^2+2*x+1", "p": 7}, "rhs": {"complete": false, "method": '
+        '"exact_dfs", "millis": null, "nodes": 1, "value": 1, "witness": '
+        '""}, "status": "incomplete"}',
+        3,
+    ),
+    (
+        ("probe", "-p", "3", "-f", "x^2", "--budget-ms", "0"),
+        '{"artifacts": {"factorization": "(x)^2", "interpretation": '
+        '"conjecture evidence only, nothing is asserted", "sides_equal": '
+        'null, "unit_invariants": [6], "unit_order": 6}, "claim": '
+        '"conjecture_probe", "lhs": {"complete": false, "method": '
+        '"exact_dfs", "millis": null, "nodes": 1, "value": 1, "witness": '
+        '""}, "params": {"f": "x^2", "p": 3}, "rhs": {"complete": false, '
+        '"method": "exact_dfs", "millis": null, "nodes": 1, "value": 1, '
+        '"witness": ""}, "status": "incomplete"}',
+        3,
     ),
     (
         ("reduce", "-p", "3", "--seq", "x*5;2*x+2"),
         '{"input": "x*5;2*x+2", "input_length": 6, "output": "x*3;2*x+2", '
-        '"output_length": 4}'
+        '"output_length": 4}',
+        0,
     ),
     (
         ("reduce", "-p", "3", "--seq", "x+1;2*x+2;2*4"),
         '{"input": "2*4;x+1;2*x+2", "input_length": 6, "output": '
-        '"x+1;2*x+2", "output_length": 2}'
+        '"x+1;2*x+2", "output_length": 2}',
+        0,
     ),
     (
         ("reduce", "-n", "5", "--seq", "inf;g*4"),
         '{"input": "g*4;inf", "input_length": 5, "output": "g*3;inf", '
-        '"output_length": 4}'
+        '"output_length": 4}',
+        0,
     ),
     (
         ("reduce", "-n", "2,4", "--seq", "(g, g);(g, g^2);(inf, g);(g, g^3)*2"),
         '{"input": "(g, g);(g, g^2);(g, g^3)*2;(inf, g)", "input_length": '
-        '5, "output": "(g, g^2);(g, g^3);(inf, g)", "output_length": 3}'
+        '5, "output": "(g, g^2);(g, g^3);(inf, g)", "output_length": 3}',
+        0,
     ),
 ]
 
@@ -506,11 +596,12 @@ GOLDEN_RECORDS = [
 class TestGoldenRecords:
     # ids from argv alone, so re-pinning a record's nodes keeps the test's name
     @pytest.mark.parametrize(
-        "argv, record", GOLDEN_RECORDS, ids=[" ".join(argv) for argv, _ in GOLDEN_RECORDS]
+        "argv, record, exit_code", GOLDEN_RECORDS,
+        ids=[" ".join(argv) for argv, _, _ in GOLDEN_RECORDS],
     )
-    def test_record_unchanged(self, capsys, argv, record):
+    def test_record_unchanged(self, capsys, argv, record, exit_code):
         code, out, _ = run(capsys, *argv, "--format", "record")
-        assert code == 0
+        assert code == exit_code
         assert out == record + "\n"
 
 
