@@ -63,8 +63,8 @@ class VerificationReport:
 
     claim: str
     params: dict
-    lhs: Optional[DavenportResult]  # D(S)
-    rhs: Optional[DavenportResult]  # D(U(S))
+    lhs: DavenportResult  # D(S)
+    rhs: DavenportResult  # D(U(S))
     status: str
     artifacts: dict = field(default_factory=dict)
     millis: int = 0
@@ -79,8 +79,8 @@ class VerificationReport:
             "claim": self.claim,
             "params": self.params,
             "status": self.status,
-            "lhs": self.lhs.to_record() if self.lhs else None,
-            "rhs": self.rhs.to_record() if self.rhs else None,
+            "lhs": self.lhs.to_record(),
+            "rhs": self.rhs.to_record(),
             "artifacts": self.artifacts,
         }
 
@@ -89,43 +89,46 @@ class VerificationReport:
             f"claim: {self.claim}",
             f"params: {self.params}",
             f"status: {self.status}",
+            f"D(S):    {self.lhs.summary()}",
+            f"D(U(S)): {self.rhs.summary()}",
         ]
-        if self.lhs:
-            lines.append(f"D(S):    {self.lhs.summary()}")
-        if self.rhs:
-            lines.append(f"D(U(S)): {self.rhs.summary()}")
         for k in sorted(self.artifacts):
             lines.append(f"{k}: {self.artifacts[k]}")
         lines.append(f"millis: {self.millis}")
         return "\n".join(lines)
 
 
-def _status_for(
-    p: Optional[int],
+def _report(
+    claim: str,
+    params: dict,
     lhs: DavenportResult,
-    rhs: DavenportResult,
-    extra_complete: bool = True,
-) -> str:
-    """Outside the hypothesis for p <= 2; else incomplete unless both sides
-    and the extra route are complete exact searches, and then verified or
-    refuted as the two values agree or differ."""
-    if p is not None and p <= 2:
-        return STATUS_OUTSIDE
-    if not (lhs.complete and rhs.complete and extra_complete):
-        return STATUS_INCOMPLETE
-    return STATUS_VERIFIED if lhs.value == rhs.value else STATUS_REFUTED
+    artifacts: dict,
+    budget: Budget,
+    route_complete: bool = True,
+) -> VerificationReport:
+    """The report of one claim instance, from ``lhs``, the exact search of S.
 
-
-def _both_sides(S: FiniteSemigroup, budget: Budget):
-    """``(lhs, rhs, artifacts)``: D(S) from one exact search of S on
-    ``budget``, D(U(S)) as that search's first run, and U's order and
-    invariant factors."""
-    U = units_of(S)
-    lhs = davenport_exact(S, budget)
-    return lhs, lhs.units, {
-        "unit_order": U.order,
-        "unit_invariants": list(U.invariant_factors),
-    }
+    D(U(S)) is that search's first run, ``lhs.units``, which is set because
+    every claim's S has a zero and so is not a group. U's order and
+    invariant factors join the claim's own ``artifacts``. The status is
+    outside-hypothesis when ``params`` has ``p <= 2``; else incomplete
+    unless both sides and the claim's own route (``route_complete``)
+    finished; else verified or refuted as the two values agree or differ.
+    ``millis`` is the budget's elapsed time.
+    """
+    rhs = lhs.units
+    U = units_of(lhs.witness.parent)
+    artifacts["unit_order"] = U.order
+    artifacts["unit_invariants"] = list(U.invariant_factors)
+    if "p" in params and params["p"] <= 2:
+        status = STATUS_OUTSIDE
+    elif not (lhs.complete and rhs.complete and route_complete):
+        status = STATUS_INCOMPLETE
+    else:
+        status = STATUS_VERIFIED if lhs.value == rhs.value else STATUS_REFUTED
+    return VerificationReport(
+        claim, params, lhs, rhs, status, artifacts, budget.elapsed_ms()
+    )
 
 
 def assert_valid_reduction(T: Sequence, T_prime: Sequence) -> None:
@@ -283,23 +286,19 @@ def verify_lemma_product(
         raise ValueError("stress count must be >= 0")
     budget = Budget(budget_ms)
     S = build_adjoined_zero_product(n_list)
-    lhs, rhs, artifacts = _both_sides(S, budget)
-    artifacts["units_bound_k_plus_1"] = (
-        rhs.value >= len(n_list) + 1 if rhs.complete else None
-    )
-    if stress > 0:
-        reduce = partial(constructive_reduction, S, d_units=rhs.value)
-        artifacts.update(_stress(S, rhs.value, reduce, stress, seed, budget))
-    return VerificationReport(
-        claim=CLAIM_LEMMA_PRODUCT,
-        params={"n_list": n_list},
-        lhs=lhs,
-        rhs=rhs,
-        status=_status_for(
-            None, lhs, rhs, artifacts.get("stress_passed", stress) == stress
+    lhs = davenport_exact(S, budget)
+    d_units = lhs.units.value
+    artifacts = {
+        "units_bound_k_plus_1": (
+            d_units >= len(n_list) + 1 if lhs.units.complete else None
         ),
-        artifacts=artifacts,
-        millis=budget.elapsed_ms(),
+    }
+    if stress > 0:
+        reduce = partial(constructive_reduction, S, d_units=d_units)
+        artifacts.update(_stress(S, d_units, reduce, stress, seed, budget))
+    return _report(
+        CLAIM_LEMMA_PRODUCT, {"n_list": n_list}, lhs, artifacts, budget,
+        artifacts.get("stress_passed", stress) == stress,
     )
 
 
@@ -325,7 +324,7 @@ def verify_theorem1(
         )
     budget = Budget(budget_ms)
     crt = crt_decompose(p, f, fac)
-    lhs, rhs, artifacts = _both_sides(crt.source, budget)
+    lhs = davenport_exact(crt.source, budget)
 
     orders = crt.cyclic_orders
     if all(n >= 2 for n in orders):
@@ -341,22 +340,18 @@ def verify_theorem1(
             f"{route.value} != {lhs.value}"
         )
 
-    artifacts.update({
+    rhs = lhs.units
+    artifacts = {
         "factorization": str(fac),
         "crt_route_value": route.value if route.complete else None,
         "crt_route_model": model_note,
         "units_le_semigroup": (
             rhs.value <= lhs.value if lhs.complete and rhs.complete else None
         ),
-    })
-    return VerificationReport(
-        claim=CLAIM_THEOREM1,
-        params={"p": p, "f": str(f)},
-        lhs=lhs,
-        rhs=rhs,
-        status=_status_for(p, lhs, rhs, extra_complete=route.complete),
-        artifacts=artifacts,
-        millis=budget.elapsed_ms(),
+    }
+    return _report(
+        CLAIM_THEOREM1, {"p": p, "f": str(f)}, lhs, artifacts, budget,
+        route.complete,
     )
 
 
@@ -477,15 +472,11 @@ def verify_proposition(
         raise ValueError("stress count must be >= 0")
     budget = Budget(budget_ms)
     S = proposition_semigroup(p)
+    # units_of checks U's coordinates against the closed form: cyclic of
+    # order p(p-1)
     U = units_of(S)
     d_formula = p * (p - 1)
-    if U.invariant_factors != (d_formula,):
-        raise AssertionError(
-            f"unit group expected cyclic of order {d_formula}, its coordinates "
-            f"give {U.invariant_factors}"
-        )
-
-    lhs, rhs, artifacts = _both_sides(S, budget)
+    lhs = davenport_exact(S, budget)
     # a generator of the cyclic unit group repeated d-1 times is
     # irreducible (checked below), so D(S) >= D(U) always holds explicitly.
     # The unit at coordinate 1, the first of largest order, generates U
@@ -493,22 +484,18 @@ def verify_proposition(
     lower_witness = Sequence(S, [(generator, d_formula - 1)])
     if is_reducible(lower_witness):
         raise AssertionError("generator-power witness unexpectedly reducible")
-    artifacts["lower_bound_witness"] = lower_witness.format()
-    artifacts["lower_bound"] = d_formula
     exhibit = build_witness_V(S)
-    artifacts["exhibit_V"] = exhibit.format()
-    artifacts["exhibit_V_bound"] = len(exhibit) + 1
-
+    artifacts = {
+        "lower_bound_witness": lower_witness.format(),
+        "lower_bound": d_formula,
+        "exhibit_V": exhibit.format(),
+        "exhibit_V_bound": len(exhibit) + 1,
+    }
     reduce = partial(reduce_quadratic_case, p)
     artifacts.update(_stress(S, d_formula, reduce, stress, seed, budget))
-    return VerificationReport(
-        claim=CLAIM_PROPOSITION,
-        params={"p": p, "f": str(quadratic_modulus(p))},
-        lhs=lhs,
-        rhs=rhs,
-        status=_status_for(p, lhs, rhs, artifacts["stress_passed"] == stress),
-        artifacts=artifacts,
-        millis=budget.elapsed_ms(),
+    return _report(
+        CLAIM_PROPOSITION, {"p": p, "f": str(quadratic_modulus(p))}, lhs,
+        artifacts, budget, artifacts["stress_passed"] == stress,
     )
 
 
@@ -527,20 +514,13 @@ def conjecture_probe(
         raise ValueError("modulus must have degree >= 1")
     budget = Budget(budget_ms)
     S = build_quotient_semigroup(p, f)
-    lhs, rhs, artifacts = _both_sides(S, budget)
-    artifacts.update({
+    lhs = davenport_exact(S, budget)
+    rhs = lhs.units
+    artifacts = {
         "factorization": str(modulus_factorization(S)),
         "interpretation": "conjecture evidence only, nothing is asserted",
         "sides_equal": (
             lhs.value == rhs.value if lhs.complete and rhs.complete else None
         ),
-    })
-    return VerificationReport(
-        claim=CLAIM_CONJECTURE,
-        params={"p": p, "f": str(f)},
-        lhs=lhs,
-        rhs=rhs,
-        status=_status_for(p, lhs, rhs),
-        artifacts=artifacts,
-        millis=budget.elapsed_ms(),
-    )
+    }
+    return _report(CLAIM_CONJECTURE, {"p": p, "f": str(f)}, lhs, artifacts, budget)
