@@ -1069,25 +1069,8 @@ class MonteCarloReport:
     d: int
     samples: int
     checked: int
-    reducible: int
     counterexample: Optional[Sequence]
     seed: int
-
-    @property
-    def all_reducible(self) -> bool:
-        return self.counterexample is None
-
-    def to_record(self) -> dict:
-        return {
-            "d": self.d,
-            "samples": self.samples,
-            "checked": self.checked,
-            "reducible": self.reducible,
-            "counterexample": (
-                self.counterexample.format() if self.counterexample else None
-            ),
-            "seed": self.seed,
-        }
 
 
 def davenport_montecarlo_upper(
@@ -1118,5 +1101,5 @@ def davenport_montecarlo_upper(
             reduces = _reducible_incremental(S, terms())
         if not reduces:
             T = Sequence.from_indices(S, terms())
-            return MonteCarloReport(d, samples, checked, checked - 1, T, seed)
-    return MonteCarloReport(d, samples, samples, samples, None, seed)
+            return MonteCarloReport(d, samples, checked, T, seed)
+    return MonteCarloReport(d, samples, samples, None, seed)

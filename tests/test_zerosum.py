@@ -201,7 +201,7 @@ class TestReducibility:
         assert is_reducible(Sequence(S, [(S.index_of[poly(5, 2)], 4)]))
         assert not is_reducible(seq_of(S, poly(5, 0, 1), poly(5, 2)))
         report = davenport_montecarlo_upper(S, 20, samples=200, seed=3)
-        assert report.all_reducible and report.checked == 200
+        assert report.counterexample is None and report.checked == 200
         assert len(build_witness_V(S)) == 4
         with pytest.raises(AssertionError, match="search tables built"):
             davenport_exact(S)
@@ -1458,8 +1458,7 @@ class TestMonteCarlo:
     def test_all_reducible_at_davenport_length(self):
         C = build_cyclic_with_zero(2)
         rep = davenport_montecarlo_upper(C, 2, samples=500, seed=1)
-        assert rep.all_reducible
-        assert rep.reducible == rep.checked == 500
+        assert rep.counterexample is None and rep.checked == 500
 
     def test_counterexample_below_davenport(self):
         G = build_cyclic_group(3)
@@ -1471,7 +1470,7 @@ class TestMonteCarlo:
     def test_deterministic_given_seed(self, quotient_p3_sq):
         a = davenport_montecarlo_upper(quotient_p3_sq, 4, samples=100, seed=9)
         b = davenport_montecarlo_upper(quotient_p3_sq, 4, samples=100, seed=9)
-        assert a.to_record() == b.to_record()
+        assert a == b
 
     def test_sampler_maps_subsets_onto_multisets(self):
         class EnumeratingRng:
@@ -1499,16 +1498,14 @@ class TestMonteCarlo:
             assert sorted(images) == list(all_multisets(n, k))
 
     @staticmethod
-    def reference_record(S, d, samples, seed):
+    def reference_report(S, d, samples, seed):
         """The sampler as a plain loop: ``random_sequence``, then ``is_reducible``."""
         rng = random.Random(seed)
-        reducible = 0
         for checked in range(1, samples + 1):
             T = random_sequence(S, d, rng)
             if not is_reducible(T):
-                return zerosum.MonteCarloReport(d, samples, checked, reducible, T, seed)
-            reducible += 1
-        return zerosum.MonteCarloReport(d, samples, samples, reducible, None, seed)
+                return zerosum.MonteCarloReport(d, samples, checked, T, seed)
+        return zerosum.MonteCarloReport(d, samples, samples, None, seed)
 
     @pytest.mark.parametrize("case", ["quotient", "cyclic3", "cyclic2_zero", "null"])
     def test_matches_the_reference_loop(self, case, quotient_p3_sq):
@@ -1522,10 +1519,10 @@ class TestMonteCarlo:
         counterexamples = 0
         for d in lengths:
             for seed in range(10):
-                got = davenport_montecarlo_upper(S, d, samples=200, seed=seed).to_record()
-                assert got == self.reference_record(S, d, 200, seed).to_record()
-                counterexamples += got["counterexample"] is not None
-        # the counterexample records are compared too, not only the counts
+                got = davenport_montecarlo_upper(S, d, samples=200, seed=seed)
+                assert got == self.reference_report(S, d, 200, seed)
+                counterexamples += got.counterexample is not None
+        # the counterexamples are compared too, not only the counts
         assert counterexamples > 0
 
     def test_negative_samples_rejected(self):
@@ -1542,7 +1539,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(Sequence, "__init__", counting_init)
         rep = davenport_montecarlo_upper(build_cyclic_with_zero(2), 2, samples=500, seed=1)
-        assert rep.all_reducible and rep.checked == 500
+        assert rep.counterexample is None and rep.checked == 500
         assert built == []
         # seed 4 folds five reducible draws before the sixth is irreducible
         rep = davenport_montecarlo_upper(build_cyclic_group(3), 2, samples=500, seed=4)
