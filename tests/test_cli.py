@@ -415,6 +415,75 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: internal: search produced a reducible witness\n"
 
+    # each internal check, reached through a verb after the dependency it
+    # checks has been made to lie: (dependency, its lie, argv, message)
+    INTERNAL_CHECKS = {
+        "group formula against the search": (
+            "davenport.cli.davenport_group_formula", lambda chain: 99,
+            ("davenport-group", "2,2"), "formula 99 disagrees with search 3",
+        ),
+        "witness re-check": (
+            "davenport.zerosum.find_reduction", lambda T: T,
+            ("davenport", "-n", "2,4"), "search produced a reducible witness",
+        ),
+        "CRT route against the direct search": (
+            "davenport.verify.build_adjoined_zero_product",
+            lambda orders: build_adjoined_zero_product([*orders, 2]),
+            ("verify", "theorem1", "-p", "3", "-f", "x*(x+1)"),
+            "decomposition route disagrees with the direct search; 4 != 3",
+        ),
+        "generator-power witness": (
+            "davenport.verify.is_reducible", lambda T: True,
+            ("verify", "proposition", "-p", "3"),
+            "generator-power witness unexpectedly reducible",
+        ),
+        "exhibit witness": (
+            # the exhibit x * 2 has two terms, the generator power five
+            "davenport.verify.is_reducible", lambda T: len(T) == 2,
+            ("verify", "proposition", "-p", "3"),
+            "the exhibit sequence turned out reducible",
+        ),
+        "non-unit pair absorbs": (
+            "davenport.verify.product_index", lambda S, pairs: S.identity,
+            ("reduce", "-p", "3", "--seq", "x+1;2*x+2;2*4"),
+            "non-unit pair failed to absorb the product",
+        ),
+        "identity-product subsequence": (
+            "davenport.verify.dp_select", lambda *args, **kwargs: None,
+            ("reduce", "-p", "3", "--seq", "x*6"),
+            "no nonempty subsequence multiplies to 1; this would falsify the claim",
+        ),
+        "absorbing coordinate of the product": (
+            # only the zero absorbs, and no term is the zero
+            "davenport.verify.zero_coordinate_sets",
+            lambda S: [frozenset({1} if i == S.zero else ()) for i in range(S.size)],
+            ("reduce", "-n", "2,4", "--seq", "(inf, g);(g, inf);(g, g)*3"),
+            "sigma(T) absorbs a coordinate no term absorbs",
+        ),
+        "projected identity-product subsequence": (
+            "davenport.verify.dp_select", lambda *args, **kwargs: None,
+            ("reduce", "-n", "2,4", "--seq", "(g, g);(g, g^2);(inf, g);(g, g^3)*2"),
+            "no projected identity-product subsequence of the required length; "
+            "this would falsify the claim",
+        ),
+        "projected witness lifts": (
+            # more of one projected term than T minus V holds
+            "davenport.verify.dp_select",
+            lambda S, source, target, proper: {source[0][0]: 100},
+            ("reduce", "-n", "2,4", "--seq", "(g, g);(g, g^2);(inf, g);(g, g^3)*2"),
+            "projected witness could not be lifted",
+        ),
+    }
+
+    @pytest.mark.parametrize("check", INTERNAL_CHECKS)
+    def test_internal_check_fires(self, capsys, monkeypatch, check):
+        target, lie, argv, message = self.INTERNAL_CHECKS[check]
+        monkeypatch.setattr(target, lie)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: internal: {message}\n"
+
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
