@@ -472,9 +472,7 @@ def verify_proposition(
         raise ValueError("stress count must be >= 0")
     budget = Budget(budget_ms)
     S = proposition_semigroup(p)
-    # units_of checks U's coordinates against the closed form: cyclic of
-    # order p(p-1)
-    U = units_of(S)
+    U = units_of(S)  # checked against the closed form: cyclic of order p(p-1)
     d_formula = p * (p - 1)
     lhs = davenport_exact(S, budget)
     # a generator of the cyclic unit group repeated d-1 times is
